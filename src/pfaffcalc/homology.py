@@ -17,16 +17,7 @@ from .constructions import (GradedMatrix, map_matrix, module_presentation,
 from .exterior import ExteriorElement, AlternatingMatrix, pfaffian_oracle
 from .gbengine import (FreeModuleOrder, make_buckets, nf, buchberger,
                        interreduce)
-from .resolutions import syzygies, ladder_betti
-
-
-def _vec_of_column(col, order):
-    acc = []
-    for i, p in enumerate(col):
-        if not p.is_zero():
-            acc.extend((order.key(i, m), c) for m, c in p.terms)
-    acc.sort(reverse=True)
-    return tuple(acc)
+from .resolutions import _vec_of_entries, syzygies, ladder_betti
 
 
 def _column_bidegree(col, row_degs):
@@ -54,14 +45,14 @@ class ModuleSpan:
         self.ring = ring
         self.field = ring.field
         self.order = FreeModuleOrder(ring, rank, twists=twists)
-        vecs = [_vec_of_column(c, self.order) for c in cols]
+        vecs = [_vec_of_entries(enumerate(c), self.order) for c in cols]
         vecs = [v for v in vecs if v]
         G, _, _ = buchberger(vecs, self.order, self.field)
         self._G = interreduce(G, self.order, self.field)
         self._buckets = make_buckets(self._G, self.order, self.field)
 
     def contains_column(self, col):
-        v = _vec_of_column(col, self.order)
+        v = _vec_of_entries(enumerate(col), self.order)
         if not v:
             return True
         rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)

@@ -4,8 +4,10 @@ tables.
 Two independent Betti routes are provided on purpose:
 
 * ``free_resolution`` builds the iterated-syzygy ladder under Schreyer
-  orders, converts it to a chain of graded matrices, and minimalizes it
-  by contracting unit entries (deterministic pivot order);
+  orders and keeps it as engine vecs: the d o d = 0 check runs on the
+  vecs, the ladder is minimalized on sparse columns by contracting unit
+  entries (deterministic pivot order), and only the minimal complex it
+  returns is converted to graded matrices;
 * ``ladder_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal ladder as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -14,12 +16,13 @@ Two independent Betti routes are provided on purpose:
 Both must agree; tests compare them.
 """
 
+from heapq import heapify, heappop, heappush
+
 from .rings import Polynomial
 from .constructions import GradedMatrix
 from .betti import BettiTable
-from .gbengine import (FreeModuleOrder, vec_of_poly, poly_of_vec_component,
-                       vec_bideg, make_buckets, nf, buchberger, interreduce,
-                       schreyer_resolution)
+from .gbengine import (FreeModuleOrder, poly_of_vec_component, vec_bideg,
+                       make_buckets, nf, buchberger, schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -28,19 +31,21 @@ class ResolutionTruncated(Exception):
 
 # -- vec <-> GradedMatrix ----------------------------------------------------
 
+def _vec_of_entries(entries, order):
+    """The vec with the given (row, Polynomial) entries, e.g.
+    enumerate(column) for a matrix column."""
+    acc = []
+    for i, p in entries:
+        acc.extend((order.key(i, m), c) for m, c in p.terms)
+    acc.sort(reverse=True)
+    return tuple(acc)
+
+
 def _vecs_of_matrix(M):
     """Columns of a GradedMatrix as engine vecs, plus the ambient order."""
     order = FreeModuleOrder(M.ring, M.nrows, twists=M.row_degs)
-    vecs = []
-    for j in range(M.ncols):
-        acc = []
-        for i in range(M.nrows):
-            p = M.entries[i][j]
-            if not p.is_zero():
-                acc.extend((order.key(i, m), c) for m, c in p.terms)
-        acc.sort(reverse=True)
-        vecs.append(tuple(acc))
-    return vecs, order
+    return [_vec_of_entries(enumerate(col), order)
+            for col in M.columns()], order
 
 
 def _matrix_of_vecs(vecs, order, col_degs=None):
@@ -142,6 +147,79 @@ def _vec_sub(a, b, field):
     return tuple(sorted(out.items(), reverse=True))
 
 
+# -- invariants of a chain of vecs --------------------------------------------
+
+def _check_vec_degrees(vecs, order, col_degs, bideg):
+    """Every term of column j lies in bidegree col_degs[j]: the monomial
+    of a term in row i has bidegree col_degs[j] - twists[i].  `bideg` is
+    a memoized bidegree_of_monomial."""
+    twists = order.twists
+    ocomp = order.comp
+    omono = order.mono
+    for j, v in enumerate(vecs):
+        ca, cb = col_degs[j]
+        for key, _ in v:
+            i = ocomp(key)
+            got = bideg(omono(key))
+            want = (ca - twists[i][0], cb - twists[i][1])
+            if got != want:
+                raise ValueError("entry (%d,%d) has bidegree %s, expected %s"
+                                 % (i, j, got, want))
+
+
+def _composes_to_zero(v, order_next, G, order, field):
+    """Does the vec v over order_next map to zero, where component i of
+    order_next stands for the vec G[i] over order?  Each term m*eps_i of
+    v contributes G[i] shifted by m; coefficients are summed unreduced
+    and tested once at the end."""
+    acc = {}
+    get = acc.get
+    ncomp = order_next.comp
+    nmono = order_next.mono
+    moff = order.moff
+    for key, c in v:
+        off = moff(nmono(key))
+        for kg, cg in G[ncomp(key)]:
+            kk = kg + off
+            acc[kk] = get(kk, 0) + c * cg
+    is_zero = field.is_zero
+    return all(is_zero(x) for x in acc.values())
+
+
+def _check_chain(levels, twists, field):
+    """The FreeComplex invariants on a chain given as engine vecs.
+
+    levels[k] = (order_k, columns of d_{k+1} as vecs over order_k), and
+    component i of order_{k+1} stands for column i of level k.  Checked:
+    order_k carries the twists of F_k and level k has one column per
+    generator of F_{k+1}, every entry has the bidegree its row and column
+    twists demand, and d_{k+1} o d_{k+2} = 0, by pushing each column of
+    level k+1 through the columns of level k."""
+    if not levels:
+        return
+    of_monomial = levels[0][0].ring.bidegree_of_monomial
+    memo = {}
+
+    def bideg(m):
+        bd = memo.get(m)
+        if bd is None:
+            bd = memo[m] = of_monomial(m)
+        return bd
+    for k, (order, vecs) in enumerate(levels):
+        if order.twists != tuple(map(tuple, twists[k])) or \
+                len(vecs) != len(twists[k + 1]):
+            raise ValueError("differential %d does not match the twist "
+                             "data" % (k + 1,))
+        _check_vec_degrees(vecs, order, twists[k + 1], bideg)
+    for k in range(len(levels) - 1):
+        order, G = levels[k]
+        order_next, H = levels[k + 1]
+        for v in H:
+            if not _composes_to_zero(v, order_next, G, order, field):
+                raise ValueError("composite d_%d o d_%d is nonzero"
+                                 % (k + 1, k + 2))
+
+
 # -- free complexes -----------------------------------------------------------
 
 class FreeComplex:
@@ -150,7 +228,9 @@ class FreeComplex:
     twists[i] lists the generator bidegrees of F_i; diffs[i] is the
     graded matrix of d_{i+1}: F_{i+1} -> F_i.  Invariants (checked):
     differentials match the twist data, and consecutive composites are
-    identically zero.  `truncated` marks a chain cut off before its
+    identically zero.  The check converts the matrices to engine vecs and
+    runs the same sparse routine that checks the Schreyer ladder inside
+    `free_resolution`.  `truncated` marks a chain cut off before its
     natural end; it is never set silently by the constructors here."""
 
     __slots__ = ("ring", "twists", "diffs", "truncated")
@@ -170,16 +250,15 @@ class FreeComplex:
         return len(self.twists) - 1
 
     def check(self):
+        levels = []
         for k, d in enumerate(self.diffs):
             if list(d.row_degs) != list(self.twists[k]) or \
                     list(d.col_degs) != list(self.twists[k + 1]):
                 raise ValueError("differential %d does not match the twist "
                                  "data" % (k + 1,))
-            d.check_degrees()
-        for k in range(len(self.diffs) - 1):
-            if not (self.diffs[k] @ self.diffs[k + 1]).is_zero():
-                raise ValueError("composite d_%d o d_%d is nonzero"
-                                 % (k + 1, k + 2))
+            vecs, order = _vecs_of_matrix(d)
+            levels.append((order, vecs))
+        _check_chain(levels, self.twists, self.ring.field)
 
     def betti(self):
         """Generator counts by (homological index, bidegree) — the Betti
@@ -191,26 +270,14 @@ class FreeComplex:
         return B
 
     def is_minimal(self):
-        return not any(not e.is_zero() and e.degree() == 0
+        one = self.ring.codec.one
+        return not any(_is_unit(e, one)
                        for d in self.diffs for row in d.entries for e in row)
 
     def __repr__(self):
         return "<FreeComplex ranks %r%s>" % (
             [len(t) for t in self.twists],
             " (truncated)" if self.truncated else "")
-
-
-def _ladder_complex(levels, order0, truncated):
-    """Convert schreyer_resolution output to a FreeComplex over F_0 =
-    the free module of order0."""
-    ring = order0.ring
-    twists = [list(order0.twists)]
-    diffs = []
-    for k, (order_k, els) in enumerate(levels):
-        coldegs = [vec_bideg(el, order_k) for el in els]
-        diffs.append(_matrix_of_vecs(els, order_k, coldegs))
-        twists.append(coldegs)
-    return FreeComplex(ring, twists, diffs, truncated=truncated)
 
 
 def _run_ladder(pres, cap):
@@ -222,24 +289,42 @@ def _run_ladder(pres, cap):
     return levels, truncated, order0
 
 
+def _ladder_twists(levels, order0):
+    """Generator bidegrees of every module of the ladder: F_0 from order0,
+    F_k from the Schreyer order of level k, the last module from its
+    columns."""
+    twists = [list(order0.twists)]
+    for k in range(1, len(levels)):
+        twists.append(list(levels[k][0].twists))
+    if levels:
+        last_order, last_els = levels[-1]
+        twists.append([vec_bideg(el, last_order) for el in last_els])
+    return twists
+
+
 def free_resolution(pres, max_len):
     """The minimal graded free resolution of coker(pres), of length at
     most max_len.
 
-    Iterated Schreyer syzygies of the column module, assembled over the
-    target free module and minimalized.  If the ladder does not end
-    naturally within a generous internal cap, or the minimal resolution
-    turns out longer than max_len, a ResolutionTruncated error is raised
-    — never a silently shortened complex."""
+    Iterated Schreyer syzygies of the column module, kept as engine vecs
+    over the target free module: d o d = 0 is checked on the vecs, the
+    ladder is minimalized on sparse columns, and only the minimal complex
+    is built from graded matrices.  If the ladder does not end naturally
+    within a generous internal cap, or the minimal resolution turns out
+    longer than max_len, a ResolutionTruncated error is raised — never a
+    silently shortened complex."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    cap = max(max_len + 3, len(pres.ring.names) + 2)
+    ring = pres.ring
+    cap = max(max_len + 3, len(ring.names) + 2)
     levels, truncated, order0 = _run_ladder(pres, cap)
     if truncated:
         raise ResolutionTruncated(
             "syzygy ladder still active after %d levels" % cap)
-    C = _ladder_complex(levels, order0, truncated=False)
-    minC, _ = minimalize(C)
+    twists = _ladder_twists(levels, order0)
+    _check_chain(levels, twists, ring.field)
+    mats = [_columns_of_vecs(els, order) for order, els in levels]
+    minC = _minimal_complex(ring, mats, twists, truncated=False)
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
@@ -254,63 +339,11 @@ def minimalize(C):
     of d_k is removed by a Schur update of d_k, deleting row r / column
     c there, column r of d_{k-1} and row c of d_{k+1} (basis changes
     touch only the deleted row and column).  Pivot choice is the lowest
-    (i, j) unit of the lowest k, so tables are reproducible."""
-    ring = C.ring
-    field = ring.field
-    mats = [[row[:] for row in d.entries] for d in C.diffs]
-    twists = [list(tw) for tw in C.twists]
-
-    def find_unit(mat):
-        for i, row in enumerate(mat):
-            for j, e in enumerate(row):
-                if not e.is_zero() and e.degree() == 0:
-                    return i, j
-        return None
-
-    progress = True
-    while progress:
-        progress = False
-        for k in range(len(mats)):
-            while True:
-                piv = find_unit(mats[k])
-                if piv is None:
-                    break
-                progress = True
-                r, c = piv
-                mat = mats[k]
-                uinv = field.inv(mat[r][c].lc())
-                colvals = [mat[i][c] for i in range(len(mat))]
-                rowvals = list(mat[r])
-                for i in range(len(mat)):
-                    if i == r or colvals[i].is_zero():
-                        continue
-                    fac = colvals[i].scale(uinv)
-                    rowi = mat[i]
-                    for j in range(len(rowvals)):
-                        if j == c or rowvals[j].is_zero():
-                            continue
-                        rowi[j] = rowi[j] - fac * rowvals[j]
-                del mat[r]
-                for row in mat:
-                    del row[c]
-                twists[k].pop(r)
-                twists[k + 1].pop(c)
-                if k + 1 < len(mats):
-                    del mats[k + 1][c]
-                if k > 0:
-                    for row in mats[k - 1]:
-                        del row[r]
-
-    while twists and not twists[-1]:
-        twists.pop()
-        mats.pop()
-
-    diffs = []
-    for k, mat in enumerate(mats):
-        diffs.append(GradedMatrix(ring, mat, twists[k], twists[k + 1]))
-    out = FreeComplex(ring, twists, diffs, truncated=C.truncated)
-    if not out.is_minimal():
-        raise AssertionError("unit entry survived minimalization")
+    (i, j) unit of the lowest k, so tables are reproducible.  The work
+    runs on sparse columns, the kernel `free_resolution` uses too."""
+    mats = [[{i: p for i, p in enumerate(col) if not p.is_zero()}
+             for col in d.columns()] for d in C.diffs]
+    out = _minimal_complex(C.ring, mats, C.twists, truncated=C.truncated)
     return out, out.betti()
 
 
@@ -319,6 +352,130 @@ def complex_betti(C):
     if not C.is_minimal():
         raise ValueError("complex is not minimal; minimalize it first")
     return C.betti()
+
+
+# -- minimalization on sparse columns ----------------------------------------
+
+def _columns_of_vecs(vecs, order):
+    """Columns of one differential as {row: Polynomial} dicts."""
+    ring = order.ring
+    ocomp = order.comp
+    omono = order.mono
+    cols = []
+    for v in vecs:
+        col = {}
+        for key, c in v:
+            col.setdefault(ocomp(key), []).append((omono(key), c))
+        cols.append({i: Polynomial(ring, tuple(terms))
+                     for i, terms in col.items()})
+    return cols
+
+
+def _is_unit(p, one):
+    """Is the Polynomial p a nonzero constant?"""
+    return len(p.terms) == 1 and p.terms[0][0] == one
+
+
+def _contract_units(mats, twists, field, one):
+    """Contract every unit entry of a chain of sparse differentials, in
+    place.  mats[k][j] maps the rows of d_{k+1}'s column j to their
+    nonzero entries.  Returns alive[k], the surviving generators of F_k.
+
+    Pivots come off a heap keyed by the original (row, column) labels.
+    Deleting rows and columns keeps the relative order of the survivors,
+    so the heap's minimum is the dense route's lowest (i, j) unit; a
+    Schur update can only create units below and to the right of its
+    pivot, and those are pushed as they appear."""
+    alive = [[True] * len(tw) for tw in twists]
+    rows = []   # rows[k][i]: columns of mats[k] with an entry in row i
+    for k, cols in enumerate(mats):
+        idx = [set() for _ in twists[k]]
+        for j, col in enumerate(cols):
+            for i in col:
+                idx[i].add(j)
+        rows.append(idx)
+
+    for k, cols in enumerate(mats):
+        rowidx = rows[k]
+        heap = [(i, j) for j, col in enumerate(cols)
+                for i, p in col.items() if _is_unit(p, one)]
+        heapify(heap)
+        while heap:
+            r, c = heappop(heap)
+            if not (alive[k][r] and alive[k + 1][c]):
+                continue
+            pivcol = cols[c]
+            u = pivcol.get(r)
+            if u is None or not _is_unit(u, one):
+                continue
+            uinv = field.inv(u.lc())
+            pivrow = [(j, cols[j][r]) for j in rowidx[r] if j != c]
+            for i, p in pivcol.items():
+                if i == r:
+                    continue
+                fac = p.scale(uinv)
+                rowi = rowidx[i]
+                for j, q in pivrow:
+                    col = cols[j]
+                    old = col.get(i)
+                    new = -(fac * q) if old is None else old - fac * q
+                    if new.is_zero():
+                        if old is not None:
+                            del col[i]
+                            rowi.discard(j)
+                        continue
+                    col[i] = new
+                    rowi.add(j)
+                    if _is_unit(new, one):
+                        heappush(heap, (i, j))
+            # delete row r and column c of d_{k+1}
+            for j in rowidx[r]:
+                del cols[j][r]
+            rowidx[r] = set()
+            for i in pivcol:
+                rowidx[i].discard(c)
+            cols[c] = {}
+            alive[k][r] = alive[k + 1][c] = False
+            # column r of d_k and row c of d_{k+2}
+            if k > 0:
+                for i in mats[k - 1][r]:
+                    rows[k - 1][i].discard(r)
+                mats[k - 1][r] = {}
+            if k + 1 < len(mats):
+                for j in rows[k + 1][c]:
+                    del mats[k + 1][j][c]
+                rows[k + 1][c] = set()
+    return alive
+
+
+def _minimal_complex(ring, mats, twists, truncated):
+    """Minimalize a chain of sparse differentials (see `minimalize`),
+    check the result on engine vecs, and return it as a FreeComplex of
+    graded matrices."""
+    field = ring.field
+    one = ring.codec.one
+    alive = _contract_units(mats, twists, field, one)
+    keep = [[i for i, a in enumerate(al) if a] for al in alive]
+    twists = [[tw[i] for i in kp] for tw, kp in zip(twists, keep)]
+    while len(twists) > 1 and not twists[-1]:
+        twists.pop()
+    zero = ring.zero()
+    levels, entries = [], []
+    for k in range(len(twists) - 1):
+        pos = {i: p for p, i in enumerate(keep[k])}
+        cols = [{pos[i]: e for i, e in mats[k][j].items()}
+                for j in keep[k + 1]]
+        if any(_is_unit(e, one) for col in cols for e in col.values()):
+            raise AssertionError("unit entry survived minimalization")
+        order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
+        levels.append((order, [_vec_of_entries(col.items(), order)
+                               for col in cols]))
+        entries.append([[col.get(i, zero) for col in cols]
+                        for i in range(len(pos))])
+    _check_chain(levels, twists, field)
+    diffs = [GradedMatrix(ring, ent, twists[k], twists[k + 1], check=False)
+             for k, ent in enumerate(entries)]
+    return FreeComplex(ring, twists, diffs, truncated=truncated, check=False)
 
 
 # -- Betti numbers straight from the ladder ----------------------------------
@@ -397,12 +554,7 @@ def ladder_betti(pres, cap=None):
     if truncated:
         raise ResolutionTruncated(
             "syzygy ladder still active after %d levels" % cap)
-    twists = [list(order0.twists)]
-    for k in range(1, len(levels)):
-        twists.append(list(levels[k][0].twists))
-    if levels:
-        last_order, last_els = levels[-1]
-        twists.append([vec_bideg(el, last_order) for el in last_els])
+    twists = _ladder_twists(levels, order0)
     ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
     for k, (order_k, els) in enumerate(levels):
         strands = _constant_strands(order_k, els, twists[k], twists[k + 1],

@@ -91,6 +91,18 @@ def test_map_matrices_are_graded(name, shape):
     M.check_degrees()
 
 
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("f", [2, 3, 4, 5, 6])
+def test_d0_matches_contraction_route(f, char):
+    # d0 is transcribed as -X; the contraction phi_1 |-> phi_1(xi) must
+    # give the same matrix, entry for entry
+    ring = ring_for(f, GF(char) if char else QQ)
+    d0 = map_matrix("d0", ring)
+    d0c = map_matrix("d0_contracted", ring)
+    assert d0c.entries == d0.entries
+    assert (d0c.row_degs, d0c.col_degs) == (d0.row_degs, d0.col_degs)
+
+
 @pytest.mark.parametrize("f", [3, 4, 5])
 def test_complex_shapes(f):
     ring = ring_for(f, QQ)
