@@ -3,11 +3,11 @@ alternating matrix X together with the entries of t*X, over QQ or GF(p).
 """
 
 from .fields import QQ, GF, CoefficientField
-from .rings import PolyRing, Polynomial, Monomial, monomial_cmp, ring_for
+from .rings import PolyRing, Polynomial, ring_for
 from .textio import parse, render, parse_cas, emit_cas
 
 __all__ = [
     "QQ", "GF", "CoefficientField",
-    "PolyRing", "Polynomial", "Monomial", "monomial_cmp", "ring_for",
+    "PolyRing", "Polynomial", "ring_for",
     "parse", "render", "parse_cas", "emit_cas",
 ]

@@ -13,6 +13,7 @@ to Polynomial columns lives in `resolutions`.
 """
 
 import heapq
+from functools import lru_cache
 
 from .rings import Polynomial
 
@@ -28,7 +29,23 @@ def _codec_bits(codec):
     return bits
 
 
-class FreeModuleOrder:
+class _TwistedOrder:
+    """Degrees shared by both module orders: a term m*e_i has the
+    bidegree of m plus twists[i]."""
+
+    __slots__ = ()
+
+    def bideg(self, key):
+        mx, mt = self.ring.bidegree_of_monomial(self.mono(key))
+        ta, tb = self.twists[self.comp(key)]
+        return (mx + ta, mt + tb)
+
+    def compdeg(self, comp):
+        a, b = self.twists[comp]
+        return a + b
+
+
+class FreeModuleOrder(_TwistedOrder):
     """Position-over-term order on R^rank with one bidegree twist per
     component.  Keys: (MAXC - comp) << shift | monomial.
 
@@ -81,21 +98,8 @@ class FreeModuleOrder:
         """Scalar monomial a/b for same-component keys with b | a."""
         return a - b + self.one
 
-    def bideg(self, key):
-        mx, mt = self.ring.bidegree_of_monomial(self.mono(key))
-        ta, tb = self.twists[self.comp(key)]
-        return (mx + ta, mt + tb)
 
-    def deg(self, key):
-        a, b = self.bideg(key)
-        return a + b
-
-    def compdeg(self, comp):
-        a, b = self.twists[comp]
-        return a + b
-
-
-class SchreyerOrder:
+class SchreyerOrder(_TwistedOrder):
     """Order on the syzygy module of a basis G inside a parent order:
     m*eps_i compares by the parent key of lt(m*g_i); ties go to the
     smaller index i.  anchors[i] = parent key of lt(g_i); twists[i] =
@@ -146,19 +150,6 @@ class SchreyerOrder:
     def quot(self, a, b):
         return ((a - b) >> self.mshift) + self.one
 
-    def bideg(self, key):
-        mx, mt = self.ring.bidegree_of_monomial(self.mono(key))
-        ta, tb = self.twists[self.comp(key)]
-        return (mx + ta, mt + tb)
-
-    def deg(self, key):
-        a, b = self.bideg(key)
-        return a + b
-
-    def compdeg(self, comp):
-        a, b = self.twists[comp]
-        return a + b
-
 
 # -- vec primitives ----------------------------------------------------------
 
@@ -173,15 +164,32 @@ def poly_of_vec_component(v, order, ring, comp):
     return Polynomial(ring, terms)
 
 
-def vec_bideg(v, order):
-    """Bidegree of a bihomogeneous vec (raises on mixed terms)."""
-    if not v:
-        return None
-    bd = order.bideg(v[0][0])
-    for k, _ in v[1:]:
-        if order.bideg(k) != bd:
-            raise ValueError("vec is not bihomogeneous")
-    return bd
+def bidegree_memo(ring):
+    """ring.bidegree_of_monomial, memoized for the lifetime of the
+    returned function; callers that scan many terms share one."""
+    return lru_cache(maxsize=None)(ring.bidegree_of_monomial)
+
+
+def vec_bidegs(vecs, order):
+    """Bidegree of each bihomogeneous vec (None for the zero vec); raises
+    on a vec with mixed terms.  One bidegree_memo serves all the vecs."""
+    of_monomial = bidegree_memo(order.ring)
+    ocomp = order.comp
+    omono = order.mono
+    twists = order.twists
+    out = []
+    for v in vecs:
+        bd = None
+        for k, _ in v:
+            mx, mt = of_monomial(omono(k))
+            ta, tb = twists[ocomp(k)]
+            got = (mx + ta, mt + tb)
+            if bd is None:
+                bd = got
+            elif got != bd:
+                raise ValueError("vec is not bihomogeneous")
+        out.append(bd)
+    return out
 
 
 def _merge_sub(a, ai, g, m, c, order, field):
@@ -453,34 +461,50 @@ def interreduce(G, order, field):
     """Reduce a GB to a monic, auto-reduced one: drop elements whose
     leading term is divisible by another's, then fully reduce each
     survivor against the rest.  The result is still a GB of the same
-    submodule, sorted descending by leading key."""
-    items = sorted(G, key=lambda g: g[0][0])
-    kept = []
-    for g in items:
+    submodule, sorted descending by leading key.
+
+    One bucket index (as in make_buckets: leading component -> list of
+    (ltkey, inv(lc), vec, idx)) is built per call, in ascending
+    leading-key order, and serves both steps.  A leading term is tested
+    only against the survivors of its own component.  To reduce a
+    survivor, its entry is taken out of its bucket, the vec is reduced
+    against everything left, and the entry goes back at the same position
+    holding the reduced vec, so later reductions in the same pass use it.
+    Passes repeat until one changes nothing."""
+    ocomp = order.comp
+    odiv = order.divides
+    buckets = {}
+    slots = []   # (bucket, position) of each survivor
+    for g in sorted(G, key=lambda g: g[0][0]):
         k = g[0][0]
-        if any(order.divides(h[0][0], k) for h in kept):
+        comp = ocomp(k)
+        if any(odiv(ent[0], k) for ent in buckets.get(comp, ())):
             continue
-        kept.append(g)
+        bucket_insert(buckets, order, field, g, len(slots))
+        slots.append((buckets[comp], len(buckets[comp]) - 1))
     changed = True
     while changed:
         changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            buckets = make_buckets(others, order, field)
-            rem, _ = nf(kept[i], order, buckets, field)
-            if rem != kept[i]:
-                if not rem or rem[0][0] != kept[i][0][0]:
+        for bucket, pos in slots:
+            ent = bucket.pop(pos)
+            g = ent[2]
+            rem, _ = nf(g, order, buckets, field)
+            if rem != g:
+                if not rem or rem[0][0] != ent[0]:
                     raise AssertionError("interreduction destroyed a leading term")
-                kept[i] = rem
+                ent = (ent[0], ent[1], rem, ent[3])
                 changed = True
+            bucket.insert(pos, ent)
+    one = field.one()
+    fmul = field.mul
     out = []
-    for g in sorted(kept, key=lambda g: g[0][0], reverse=True):
-        c = g[0][1]
-        if c == field.one():
+    for ent in sorted((bucket[pos] for bucket, pos in slots),
+                      key=lambda ent: ent[0], reverse=True):
+        inv, g = ent[1], ent[2]
+        if g[0][1] == one:
             out.append(tuple(g))
         else:
-            inv = field.inv(c)
-            out.append(tuple((k, field.mul(cc, inv)) for k, cc in g))
+            out.append(tuple((kk, fmul(cc, inv)) for kk, cc in g))
     return out
 
 
@@ -533,8 +557,7 @@ def schreyer_level(G, order, field):
     Returns (taus, next_order).  Each tau is a vec over next_order; its
     leading term is u_ij * eps_i by construction (asserted)."""
     anchors = [g[0][0] for g in G]
-    twists = [vec_bideg(g, order) for g in G]
-    nxt = SchreyerOrder(order, anchors, twists)
+    nxt = SchreyerOrder(order, anchors, vec_bidegs(G, order))
     buckets = make_buckets(G, order, field)
     taus = []
     for (i, j, ua, ub) in schreyer_pairs(G, order):

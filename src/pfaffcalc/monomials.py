@@ -18,9 +18,12 @@ which is graded reverse lexicographic order for an ascending variable
 listing.  A lex block gives the plain lexicographic comparison, largest
 variable first.
 
-Each 8-bit field has a guard bit: exponents are capped at MAX_EXP so
-that sums of two legal exponents never overflow a field.  Divisibility
-is one subtract-and-mask.
+Each 8-bit field has a guard bit, so a field holds exponents up to 127;
+`pack` caps them at MAX_EXP.  Divisibility is one subtract-and-mask, and
+quotients and lcms of legal monomials never leave a field.  A product is
+exact only while every exponent sum stays at most 127: two exponents at
+the cap overflow, and `mul` does not check (`Polynomial.__pow__` keeps
+its own coarse bound).
 """
 
 MAX_EXP = 120  # per-variable exponent cap (fields are 8 bit with a guard bit)

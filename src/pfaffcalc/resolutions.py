@@ -21,8 +21,9 @@ from heapq import heapify, heappop, heappush
 from .rings import Polynomial
 from .constructions import GradedMatrix
 from .betti import BettiTable
-from .gbengine import (FreeModuleOrder, poly_of_vec_component, vec_bideg,
-                       make_buckets, nf, buchberger, schreyer_resolution)
+from .gbengine import (FreeModuleOrder, bidegree_memo, poly_of_vec_component,
+                       vec_bidegs, make_buckets, nf, buchberger,
+                       schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -52,7 +53,7 @@ def _matrix_of_vecs(vecs, order, col_degs=None):
     """GradedMatrix with the given vecs as columns."""
     ring = order.ring
     if col_degs is None:
-        col_degs = [vec_bideg(v, order) for v in vecs]
+        col_degs = vec_bidegs(vecs, order)
     ent = [[poly_of_vec_component(v, order, ring, i) for v in vecs]
            for i in range(order.rank)]
     return GradedMatrix(ring, ent, list(order.twists), list(col_degs))
@@ -197,14 +198,7 @@ def _check_chain(levels, twists, field):
     level k+1 through the columns of level k."""
     if not levels:
         return
-    of_monomial = levels[0][0].ring.bidegree_of_monomial
-    memo = {}
-
-    def bideg(m):
-        bd = memo.get(m)
-        if bd is None:
-            bd = memo[m] = of_monomial(m)
-        return bd
+    bideg = bidegree_memo(levels[0][0].ring)
     for k, (order, vecs) in enumerate(levels):
         if order.twists != tuple(map(tuple, twists[k])) or \
                 len(vecs) != len(twists[k + 1]):
@@ -298,7 +292,7 @@ def _ladder_twists(levels, order0):
         twists.append(list(levels[k][0].twists))
     if levels:
         last_order, last_els = levels[-1]
-        twists.append([vec_bideg(el, last_order) for el in last_els])
+        twists.append(vec_bidegs(last_els, last_order))
     return twists
 
 

@@ -11,37 +11,6 @@ from . import monomials
 from .fields import CoefficientField
 
 
-class Monomial:
-    """Exponent-vector view of a monomial, with cached degrees."""
-
-    __slots__ = ("exponents", "degree", "bidegree")
-
-    def __init__(self, exponents, n_x=None):
-        self.exponents = tuple(exponents)
-        self.degree = sum(self.exponents)
-        if n_x is None:
-            self.bidegree = None
-        else:
-            dx = sum(self.exponents[:n_x])
-            self.bidegree = (dx, self.degree - dx)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return "Monomial%r" % (self.exponents,)
-
-
-def monomial_cmp(a, b, codec):
-    """-1 / 0 / +1 comparison of two Monomials under the given order."""
-    ka = codec.pack(a.exponents)
-    kb = codec.pack(b.exponents)
-    return (ka > kb) - (ka < kb)
-
-
 class PolyRing:
     __slots__ = ("field", "names", "codec", "n_x", "f", "xidx", "tidx", "_vcache")
 
@@ -102,9 +71,6 @@ class PolyRing:
         return Polynomial(self, terms)
 
     # -- structure ----------------------------------------------------------
-    def monomial_view(self, m):
-        return Monomial(self.codec.unpack(m), self.n_x)
-
     def bidegree_of_monomial(self, m):
         exps = self.codec.unpack(m)
         dx = sum(exps[: self.n_x])
@@ -349,9 +315,6 @@ class Polynomial:
         return total
 
     # -- misc ---------------------------------------------------------------
-    def terms_view(self):
-        return [(self.ring.monomial_view(m), c) for m, c in self.terms]
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.ring.codec is not self.ring.codec and other.ring != self.ring:

@@ -1,12 +1,13 @@
 """Packed-monomial codec: pack/unpack, arithmetic, and order laws."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from pfaffcalc.monomials import (OrderCodec, cmp_blocks_ref, cmp_grevlex_ref,
-                                 cmp_lex_ref, elim_blocks, grevlex, lex)
+from pfaffcalc.monomials import (MAX_EXP, OrderCodec, cmp_blocks_ref,
+                                 cmp_grevlex_ref, cmp_lex_ref, elim_blocks,
+                                 grevlex, lex)
 
 
 def random_exps(rng, nvars, maxdeg=9):
@@ -83,3 +84,62 @@ def test_pack_rejects_out_of_range():
     codec = grevlex(3)
     with pytest.raises((ValueError, OverflowError)):
         codec.pack((1, 10 ** 9, 0))
+
+
+# -- the exponent cap ---------------------------------------------------------
+
+CODECS = {"grevlex": grevlex(3), "lex": lex(3), "elim": elim_blocks(3, 1)}
+NEAR_CAP = (0, 1, 7, 60, 113, 119, MAX_EXP)
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_pack_at_the_cap_and_one_above(name):
+    codec = CODECS[name]
+    assert MAX_EXP == 120     # 7 below the largest exponent a field holds
+    top = codec.pack((MAX_EXP,) * 3)
+    assert codec.unpack(top) == (MAX_EXP,) * 3
+    assert codec.deg(top) == 3 * MAX_EXP
+    for v in range(3):
+        e = [0, 0, 0]
+        e[v] = MAX_EXP
+        assert codec.unpack(codec.pack(e)) == tuple(e)
+        e[v] = MAX_EXP + 1
+        with pytest.raises(ValueError, match="out of range"):
+            codec.pack(e)
+        e[v] = -1
+        with pytest.raises(ValueError, match="out of range"):
+            codec.pack(e)
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_divides_lcm_div_near_the_cap(name):
+    codec = CODECS[name]
+    pool = [e + (3,) for e in product(NEAR_CAP, repeat=2)]
+    for ea in pool:
+        a = codec.pack(ea)
+        for eb in pool:
+            b = codec.pack(eb)
+            assert codec.divides(b, a) == all(y <= x for x, y in zip(ea, eb))
+            L = codec.lcm(a, b)
+            el = tuple(max(x, y) for x, y in zip(ea, eb))
+            assert codec.unpack(L) == el
+            assert codec.divides(a, L) and codec.divides(b, L)
+            assert codec.unpack(codec.div(L, a)) == \
+                tuple(x - y for x, y in zip(el, ea))
+            assert codec.mul(codec.div(L, b), b) == L
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_mul_near_the_cap(name):
+    """A product is exact while every exponent sum fits below a field's
+    guard bit, that is up to 127 = MAX_EXP + 7."""
+    codec = CODECS[name]
+    for x, y in product(NEAR_CAP, repeat=2):
+        if x + y > 127:
+            continue
+        ea, eb = (x, 0, y), (y, x, 0)
+        prod = codec.mul(codec.pack(ea), codec.pack(eb))
+        assert codec.unpack(prod) == (x + y, x, y)
+        assert codec.deg(prod) == 2 * (x + y)
+        assert codec.divides(codec.pack(ea), prod)
+        assert codec.div(prod, codec.pack(eb)) == codec.pack(ea)
