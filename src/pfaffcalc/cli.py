@@ -6,7 +6,8 @@ directory only (flags still win).  All inputs are validated before any
 computation starts; usage problems exit with code 64.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify failure,
-2 verify incomplete (budget ran out), 64 usage error.
+2 verify incomplete (budget ran out), 3 verify error (a check crashed),
+64 usage error.
 """
 
 import argparse
@@ -226,7 +227,8 @@ def _cmd_verify(args, parser):
                        seed=cfg.seed, budget_seconds=cfg.budget_seconds)
     sys.stdout.write(report.to_json() if fmt == "json"
                      else report.to_text())
-    return {"pass": 0, "fail": 1, "incomplete": 2}[report.status]
+    return {"pass": 0, "fail": 1, "incomplete": 2,
+            "error": 3}[report.status]
 
 
 def _cmd_export(args, parser):
@@ -310,7 +312,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run a verification suite",
                        description="Run a named battery of checks; exit "
                        "0 if all pass, 1 on any failure, 2 if the "
-                       "budget ran out first.")
+                       "budget ran out first, 3 if a check crashed.")
     common(p, multi_f=True)
     p.add_argument("--suite", default="all",
                    choices=SUITE_NAMES + ("all",))

@@ -12,8 +12,6 @@ subsets in lexicographic order.  For wedge powers of F the increasing
 wedges e_i^e_j^e_k are used.
 """
 
-from itertools import combinations
-
 from .betti import BettiTable
 from .exterior import ExteriorElement, AlternatingMatrix, contract, all_subsets
 
@@ -72,8 +70,7 @@ class IdealSpec:
 
 def build_ideal(kind, ring, lam=None):
     """kinds: 'I' (4x4 Pfaffians of X), 'K' (entries of t*X), 'J' (I + K),
-    'Ilambda' (I + x-variables with column index <= lam), 'Iprime'
-    (Pfaffians avoiding row/column 1)."""
+    'Ilambda' (I + x-variables with column index <= lam)."""
     f = ring.f
     if kind == "I":
         return IdealSpec(kind, ring, pfaffian_gens(ring))
@@ -87,11 +84,6 @@ def build_ideal(kind, ring, lam=None):
         extra = [ring.x(i, j)
                  for i in range(1, f + 1) for j in range(i + 1, f + 1) if j <= lam]
         return IdealSpec(kind, ring, pfaffian_gens(ring) + extra, lam)
-    if kind == "Iprime":
-        A = AlternatingMatrix.generic(ring)
-        from .exterior import pfaffian_oracle
-        gens = [pfaffian_oracle(A, I) for I in combinations(range(2, f + 1), 4)]
-        return IdealSpec(kind, ring, gens)
     raise ValueError("unknown ideal kind %r" % (kind,))
 
 

@@ -16,7 +16,12 @@ pfaffian_oracle, instead expands submatrix Pfaffians along the first row
 with explicit (-1)^j signs.
 """
 
+from functools import lru_cache
 from itertools import combinations
+
+# Entries kept by each basis table below.  Pairs of subsets of 1..f
+# number 4**f, so every pair fits up to f = 7.
+_BASIS_CACHE_SIZE = 1 << 14
 
 
 def merge_sign(S, T):
@@ -30,6 +35,16 @@ def merge_sign(S, T):
     return -1 if inv & 1 else 1
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _wedge_basis(S, T):
+    """Basis product e_S ^ e_T for increasing tuples: returns (sign,
+    increasing tuple) or None if they share an index."""
+    if set(S) & set(T):
+        return None
+    return merge_sign(S, T), tuple(sorted(S + T))
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _act_basis(T, S):
     """Basis action e_T(e_S) for increasing tuples: returns (sign,
     remaining tuple) or None if T is not contained in S.  The rightmost
@@ -135,12 +150,11 @@ class ExteriorElement:
             raise ValueError("wedge requires matching sides")
         out = {}
         for S, p in self.terms.items():
-            sset = set(S)
             for T, q in other.terms.items():
-                if sset & set(T):
+                hit = _wedge_basis(S, T)
+                if hit is None:
                     continue
-                sign = merge_sign(S, T)
-                key = tuple(sorted(S + T))
+                sign, key = hit
                 c = p * q
                 if sign < 0:
                     c = -c
@@ -241,13 +255,6 @@ class AlternatingMatrix:
         f = ring.f
         return cls(ring, f, {(i, j): ring.x(i, j)
                              for i in range(1, f + 1) for j in range(i + 1, f + 1)})
-
-    @classmethod
-    def from_two_form(cls, el):
-        if el.k != 2:
-            raise ValueError("need a degree-2 element")
-        n = el.ring.f
-        return cls(el.ring, n, {key: c for key, c in el.terms.items()})
 
     def two_form(self):
         return ExteriorElement(self.ring, "primal", 2, dict(self.upper))

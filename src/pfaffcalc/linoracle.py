@@ -14,9 +14,20 @@ spaces of the evaluation matrices; the same Nakayama count reads off
 its Betti numbers, and so on until a level has no pieces under the cap.
 Minimal generators never admit same-degree syzygies, so levels climb in
 degree and the tower ends on its own.
+
+The elimination builds no `Fraction`.  Over QQ each presentation column
+is scaled once to integers (by the lcm of its denominators, which keeps
+the module it spans) and stays integral: a column is reduced by
+col <- a*col - c*pivot with the gcd of the two lead entries a, c taken
+out, and each new pivot is divided by the content (gcd) of its entries.
+Over GF(p) the same update runs on residues mod p with monic pivots.
+Null-space vectors come out as nonzero multiples of the ones exact
+field arithmetic would give, so every rank, and every Betti number, is
+the same.
 """
 
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 from .betti import BettiTable
 
@@ -53,43 +64,94 @@ def _bidegrees_upto(cap):
 
 
 class _Eliminator:
-    """Incremental Gaussian elimination over a field: feed columns, be
-    told which ones enlarge the span."""
+    """Incremental elimination: feed columns {row: coeff}, be told which
+    ones enlarge the span.  Each column may carry a combination {key:
+    coeff} through the same updates (see `_null_space`).
+
+    Entries are ints: over QQ integral columns, over GF(p) residues.  A
+    column is reduced against the pivot at its lead row by col <- a*col -
+    c*pivot with a, c the two lead entries over their gcd.  A new pivot
+    is divided by the gcd of its entries over QQ and made monic over
+    GF(p)."""
 
     def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # row index -> reduced column (dict row -> coeff)
+        self.p = field.char
+        self.pivots = {}  # lead row -> (column, combination or None)
 
-    def reduce(self, col):
-        f = self.field
-        col = dict(col)
+    def reduce(self, col, combo=None):
+        """Reduce col (and combo alongside it) in place against the
+        pivots: (lead, col, combo), with lead None when col vanishes."""
+        p = self.p
         while col:
             lead = min(col)
             piv = self.pivots.get(lead)
             if piv is None:
-                return lead, col
-            c = col[lead]
-            for r, v in piv.items():
-                s = f.sub(col.get(r, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    col.pop(r, None)
-                else:
-                    col[r] = s
-        return None, None
+                return lead, col, combo
+            pcol, pcombo = piv
+            a, c = pcol[lead], col[lead]
+            if a != 1:
+                g = gcd(a, c)
+                a //= g
+                c //= g
+            _update(col, a, c, pcol, p)
+            if lead in col:
+                raise AssertionError("pivot update left its lead entry")
+            if combo is not None:
+                _update(combo, a, c, pcombo, p)
+        return None, None, combo
+
+    def record(self, lead, col, combo=None):
+        """Store a reduced column with its lead row as a new pivot."""
+        p = self.p
+        if p:
+            s = pow(col[lead], p - 2, p)
+            if s != 1:
+                col = {r: v * s % p for r, v in col.items()}
+                if combo is not None:
+                    combo = {k: v * s % p for k, v in combo.items()}
+        else:
+            col, combo = _primitive(col, combo)
+        self.pivots[lead] = (col, combo)
 
     def insert(self, col):
-        """True iff the column was independent (and is now recorded)."""
-        lead, red = self.reduce(col)
+        """True iff the column was independent (and is now recorded).
+        The column is reduced in place."""
+        lead, red, _ = self.reduce(col)
         if lead is None:
             return False
-        inv = self.field.inv(red[lead])
-        self.pivots[lead] = {r: self.field.mul(v, inv)
-                             for r, v in red.items()}
+        self.record(lead, red)
         return True
 
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _update(vec, a, c, piv, p):
+    """vec <- a*vec - c*piv in place, modulo p when p; zeros dropped."""
+    if a != 1:
+        for r in vec:
+            vec[r] *= a
+    get = vec.get
+    for r, v in piv.items():
+        s = get(r, 0) - c * v
+        if p:
+            s %= p
+        if s:
+            vec[r] = s
+        else:
+            del vec[r]
+
+
+def _primitive(col, combo=None):
+    """col (and combo) divided by the gcd of all their entries."""
+    g = gcd(*col.values(), *(combo.values() if combo else ()))
+    if g == 1:
+        return col, combo
+    col = {r: v // g for r, v in col.items()}
+    if combo is not None:
+        combo = {k: v // g for k, v in combo.items()}
+    return col, combo
 
 
 def _mul_vector(ring, vec, mono):
@@ -98,40 +160,41 @@ def _mul_vector(ring, vec, mono):
     return {(c, mul(m, mono)): v for (c, m), v in vec.items()}
 
 
-def _piece_coords(vec, index):
-    """Dense-ish coordinates {position: coeff} of a module element on an
-    indexed strand basis {(comp, mono): position}."""
-    out = {}
-    for key, v in vec.items():
-        pos = index.get(key)
-        if pos is None:
-            raise AssertionError("element leaves its graded strand")
-        out[pos] = v
-    return out
+def _multiple_coords(ring, vec, mono, index):
+    """Coordinates {position: coeff} of mono * vec on an indexed strand
+    basis {(comp, mono): position}."""
+    mul = ring.codec.mul
+    try:
+        return {index[(c, mul(m, mono))]: v for (c, m), v in vec.items()}
+    except KeyError:
+        raise AssertionError("element leaves its graded strand") from None
 
 
-def _strand_index(ring, twists, bidegree):
+def _strand_index(monos, twists, bidegree):
     """Basis {(comp, mono): position} of the free module's piece in one
-    bidegree."""
+    bidegree; monos(a, b) lists the monomials of a bidegree."""
     a, b = bidegree
     index = {}
     pos = 0
     for comp, (ta, tb) in enumerate(twists):
-        for m in monomials_of_bidegree(ring, a - ta, b - tb):
+        for m in monos(a - ta, b - tb):
             index[(comp, m)] = pos
             pos += 1
     return index
 
 
 def _poly_columns_to_vectors(pres):
-    """Presentation columns as {(row, mono): coeff} elements."""
+    """Presentation columns as integral {(row, mono): coeff} elements.
+
+    Over QQ a column with denominators is scaled by their lcm, which
+    leaves the module it spans unchanged; over GF(p) the residues pass
+    through as they are."""
     out = []
     for j in range(pres.ncols):
-        vec = {}
-        for i in range(pres.nrows):
-            p = pres.entries[i][j]
-            for m, c in p.terms:
-                vec[(i, m)] = c
+        terms = [((i, m), c) for i in range(pres.nrows)
+                 for m, c in pres.entries[i][j].terms]
+        den = lcm(*(c.denominator for _, c in terms))
+        vec = {key: c.numerator * (den // c.denominator) for key, c in terms}
         out.append((vec, pres.col_degs[j]))
     return out
 
@@ -153,6 +216,14 @@ def oracle_betti(pres, max_total_degree=6):
     for bd in pres.row_degs:
         B.add(0, bd)
 
+    mono_memo = {}
+
+    def monos(a, b):
+        got = mono_memo.get((a, b))
+        if got is None:
+            got = mono_memo[(a, b)] = monomials_of_bidegree(ring, a, b)
+        return got
+
     degrees = _bidegrees_upto(max_total_degree)
     prev_twists = list(pres.row_degs)
     gens = _poly_columns_to_vectors(pres)  # generating set of level 1
@@ -161,11 +232,13 @@ def oracle_betti(pres, max_total_degree=6):
 
     while True:
         # choose minimal generators of the module generated by `gens`
-        # inside Free(prev_twists), bidegree by bidegree
+        # inside Free(prev_twists), bidegree by bidegree, and read off
+        # their syzygies in each bidegree once its generators are known
         chosen = []  # (vector, bidegree)
         pieces = {}  # bidegree -> list of basis vectors of the piece
+        next_gens = []
         for bd in degrees:
-            index = _strand_index(ring, prev_twists, bd)
+            index = _strand_index(monos, prev_twists, bd)
             if not index:
                 continue
             elim = _Eliminator(field)
@@ -175,16 +248,14 @@ def oracle_betti(pres, max_total_degree=6):
                 va, vb = ring.bidegree_of_monomial(v)
                 low = (bd[0] - va, bd[1] - vb)
                 for w in pieces.get(low, ()):
-                    wv = _mul_vector(ring, w, v)
-                    if elim.insert(_piece_coords(wv, index)):
-                        piece.append(wv)
+                    if elim.insert(_multiple_coords(ring, w, v, index)):
+                        piece.append(_mul_vector(ring, w, v))
             old_rank = elim.rank
             # full piece of the module: monomial multiples of gens
             for gvec, gd in gens:
-                for m in monomials_of_bidegree(ring, bd[0] - gd[0],
-                                               bd[1] - gd[1]):
-                    wv = _mul_vector(ring, gvec, m)
-                    if elim.insert(_piece_coords(wv, index)):
+                for m in monos(bd[0] - gd[0], bd[1] - gd[1]):
+                    if elim.insert(_multiple_coords(ring, gvec, m, index)):
+                        wv = _mul_vector(ring, gvec, m)
                         piece.append(wv)
                         chosen.append((wv, bd))
             if piece:
@@ -192,27 +263,19 @@ def oracle_betti(pres, max_total_degree=6):
             new = elim.rank - old_rank
             if new:
                 B.add(level, bd, new)
-        if not chosen:
-            break
-        # next level: syzygies of the chosen generators, as null spaces
-        # of the evaluation matrices per bidegree
-        next_twists = [bd for _, bd in chosen]
-        next_gens = []
-        for bd in degrees:
-            index = _strand_index(ring, prev_twists, bd)
+            # next level: syzygies of the chosen generators, as the null
+            # space of the evaluation matrix; generators chosen in later
+            # bidegrees have no multiples here
             cols = []  # (syzygy-coordinate key, strand coords)
             for gi, (gvec, gd) in enumerate(chosen):
-                for m in monomials_of_bidegree(ring, bd[0] - gd[0],
-                                               bd[1] - gd[1]):
-                    wv = _mul_vector(ring, gvec, m)
-                    cols.append(((gi, m), _piece_coords(wv, index)))
-            if not cols:
-                continue
+                for m in monos(bd[0] - gd[0], bd[1] - gd[1]):
+                    cols.append(((gi, m),
+                                 _multiple_coords(ring, gvec, m, index)))
             for kvec in _null_space(cols, field):
                 next_gens.append((kvec, bd))
         if not next_gens:
             break
-        prev_twists = next_twists
+        prev_twists = [bd for _, bd in chosen]
         gens = next_gens
         level += 1
         if level > max_total_degree + len(ring.names) + 2:
@@ -226,36 +289,14 @@ def _null_space(cols, field):
 
     Augmented elimination: every pivot remembers how it was combined
     from the original columns, so a column that reduces to zero hands
-    over its combination as a kernel vector."""
-    f = field
-    pivots = {}  # lead row -> (monic coords {row: coeff}, combo {key: coeff})
+    over its combination as a kernel vector.  The coordinate dicts are
+    reduced in place."""
+    elim = _Eliminator(field)
     kernel = []
     for key, coords in cols:
-        col = dict(coords)
-        combo = {key: f.one()}
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = f.inv(col[lead])
-                pivots[lead] = ({r: f.mul(v, inv) for r, v in col.items()},
-                                {k: f.mul(v, inv) for k, v in combo.items()})
-                col = None
-                break
-            pcoords, pcombo = piv
-            c = col[lead]
-            for r, v in pcoords.items():
-                s = f.sub(col.get(r, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    col.pop(r, None)
-                else:
-                    col[r] = s
-            for k, v in pcombo.items():
-                s = f.sub(combo.get(k, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    combo.pop(k, None)
-                else:
-                    combo[k] = s
-        if col is not None:
+        lead, col, combo = elim.reduce(coords, {key: 1})
+        if lead is None:
             kernel.append(combo)
+        else:
+            elim.record(lead, col, combo)
     return kernel

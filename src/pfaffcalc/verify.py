@@ -6,7 +6,11 @@ A suite runs over a grid of ranks ``f`` and coefficient characteristics
 randomized trials.  Checks outside a family's supported grid are simply
 not emitted.  With a wall-clock budget, checks that would start after
 the budget is spent get the verdict ``skipped (budget)`` and the run is
-reported ``incomplete`` — distinct from ``fail``.
+reported ``incomplete`` — distinct from ``fail``.  A check that raises
+anything other than ``CheckFailure`` certifies nothing either way: it
+gets the verdict ``error`` with the exception type and message, and the
+run is reported ``error`` unless some check failed (precedence: fail >
+error > incomplete > pass).
 
 JSON reports are deterministic for a fixed (suite, grid, seed): check
 order is fixed, keys are sorted, and timings are omitted.  Text reports
@@ -40,6 +44,7 @@ SUITE_NAMES = ("exterior-identities", "complex-closure", "grades",
 
 PASS = "pass"
 FAIL = "fail"
+ERROR = "error"
 SKIPPED = "skipped (budget)"
 
 
@@ -95,6 +100,8 @@ class SuiteReport:
     def status(self):
         if any(c.verdict == FAIL for c in self.checks):
             return "fail"
+        if any(c.verdict == ERROR for c in self.checks):
+            return "error"
         if any(c.verdict == SKIPPED for c in self.checks):
             return "incomplete"
         return "pass"
@@ -121,10 +128,12 @@ class SuiteReport:
                  "grid: f=%s char=%s seed=%d"
                  % (",".join(map(str, self.fs)),
                     ",".join(map(str, self.chars)), self.seed),
-                 "status: %s (%d checks: %d pass, %d fail, %d skipped)"
+                 "status: %s (%d checks: %d pass, %d fail, %d error, "
+                 "%d skipped)"
                  % (self.status, len(self.checks),
                     sum(c.verdict == PASS for c in self.checks),
                     sum(c.verdict == FAIL for c in self.checks),
+                    sum(c.verdict == ERROR for c in self.checks),
                     sum(c.verdict == SKIPPED for c in self.checks))]
         for c in self.checks:
             head = "[%s] %s" % (c.verdict, c.name)
@@ -787,6 +796,9 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
         except CheckFailure as e:
             verdict = FAIL
             detail = str(e)
+        except Exception as e:
+            verdict = ERROR
+            detail = "%s: %s" % (type(e).__name__, e)
         results.append(CheckResult(chk.name, chk.claim, verdict,
                                    detail or "", time.monotonic() - t0))
     return SuiteReport(suite, grid_fs, grid_chars, seed, results)

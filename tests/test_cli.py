@@ -7,7 +7,8 @@ import pytest
 from conftest import RJ4_BIGRADED
 from pfaffcalc import cli
 from pfaffcalc.textio import parse_cas
-from pfaffcalc.verify import FAIL, CheckResult, SuiteReport
+from pfaffcalc import verify
+from pfaffcalc.verify import ERROR, FAIL, CheckResult, SuiteReport
 
 
 def run(argv, capsys):
@@ -126,6 +127,42 @@ def test_verify_failure_exit_one(monkeypatch, capsys):
     code, out, _ = run(["verify", "--suite", "grades"], capsys)
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_error_exit_three(monkeypatch, capsys):
+    fake = SuiteReport("grades", [4], [0], 0,
+                       [CheckResult("x", "c", ERROR, "KeyError: 3", 0.0)])
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *a, **kw: fake)
+    code, out, _ = run(["verify", "--suite", "grades"], capsys)
+    assert code == 3
+    assert "[error] x" in out
+
+
+def test_verify_failure_beats_error(monkeypatch, capsys):
+    fake = SuiteReport("grades", [4], [0], 0,
+                       [CheckResult("x", "c", ERROR, "KeyError: 3", 0.0),
+                        CheckResult("y", "c", FAIL, "boom", 0.0)])
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *a, **kw: fake)
+    code, _, _ = run(["verify", "--suite", "grades"], capsys)
+    assert code == 1
+
+
+def test_verify_crashing_check_exit_three(monkeypatch, capsys):
+    def crash():
+        raise AssertionError("leading term grew")
+
+    monkeypatch.setitem(
+        verify._SUITE_BUILDERS, "grades",
+        (lambda fs, chars, seed: [verify._Check("crash", "c", crash)],
+         (4,), (0,)))
+    code, out, _ = run(["verify", "--suite", "grades", "--format", "json"],
+                       capsys)
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["status"] == "error"
+    assert obj["checks"][0]["detail"] == "AssertionError: leading term grew"
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -1,11 +1,13 @@
 """Degreewise linear-algebra Betti oracle (Buchberger-independent)."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
 from conftest import A4_BIGRADED, RJ4_BIGRADED
-from pfaffcalc.constructions import module_presentation
+from pfaffcalc import linoracle
+from pfaffcalc.constructions import GradedMatrix, module_presentation
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.linoracle import monomials_of_bidegree, oracle_betti
 from pfaffcalc.rings import ring_for
@@ -50,9 +52,220 @@ def test_oracle_almost_complete_intersection_f4(qq):
 
 
 def test_oracle_rejects_unit_entries(qq):
-    from pfaffcalc.constructions import GradedMatrix
-
     ring = ring_for(3, qq)
     pres = GradedMatrix(ring, [[ring.one()]], [(0, 0)], [(0, 0)])
     with pytest.raises(ValueError):
         oracle_betti(pres)
+
+
+# -- integer and residue elimination against the field-generic route ---------
+
+
+class _FieldEliminator:
+    """Reference: the field-generic elimination the oracle used to run,
+    with Fraction arithmetic over QQ and monic pivots."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    def reduce(self, col):
+        f = self.field
+        col = dict(col)
+        while col:
+            lead = min(col)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return lead, col
+            c = col[lead]
+            for r, v in piv.items():
+                s = f.sub(col.get(r, f.zero()), f.mul(c, v))
+                if f.is_zero(s):
+                    col.pop(r, None)
+                else:
+                    col[r] = s
+        return None, None
+
+    def insert(self, col):
+        lead, red = self.reduce(col)
+        if lead is None:
+            return False
+        inv = self.field.inv(red[lead])
+        self.pivots[lead] = {r: self.field.mul(v, inv)
+                             for r, v in red.items()}
+        return True
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def _field_null_space(cols, field):
+    """Reference: the field-generic augmented elimination."""
+    f = field
+    pivots = {}
+    kernel = []
+    for key, coords in cols:
+        col = dict(coords)
+        combo = {key: f.one()}
+        while col:
+            lead = min(col)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = f.inv(col[lead])
+                pivots[lead] = ({r: f.mul(v, inv) for r, v in col.items()},
+                                {k: f.mul(v, inv) for k, v in combo.items()})
+                col = None
+                break
+            pcoords, pcombo = piv
+            c = col[lead]
+            for r, v in pcoords.items():
+                s = f.sub(col.get(r, f.zero()), f.mul(c, v))
+                if f.is_zero(s):
+                    col.pop(r, None)
+                else:
+                    col[r] = s
+            for k, v in pcombo.items():
+                s = f.sub(combo.get(k, f.zero()), f.mul(c, v))
+                if f.is_zero(s):
+                    combo.pop(k, None)
+                else:
+                    combo[k] = s
+        if col is not None:
+            kernel.append(combo)
+    return kernel
+
+
+def _oracle_with_log(pres, monkeypatch):
+    """Run oracle_betti and log every elimination it makes: the columns
+    fed to each piece's eliminator with the verdicts and the final
+    pivots, and the columns and kernel of each null space."""
+    pieces, nulls = [], []
+
+    class Logged(linoracle._Eliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            self.log = []
+            pieces.append(self)
+
+        def insert(self, col):
+            before = dict(col)
+            got = super().insert(col)
+            self.log.append((before, got))
+            return got
+
+    real_null_space = linoracle._null_space
+
+    def logged_null_space(cols, field):
+        before = [(key, dict(coords)) for key, coords in cols]
+        kernel = real_null_space(cols, field)
+        nulls.append((before, kernel))
+        return kernel
+
+    with monkeypatch.context() as m:
+        m.setattr(linoracle, "_Eliminator", Logged)
+        m.setattr(linoracle, "_null_space", logged_null_space)
+        oracle_betti(pres)
+    return [e for e in pieces if e.log], nulls
+
+
+_CASES = [("A", "x"), ("N", "x"), ("RJ", "xt")]
+
+
+def _presentation(kind, vars, char):
+    field = GF(char) if char else QQ
+    return module_presentation(kind, ring_for(4, field, vars=vars))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("kind,vars", _CASES)
+def test_elimination_matches_field_route(kind, vars, char, monkeypatch):
+    pres = _presentation(kind, vars, char)
+    field = pres.ring.field
+    p = field.char
+    # Replays every bidegree's matrices through the reference: the same
+    # verdict per column gives the same ranks, hence the same table.
+    pieces, nulls = _oracle_with_log(pres, monkeypatch)
+    assert pieces and nulls
+    for elim in pieces:
+        ref = _FieldEliminator(field)
+        assert [ref.insert(col) for col, _ in elim.log] == \
+            [got for _, got in elim.log]
+        assert elim.rank == ref.rank
+        for lead, (col, combo) in elim.pivots.items():
+            assert combo is None and min(col) == lead
+            assert all(type(v) is int for v in col.values())
+            if p:
+                assert col[lead] == 1
+                assert all(0 < v < p for v in col.values())
+            else:
+                assert gcd(*col.values()) == 1
+    for cols, kernel in nulls:
+        assert len(kernel) == len(_field_null_space(cols, field))
+        by_key = dict(cols)
+        for kvec in kernel:
+            assert kvec and all(type(v) is int and v for v in kvec.values())
+            if p:
+                assert all(0 < v < p for v in kvec.values())
+            image = {}
+            for k, v in kvec.items():
+                for r, x in by_key[k].items():
+                    image[r] = image.get(r, 0) + v * x
+            assert all((s % p if p else s) == 0 for s in image.values())
+
+
+def test_rational_column_scaling_keeps_the_table():
+    pres = _presentation("RJ", "xt", 0)
+    entries = [list(row) for row in pres.entries]
+    for row in entries:
+        row[0] = row[0].scale(Fraction(2, 3))
+    scaled = GradedMatrix(pres.ring, entries, pres.row_degs, pres.col_degs)
+    vecs = linoracle._poly_columns_to_vectors(scaled)
+    assert all(type(v) is int for vec, _ in vecs for v in vec.values())
+    assert vecs[0][0] == {k: 2 * v for k, v in
+                          linoracle._poly_columns_to_vectors(pres)[0][0]
+                          .items()}
+    assert oracle_betti(scaled).data == RJ4_BIGRADED
+
+
+def test_mixed_denominators_are_cleared_by_their_lcm(qq):
+    ring = ring_for(4, qq, vars="x")
+    half, third = ring.x(1, 2).scale(Fraction(1, 2)), \
+        ring.x(1, 3).scale(Fraction(-1, 3))
+    pres = GradedMatrix(ring, [[half], [third]], [(0, 0), (0, 0)], [(1, 0)])
+    (vec, deg), = linoracle._poly_columns_to_vectors(pres)
+    assert deg == (1, 0)
+    assert vec == {(0, ring.x(1, 2).lm()): 3, (1, ring.x(1, 3).lm()): -2}
+
+
+def test_update_takes_out_the_gcd_of_the_leads():
+    elim = linoracle._Eliminator(QQ)
+    elim.record(0, {0: 4, 1: 2}, {"p": 2})
+    assert elim.pivots[0] == ({0: 2, 1: 1}, {"p": 1})
+    # 1 * col - 2 * pivot, not 2 * col - 4 * pivot
+    assert elim.reduce({0: 4, 2: 1}, {"k": 1}) == \
+        (1, {1: -2, 2: 1}, {"k": 1, "p": -2})
+
+
+def test_new_pivots_are_primitive_over_the_rationals():
+    elim = linoracle._Eliminator(QQ)
+    assert elim.insert({3: -6, 5: 9})
+    assert elim.pivots[3] == ({3: -2, 5: 3}, None)
+
+
+def test_update_reduces_mod_p():
+    elim = linoracle._Eliminator(GF(7))
+    elim.record(0, {0: 3, 1: 5}, {"p": 1})
+    assert elim.pivots[0] == ({0: 1, 1: 4}, {"p": 5})
+    assert elim.reduce({0: 2, 1: 1}, {"k": 1}) == (None, None, {"k": 1,
+                                                                "p": 4})
+    assert elim.reduce({0: 1, 2: 3}, {"k": 1}) == \
+        (1, {1: 3, 2: 3}, {"k": 1, "p": 2})
+
+
+def test_null_space_over_the_integers():
+    # columns (1, 1), (2, 2), (1, -1), (0, 4): two relations
+    cols = [("a", {0: 1, 1: 1}), ("b", {0: 2, 1: 2}),
+            ("c", {0: 1, 1: -1}), ("d", {1: 4})]
+    kernel = linoracle._null_space(cols, QQ)
+    assert kernel == [{"a": -2, "b": 1}, {"a": 2, "c": -2, "d": -1}]

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from pfaffcalc.verify import (FAIL, PASS, SKIPPED, SUITE_NAMES, CheckResult,
-                              SuiteReport, run_suite)
+from pfaffcalc import verify
+from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
+                              CheckFailure, CheckResult, SuiteReport,
+                              run_suite)
 
 EXPECTED_SUITES = (
     "exterior-identities",
@@ -75,7 +77,37 @@ def test_status_ordering():
         == "incomplete"
     assert SuiteReport("s", [4], [0], 0,
                        [mk(PASS), mk(SKIPPED), mk(FAIL)]).status == "fail"
+    assert SuiteReport("s", [4], [0], 0,
+                       [mk(PASS), mk(SKIPPED), mk(ERROR)]).status == "error"
+    assert SuiteReport("s", [4], [0], 0,
+                       [mk(ERROR), mk(FAIL)]).status == "fail"
     assert SuiteReport("s", [4], [0], 0, []).status == "pass"
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_crashed_check_is_an_error_not_a_fail(monkeypatch):
+    checks = [verify._Check("crash", "c",
+                            lambda: _raise(ValueError("no pivot"))),
+              verify._Check("after", "c", lambda: "ran")]
+    monkeypatch.setitem(verify._SUITE_BUILDERS, "grades",
+                        (lambda fs, chars, seed: checks, (4,), (0,)))
+    rep = run_suite("grades")
+    assert [(c.verdict, c.detail) for c in rep.checks] == [
+        (ERROR, "ValueError: no pivot"), (PASS, "ran")]
+    assert rep.status == "error"
+    obj = json.loads(rep.to_json())
+    assert obj["status"] == "error"
+    assert obj["checks"][0]["verdict"] == "error"
+    assert "1 error" in rep.to_text().splitlines()[2]
+    # a certified failure still outranks a crash
+    checks.append(verify._Check("refuted", "c",
+                                lambda: _raise(CheckFailure("no"))))
+    rep = run_suite("grades")
+    assert [c.verdict for c in rep.checks] == [ERROR, PASS, FAIL]
+    assert rep.status == "fail"
 
 
 def test_text_report_shape():
