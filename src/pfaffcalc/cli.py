@@ -7,7 +7,8 @@ computation starts; usage problems exit with code 64.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify failure,
 2 verify incomplete (budget ran out), 3 verify error (a check crashed),
-64 usage error.
+64 usage error, 70 internal error (an exception raised outside any
+check, reported as one stderr line).
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .textio import emit_cas, field_str, render
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_EXIT = 64
+SOFTWARE_EXIT = 70
 
 _CONFIG_KEYS = ("f", "char", "seed", "budget-seconds", "outdir", "format")
 
@@ -342,6 +344,10 @@ def main(argv=None):
         if code is None:
             return 0
         return code if isinstance(code, int) else USAGE_EXIT
+    except Exception as e:
+        sys.stderr.write("pfaffcalc: internal error: %s: %s\n"
+                         % (type(e).__name__, e))
+        return SOFTWARE_EXIT
 
 
 if __name__ == "__main__":

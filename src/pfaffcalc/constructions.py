@@ -402,16 +402,6 @@ def build_complex(name, ring):
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [ident, tXi, tau_col], (0, 1, 2, 3))
 
-    if name == "relcplx":
-        if not ring.tidx:
-            raise ValueError("relcplx needs the full ring with t-variables")
-        D1 = map_matrix("D1", ring)
-        D2 = map_matrix("D2", ring)
-        terms = [TermSpec(1, [(0, 0)], label="R"),
-                 TermSpec(D1.ncols, list(D1.col_degs), label="E1"),
-                 TermSpec(D2.ncols, list(D2.col_degs), label="E2")]
-        return PresentedComplex(name, ring, [], terms, [D1, D2], ())
-
     raise ValueError("unknown complex %r" % (name,))
 
 

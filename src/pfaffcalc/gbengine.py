@@ -295,35 +295,17 @@ def spair_vec(gi, gj, ua, ub, order, field):
 
 # -- Buchberger --------------------------------------------------------------
 
-def buchberger(vecs, order, field, trace=False, use_criteria=None):
-    """Groebner basis of the submodule generated by `vecs`.
+def buchberger(vecs, order, field):
+    """Groebner basis of the submodule generated by `vecs`, as a list of
+    vecs (leading coefficients arbitrary).
 
-    Returns (G, arows, taus):
-      G     list of vecs forming a GB (leading coefficients arbitrary);
-      arows (trace only) list of dicts input-index -> Polynomial with
-            G[i] = sum_j arows[i][j] * vecs[j];
-      taus  (trace only) one syzygy of G per processed S-pair, as a dict
-            basis-index -> list of (monomial, coeff); together they
-            generate the full syzygy module of G.
-
-    Pair criteria (Gebauer-Moeller chain/multiple elimination, plus the
-    coprime criterion on rank-1 scalar input) are applied only when no
-    trace is requested, because every eliminated pair would be a missing
-    syzygy generator.  use_criteria overrides the default (not trace).
-    """
-    if use_criteria is None:
-        use_criteria = not trace
-    if trace and use_criteria:
-        raise ValueError("pair criteria would drop syzygy generators")
-    ring = order.ring
+    Pairs are pruned by Gebauer-Moeller chain and multiple elimination,
+    plus the coprime criterion on rank-1 scalar input."""
     codec = order.codec
-    field_one = field.one()
     scalar = isinstance(order, FreeModuleOrder) and order.rank == 1
 
     G = []
     lts = []
-    arows = [] if trace else None
-    taus = [] if trace else None
     buckets = {}
     heap = []
     alive = set()
@@ -342,77 +324,51 @@ def buchberger(vecs, order, field, trace=False, use_criteria=None):
                 continue
             L = codec.lcm(order.mono(lts[i]), mt)
             cand.append((codec.deg(L), L, i))
-        if use_criteria:
-            cand.sort()
-            kept = []
-            for dL, L, i in cand:
-                redundant = False
-                for dK, K, _ in kept:
-                    if dK <= dL and codec.divides(K, L):
-                        redundant = True
-                        break
-                if not redundant:
-                    kept.append((dL, L, i))
-            if scalar:
-                kept = [(dL, L, i) for (dL, L, i) in kept
-                        if not codec.coprime(order.mono(lts[i]), mt)]
-            # chain criterion on pending pairs: lt(t) divides their lcm
-            # and both new lcms differ from the old one
-            for (i, j) in list(alive):
-                Lij = lcms[(i, j)]
-                if order.comp(lts[i]) != ct:
-                    continue
-                if not codec.divides(mt, Lij):
-                    continue
-                Lit = codec.lcm(order.mono(lts[i]), mt)
-                Ljt = codec.lcm(order.mono(lts[j]), mt)
-                if Lit != Lij and Ljt != Lij:
-                    alive.discard((i, j))
-                    del lcms[(i, j)]
-            cand = kept
-        else:
-            cand.sort()
+        cand.sort()
+        kept = []
         for dL, L, i in cand:
+            redundant = False
+            for dK, K, _ in kept:
+                if dK <= dL and codec.divides(K, L):
+                    redundant = True
+                    break
+            if not redundant:
+                kept.append((dL, L, i))
+        if scalar:
+            kept = [(dL, L, i) for (dL, L, i) in kept
+                    if not codec.coprime(order.mono(lts[i]), mt)]
+        # chain criterion on pending pairs: lt(t) divides their lcm
+        # and both new lcms differ from the old one
+        for (i, j) in list(alive):
+            Lij = lcms[(i, j)]
+            if order.comp(lts[i]) != ct:
+                continue
+            if not codec.divides(mt, Lij):
+                continue
+            Lit = codec.lcm(order.mono(lts[i]), mt)
+            Ljt = codec.lcm(order.mono(lts[j]), mt)
+            if Lit != Lij and Ljt != Lij:
+                alive.discard((i, j))
+                del lcms[(i, j)]
+        for dL, L, i in kept:
             alive.add((i, t))
             lcms[(i, t)] = L
             heapq.heappush(heap, (pair_degree(L, ct), t, i))
 
-    def trace_row(base, quots):
-        row = dict(base)
-        if quots:
-            for gi in sorted(quots):
-                mult = Polynomial(ring, tuple(sorted(quots[gi], reverse=True)))
-                for j, p in arows[gi].items():
-                    prod = mult * p
-                    if j in row:
-                        s = row[j] - prod
-                    else:
-                        s = -prod
-                    if s.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = s
-        return row
-
-    def install(remainder, base_row):
+    def install(remainder):
         s = len(G)
         G.append(tuple(remainder))
         lts.append(remainder[0][0])
-        if trace:
-            arows.append(base_row)
         bucket_insert(buckets, order, field, G[s], s)
         add_pairs(s)
-        return s
 
-    for idx, v in enumerate(vecs):
+    for v in vecs:
         v = tuple(v)
         if not v:
             continue
-        rem, quots = nf(v, order, buckets, field, record=trace)
-        if not rem:
-            continue
-        base = {idx: ring.one()} if trace else None
-        install(rem, trace_row(base, quots) if trace else None)
+        rem, _ = nf(v, order, buckets, field)
+        if rem:
+            install(rem)
 
     while heap:
         _, j, i = heapq.heappop(heap)
@@ -422,39 +378,11 @@ def buchberger(vecs, order, field, trace=False, use_criteria=None):
         L = lcms.pop((i, j))
         ua = codec.div(L, order.mono(lts[i]))
         ub = codec.div(L, order.mono(lts[j]))
-        sp, inv_i, inv_j = spair_vec(G[i], G[j], ua, ub, order, field)
-        rem, quots = nf(sp, order, buckets, field, record=trace)
-        if trace:
-            tau = {i: [(ua, inv_i)], j: [(ub, field.neg(inv_j))]}
-            if quots:
-                for gi in quots:
-                    entry = tau.setdefault(gi, [])
-                    entry.extend((m, field.neg(c)) for m, c in quots[gi])
+        sp, _, _ = spair_vec(G[i], G[j], ua, ub, order, field)
+        rem, _ = nf(sp, order, buckets, field)
         if rem:
-            if trace:
-                row_i = arows[i]
-                row_j = arows[j]
-                mono_i = Polynomial(ring, ((ua, inv_i),))
-                mono_j = Polynomial(ring, ((ub, inv_j),))
-                base = {}
-                for t, p in row_i.items():
-                    base[t] = mono_i * p
-                for t, p in row_j.items():
-                    s = base.get(t)
-                    prod = mono_j * p
-                    s = -prod if s is None else s - prod
-                    if s.is_zero():
-                        base.pop(t, None)
-                    else:
-                        base[t] = s
-                s_idx = install(rem, trace_row(base, quots))
-            else:
-                s_idx = install(rem, None)
-            if trace:
-                tau.setdefault(s_idx, []).append((order.one, field.neg(field_one)))
-        if trace:
-            taus.append(tau)
-    return G, arows, taus
+            install(rem)
+    return G
 
 
 def interreduce(G, order, field):
@@ -587,20 +515,16 @@ def schreyer_level(G, order, field):
     return taus, nxt
 
 
-def schreyer_resolution(vecs, order0, field, max_levels, tidy=True):
+def schreyer_resolution(vecs, order0, field, max_levels):
     """Iterated syzygies of the submodule generated by `vecs` inside the
     free module described by order0.
 
     Returns (levels, truncated): levels[k] = (ambient_order, elements);
-    levels[0] holds a GB of the input submodule, levels[k+1] a GB of the
-    syzygies of levels[k].  The ladder stops when a level has no
-    same-component pairs left; truncated reports stopping at max_levels
-    instead."""
-    G, _, _ = buchberger(vecs, order0, field)
-    if tidy:
-        G = interreduce(G, order0, field)
-    else:
-        G = sorted(G, key=lambda g: g[0][0], reverse=True)
+    levels[0] holds the reduced GB of the input submodule, levels[k+1]
+    the reduced GB of the syzygies of levels[k] (both from interreduce).
+    The ladder stops when a level has no same-component pairs left;
+    truncated reports stopping at max_levels instead."""
+    G = interreduce(buchberger(vecs, order0, field), order0, field)
     if not G:
         return [], False
     levels = [(order0, G)]
@@ -611,8 +535,7 @@ def schreyer_resolution(vecs, order0, field, max_levels, tidy=True):
         if len(levels) >= max_levels:
             return levels, True
         taus, nxt = schreyer_level(Gk, order_k, field)
-        if tidy:
-            taus = interreduce(taus, nxt, field)
+        taus = interreduce(taus, nxt, field)
         if not taus:
             return levels, False
         levels.append((nxt, taus))

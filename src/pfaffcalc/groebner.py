@@ -75,8 +75,7 @@ def groebner_basis(gens, ring=None):
     field = ring.field
     order = FreeModuleOrder(ring, 1)
     vecs = [vec_of_poly(g, order) for g in gens]
-    G, _, _ = buchberger(vecs, order, field)
-    G = interreduce(G, order, field)
+    G = interreduce(buchberger(vecs, order, field), order, field)
     elems = [poly_of_vec_component(g, order, ring, 0) for g in G]
     return GroebnerBasis(ring, elems)
 

@@ -12,20 +12,12 @@ from fractions import Fraction
 
 from .rings import Polynomial
 from .fields import QQ, GF
-from .constructions import (GradedMatrix, map_matrix, module_presentation,
-                            generic_xi, _dec_coord, all_subsets)
+from .constructions import (map_matrix, module_presentation, generic_xi,
+                            _dec_coord, all_subsets)
 from .exterior import ExteriorElement, AlternatingMatrix, pfaffian_oracle
 from .gbengine import (FreeModuleOrder, make_buckets, nf, buchberger,
                        interreduce)
-from .resolutions import _vec_of_entries, syzygies, ladder_betti
-
-
-def _column_bidegree(col, row_degs):
-    for i, p in enumerate(col):
-        if not p.is_zero():
-            a, b = p.bidegree()
-            return (row_degs[i][0] + a, row_degs[i][1] + b)
-    return None
+from .resolutions import _vec_of_entries, _matrix_of_vecs, ladder_betti
 
 
 def _quotient_columns(ring, quotient, rank):
@@ -47,7 +39,7 @@ class ModuleSpan:
         self.order = FreeModuleOrder(ring, rank, twists=twists)
         vecs = [_vec_of_entries(enumerate(c), self.order) for c in cols]
         vecs = [v for v in vecs if v]
-        G, _, _ = buchberger(vecs, self.order, self.field)
+        G = buchberger(vecs, self.order, self.field)
         self._G = interreduce(G, self.order, self.field)
         self._buckets = make_buckets(self._G, self.order, self.field)
 
@@ -59,35 +51,45 @@ class ModuleSpan:
         return not rem
 
 
+def relation_columns(C, k):
+    """The relations presenting term k of the presented complex C: its
+    own relation columns, then each quotient generator times each cover
+    basis vector."""
+    term = C.terms[k]
+    return term.extra_relations + _quotient_columns(C.ring, C.quotient,
+                                                    term.rank)
+
+
 def kernel_over_quotient(M, quotient=(), target_relations=()):
     """Column generators of {v : M v = 0 in the target module}, where
     the target is coker of its relation columns plus quotient * cover.
 
-    Implemented as syzygies of [M | relations], projected onto the
-    M-block coordinates; zero projections are dropped."""
+    Elimination on the graph module: in R^nrows (+) R^ncols, the columns
+    (M e_j, e_j) and (rel, 0) generate a submodule whose elements with
+    zero first block are exactly (0, v) with M v in the span of the
+    relations.  Under a position-over-term order that ranks the target
+    rows above the tag block, a Groebner basis element whose leading
+    term lies in the tag block has no target part at all, and these
+    elements form a Groebner basis of that intersection, so they generate
+    the kernel."""
     ring = M.ring
-    cols = [list(c) for c in M.columns()]
-    col_degs = list(M.col_degs)
-    extra = [list(c) for c in target_relations]
-    extra.extend(_quotient_columns(ring, quotient, M.nrows))
-    for c in extra:
-        bd = _column_bidegree(c, M.row_degs)
-        if bd is None:
-            continue
-        cols.append(c)
-        col_degs.append(bd)
-    entries = [[cols[j][i] for j in range(len(cols))]
-               for i in range(M.nrows)]
-    aug = GradedMatrix(ring, entries, list(M.row_degs), col_degs)
-    S = syzygies(aug)
-    out, degs = [], []
-    for j in range(S.ncols):
-        col = [S.entries[i][j] for i in range(M.ncols)]
-        if any(not p.is_zero() for p in col):
-            out.append(col)
-            degs.append(S.col_degs[j])
-    ent = [[out[j][i] for j in range(len(out))] for i in range(M.ncols)]
-    return GradedMatrix(ring, ent, list(M.col_degs), degs)
+    nrows, ncols = M.nrows, M.ncols
+    order = FreeModuleOrder(ring, nrows + ncols,
+                            twists=list(M.row_degs) + list(M.col_degs))
+    one = ring.one()
+    vecs = [_vec_of_entries(list(enumerate(col)) + [(nrows + j, one)], order)
+            for j, col in enumerate(M.columns())]
+    rels = list(target_relations) + _quotient_columns(ring, quotient, nrows)
+    vecs.extend(_vec_of_entries(enumerate(c), order) for c in rels)
+    korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
+    kernel = []
+    for g in buchberger(vecs, order, ring.field):
+        if order.comp(g[0][0]) >= nrows:
+            # shifting every component down by nrows keeps the key order
+            kernel.append(tuple((korder.key(order.comp(k) - nrows,
+                                            order.mono(k)), c)
+                                for k, c in g))
+    return _matrix_of_vecs(kernel, korder)
 
 
 def homology_is_zero(C, position):
@@ -106,8 +108,7 @@ def homology_is_zero(C, position):
     span_cols = []
     if position < L:
         span_cols.extend(C.maps[position].columns())
-    span_cols.extend([list(c) for c in term.extra_relations])
-    span_cols.extend(_quotient_columns(ring, C.quotient, term.rank))
+    span_cols.extend(relation_columns(C, position))
     span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs)
     if position >= 1:
         tgt = C.terms[position - 1]

@@ -1,5 +1,4 @@
-"""Syzygies of graded matrices, graded free resolutions, and Betti
-tables.
+"""Graded free resolutions and Betti tables.
 
 Two independent Betti routes are provided on purpose:
 
@@ -22,8 +21,7 @@ from .rings import Polynomial
 from .constructions import GradedMatrix
 from .betti import BettiTable
 from .gbengine import (FreeModuleOrder, bidegree_memo, poly_of_vec_component,
-                       vec_bidegs, make_buckets, nf, buchberger,
-                       schreyer_resolution)
+                       vec_bidegs, schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -57,95 +55,6 @@ def _matrix_of_vecs(vecs, order, col_degs=None):
     ent = [[poly_of_vec_component(v, order, ring, i) for v in vecs]
            for i in range(order.rank)]
     return GradedMatrix(ring, ent, list(order.twists), list(col_degs))
-
-
-# -- syzygies by division tracing --------------------------------------------
-
-def syzygies(M):
-    """A graded matrix whose columns generate ker(M : R^ncols -> R^nrows).
-
-    Route: run the Buchberger loop with full division tracing.  With
-    G = A * F (F the input columns, A the tracing rows) and F = B * G
-    (each input re-divided by the final basis), the kernel is generated
-    by the traced S-pair syzygies pushed through A together with the
-    columns of Id - B*A.  Zero input columns contribute standard basis
-    vectors."""
-    ring = M.ring
-    field = ring.field
-    vecs, order = _vecs_of_matrix(M)
-    live = [j for j, v in enumerate(vecs) if v]
-    F = [vecs[j] for j in live]
-    m = M.ncols
-    sorder = FreeModuleOrder(ring, m, twists=M.col_degs)
-    cols = []
-
-    for j in range(m):
-        if not vecs[j]:
-            cols.append(((sorder.key(j, sorder.one), field.one()),))
-
-    if F:
-        G, arows, taus = buchberger(F, order, field, trace=True)
-        buckets = make_buckets(G, order, field)
-
-        def push_through_A(coeffs):
-            # coeffs: dict basis-index -> Polynomial; returns the vec
-            # sum_s coeffs[s] * (row s of A), in input coordinates.
-            acc = {}
-            for s, c in coeffs.items():
-                for jloc, p in arows[s].items():
-                    prod = c * p
-                    if jloc in acc:
-                        q = acc[jloc] + prod
-                    else:
-                        q = prod
-                    if q.is_zero():
-                        acc.pop(jloc, None)
-                    else:
-                        acc[jloc] = q
-            out = []
-            for jloc, p in acc.items():
-                jg = live[jloc]
-                out.extend((sorder.key(jg, mm), cc) for mm, cc in p.terms)
-            out.sort(reverse=True)
-            return tuple(out)
-
-        for tau in taus:
-            coeffs = {s: Polynomial(ring, tuple(sorted(terms, reverse=True)))
-                      for s, terms in tau.items()}
-            v = push_through_A(coeffs)
-            if v:
-                cols.append(v)
-
-        for jloc, v in enumerate(F):
-            rem, quots = nf(v, order, buckets, field, record=True)
-            if rem:
-                raise AssertionError("basis member failed to re-divide to zero")
-            coeffs = {s: Polynomial(ring, tuple(sorted(terms, reverse=True)))
-                      for s, terms in (quots or {}).items()}
-            bav = push_through_A(coeffs)
-            ej = ((sorder.key(live[jloc], sorder.one), field.one()),)
-            diff = _vec_sub(ej, bav, field)
-            if diff:
-                cols.append(diff)
-
-    return _matrix_of_vecs(cols, sorder)
-
-
-def _vec_sub(a, b, field):
-    """a - b for descending vecs."""
-    out = {}
-    for k, c in a:
-        out[k] = c
-    for k, c in b:
-        if k in out:
-            s = field.sub(out[k], c)
-            if field.is_zero(s):
-                del out[k]
-            else:
-                out[k] = s
-        else:
-            out[k] = field.neg(c)
-    return tuple(sorted(out.items(), reverse=True))
 
 
 # -- invariants of a chain of vecs --------------------------------------------

@@ -33,7 +33,8 @@ from .fields import GF, QQ
 from .groebner import (dimension_codim, groebner_basis, ideal_quotient,
                        same_ideal, saturation_member)
 from .homology import (ModuleSpan, betti_palindrome_check,
-                       char2_anomaly_check, homology_is_zero)
+                       char2_anomaly_check, homology_is_zero,
+                       relation_columns)
 from .linoracle import oracle_betti
 from .resolutions import complex_betti, free_resolution, ladder_betti
 from .rings import ring_for
@@ -349,7 +350,7 @@ def _exterior_checks(fs, chars, seed):
 # complex-closure suite
 
 
-def _closure_relcplx(f, char):
+def _closure_relation_maps(f, char):
     ring = ring_for(f, _field_of(char))
     D1 = map_matrix("D1", ring)
     D2 = map_matrix("D2", ring)
@@ -363,17 +364,12 @@ def _closure_relcplx(f, char):
 def _closure_complex(name, f, char):
     ring = ring_for(f, _field_of(char))
     C = build_complex(name, ring)
-    zero = ring.zero()
     counted = 0
     for k in range(len(C.maps) - 1):
         P = C.maps[k] @ C.maps[k + 1]
         term = C.terms[k]
-        span_cols = [list(col) for col in term.extra_relations]
-        for q in C.quotient:
-            for i in range(term.rank):
-                span_cols.append([q if r == i else zero
-                                  for r in range(term.rank)])
-        span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs)
+        span = ModuleSpan(ring, term.rank, relation_columns(C, k),
+                          twists=term.degs)
         for col in P.columns():
             if not span.contains_column(list(col)):
                 raise CheckFailure(
@@ -392,7 +388,7 @@ def _closure_checks(fs, chars, seed):
                 "relation-maps-compose-to-zero[f=%d,%s]" % (f, _lbl(char)),
                 "the two explicit relation matrices of the bigraded "
                 "quotient compose to the zero matrix",
-                lambda f=f, char=char: _closure_relcplx(f, char)))
+                lambda f=f, char=char: _closure_relation_maps(f, char)))
         for name, fmin in (("precplx", 3), ("seq32", 3), ("seq43", 2)):
             for f in _pick(fs, tuple(range(fmin, 7))):
                 checks.append(_Check(

@@ -139,6 +139,30 @@ def test_verify_error_exit_three(monkeypatch, capsys):
     assert "[error] x" in out
 
 
+def test_internal_error_outside_a_check_exits_70(monkeypatch, capsys):
+    def boom(*a, **kw):
+        raise RuntimeError("suite builder broke")
+
+    monkeypatch.setattr(cli, "run_suite", boom)
+    code, out, err = run(["verify", "--suite", "grades"], capsys)
+    assert code == 70
+    assert out == ""
+    assert err == ("pfaffcalc: internal error: RuntimeError: "
+                   "suite builder broke\n")
+
+
+def test_internal_error_under_resolve_exits_70(monkeypatch, capsys):
+    def boom(*a, **kw):
+        raise ZeroDivisionError("pivot vanished")
+
+    monkeypatch.setattr(cli, "free_resolution", boom)
+    code, out, err = run(["resolve", "--module", "A", "--f", "4"], capsys)
+    assert code == 70
+    assert out == ""
+    assert err == ("pfaffcalc: internal error: ZeroDivisionError: "
+                   "pivot vanished\n")
+
+
 def test_verify_failure_beats_error(monkeypatch, capsys):
     fake = SuiteReport("grades", [4], [0], 0,
                        [CheckResult("x", "c", ERROR, "KeyError: 3", 0.0),

@@ -1,4 +1,4 @@
-"""Buchberger/Schreyer engine: S-pair closure, traces, module orders."""
+"""Buchberger/Schreyer engine: S-pair closure, module orders."""
 
 import random
 
@@ -37,7 +37,7 @@ def test_vec_poly_roundtrip():
 def test_groebner_basis_invariants(char):
     field = GF(char) if char else QQ
     ring, order, vecs = scalar_setup(3, field)
-    G, _, _ = buchberger(vecs, order, field)
+    G = buchberger(vecs, order, field)
     G = interreduce(G, order, field)
     one = field.one()
     leads = [g[0][0] for g in G]
@@ -52,7 +52,7 @@ def test_groebner_basis_invariants(char):
 def test_every_s_pair_reduces_to_zero(char):
     field = GF(char) if char else QQ
     ring, order, vecs = scalar_setup(3, field)
-    G, _, _ = buchberger(vecs, order, field)
+    G = buchberger(vecs, order, field)
     buckets = make_buckets(G, order, field)
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -67,7 +67,7 @@ def test_every_s_pair_reduces_to_zero(char):
 
 def test_membership_via_normal_form():
     ring, order, vecs = scalar_setup(4, QQ)
-    G, _, _ = buchberger(vecs, order, QQ)
+    G = buchberger(vecs, order, QQ)
     buckets = make_buckets(G, order, QQ)
     gens = build_ideal("J", ring).gens
     member = gens[0] * ring.x(1, 3) + gens[2].scale(QQ.from_int(-3))
@@ -77,50 +77,12 @@ def test_membership_via_normal_form():
     assert rem
 
 
-def test_trace_reconstructs_basis_elements():
-    ring = ring_for(3, QQ)
-    order = FreeModuleOrder(ring, 1)
-    gens = build_ideal("K", ring).gens
-    vecs = [vec_of_poly(g, order) for g in gens]
-    G, arows, taus = buchberger(vecs, order, QQ, trace=True)
-    assert len(arows) == len(G)
-    for g, row in zip(G, arows):
-        acc = ring.zero()
-        for j, coeff_poly in row.items():
-            acc = acc + coeff_poly * gens[j]
-        assert acc == poly_of_vec_component(g, order, ring, 0)
-
-
-def test_trace_syzygies_annihilate_basis():
-    ring = ring_for(3, QQ)
-    order = FreeModuleOrder(ring, 1)
-    gens = build_ideal("K", ring).gens
-    vecs = [vec_of_poly(g, order) for g in gens]
-    G, _, taus = buchberger(vecs, order, QQ, trace=True)
-    polys = [poly_of_vec_component(g, order, ring, 0) for g in G]
-    assert taus, "at least one S-pair must have been processed"
-    for tau in taus:
-        acc = ring.zero()
-        for i, pairs in tau.items():
-            for mono, c in pairs:
-                acc = acc + polys[i].mul_monomial(mono, c)
-        assert acc.is_zero()
-
-
-def test_trace_forbids_pair_criteria():
-    ring = ring_for(3, QQ)
-    order = FreeModuleOrder(ring, 1)
-    vecs = [vec_of_poly(g, order) for g in build_ideal("K", ring).gens]
-    with pytest.raises(ValueError):
-        buchberger(vecs, order, QQ, trace=True, use_criteria=True)
-
-
 def test_schreyer_level_produces_syzygies():
     ring = ring_for(4, QQ)
     order = FreeModuleOrder(ring, 1)
     gens = build_ideal("J", ring).gens
     vecs = [vec_of_poly(g, order) for g in gens]
-    G, _, _ = buchberger(vecs, order, QQ)
+    G = buchberger(vecs, order, QQ)
     G = interreduce(G, order, QQ)
     syz, sorder = schreyer_level(G, order, QQ)
     polys = [poly_of_vec_component(g, order, ring, 0) for g in G]
@@ -238,7 +200,7 @@ def test_interreduce_matches_per_element_reference(f, name, char, monkeypatch):
     field = GF(char) if char else QQ
     ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
     vecs, order = _vecs_of_matrix(module_presentation(name, ring))
-    G, _, _ = buchberger([v for v in vecs if v], order, field)
+    G = buchberger([v for v in vecs if v], order, field)
     levels = 0
     while G:
         G = assert_same_interreduce(G, order, field, monkeypatch)

@@ -78,6 +78,55 @@ def test_kernel_over_quotient_principal(qq):
         assert span.contains_column(col)
 
 
+def same_span(ring, rank, twists, cols_a, cols_b):
+    span_a = ModuleSpan(ring, rank, cols_a, twists=twists)
+    span_b = ModuleSpan(ring, rank, cols_b, twists=twists)
+    return (all(span_b.contains_column(c) for c in cols_a)
+            and all(span_a.contains_column(c) for c in cols_b))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name,f", [("A", 5), ("N", 4), ("N", 5),
+                                    ("RJ", 4)])
+def test_kernel_of_each_differential_is_the_next_image(name, f, char):
+    # the minimal resolution (Schreyer route) is exact, so the kernel of
+    # d_k is generated by the columns of d_{k+1}, and is zero at the end
+    ring = ring_for(f, field_of(char), vars="xt" if name == "RJ" else "x")
+    C = free_resolution(module_presentation(name, ring), len(ring.names))
+    for k, d in enumerate(C.diffs):
+        K = kernel_over_quotient(d)
+        assert list(K.row_degs) == list(d.col_degs)
+        assert (d @ K).is_zero(), (k, "d o K")
+        kcols = [list(c) for c in K.columns()]
+        if k + 1 == len(C.diffs):
+            assert not kcols, k
+        else:
+            nxt = [list(c) for c in C.diffs[k + 1].columns()]
+            assert same_span(ring, d.ncols, d.col_degs, kcols, nxt), k
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_kernel_modulo_relations_and_quotient(char):
+    ring = ring_for(3, field_of(char), vars="x")
+    x12, x13, x23 = ring.x(1, 2), ring.x(1, 3), ring.x(2, 3)
+    zero = ring.zero()
+    # [x12 x13] into R / (x23, x12*x13): a*x12 + b*x13 vanishes there
+    # exactly when a lies in (x13, x23) and b in (x12, x23)
+    M = GradedMatrix(ring, [[x12, x13]], [(0, 0)], [(1, 0), (1, 0)])
+    K = kernel_over_quotient(M, quotient=[x12 * x13],
+                             target_relations=[[x23]])
+    want = [[x13, zero], [x23, zero], [zero, x12], [zero, x23]]
+    assert same_span(ring, 2, M.col_degs,
+                     [list(c) for c in K.columns()], want)
+    # the quotient multiplies every cover vector: (x12, x13)^T into
+    # R^2 / (x12*R^2 + R*(0, x23)) has kernel (x12, x23)
+    M = GradedMatrix(ring, [[x12], [x13]], [(0, 0), (0, 0)], [(1, 0)])
+    K = kernel_over_quotient(M, quotient=[x12],
+                             target_relations=[[zero, x23]])
+    assert same_span(ring, 1, M.col_degs,
+                     [list(c) for c in K.columns()], [[x12], [x23]])
+
+
 def test_palindrome_check_on_tables(qq):
     ring = ring_for(4, qq, vars="x")
     B = complex_betti(free_resolution(module_presentation("N", ring), 6))
