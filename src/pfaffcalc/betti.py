@@ -40,10 +40,6 @@ class BettiTable:
         minimal table); -1 if empty."""
         return max((i for i, _ in self.data), default=-1)
 
-    def graded(self, i):
-        """{bidegree: count} at homological index i."""
-        return {bd: c for (k, bd), c in self.data.items() if k == i}
-
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.data == other.data
 

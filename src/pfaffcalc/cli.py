@@ -21,7 +21,7 @@ from .fields import CoefficientField
 from .groebner import dimension_codim, groebner_basis
 from .resolutions import complex_betti, free_resolution
 from .rings import ring_for
-from .textio import emit_cas, field_str, render
+from .textio import emit_cas, render
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_EXIT = 64

@@ -91,16 +91,13 @@ class GradedMatrix:
     """Matrix over a bigraded ring with degree bookkeeping: entry (i,j)
     is bihomogeneous of bidegree col_degs[j] - row_degs[i] (or zero)."""
 
-    __slots__ = ("ring", "entries", "row_degs", "col_degs", "row_labels", "col_labels")
+    __slots__ = ("ring", "entries", "row_degs", "col_degs")
 
-    def __init__(self, ring, entries, row_degs, col_degs,
-                 row_labels=None, col_labels=None, check=True):
+    def __init__(self, ring, entries, row_degs, col_degs, check=True):
         self.ring = ring
         self.entries = [list(r) for r in entries]
         self.row_degs = list(row_degs)
         self.col_degs = list(col_degs)
-        self.row_labels = row_labels
-        self.col_labels = col_labels
         if len(self.entries) != len(self.row_degs):
             raise ValueError("row count / row degree mismatch")
         for r in self.entries:
@@ -177,14 +174,7 @@ class GradedMatrix:
         return cls(ring, ent, degs, degs, check=False)
 
     def retwisted(self, row_degs, col_degs):
-        return GradedMatrix(self.ring, self.entries, row_degs, col_degs,
-                            self.row_labels, self.col_labels)
-
-    def pretty(self):
-        cells = [[str(e) for e in row] for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
-                         for row in cells)
+        return GradedMatrix(self.ring, self.entries, row_degs, col_degs)
 
     def __repr__(self):
         return "<GradedMatrix %dx%d over %r>" % (self.nrows, self.ncols, self.ring)
@@ -202,9 +192,7 @@ def map_matrix(name, ring):
         # asserted equal in tests
         A = AlternatingMatrix.generic(ring)
         ent = [[-A.entry(i, j) for j in range(1, f + 1)] for i in range(1, f + 1)]
-        return GradedMatrix(ring, ent, [(0, 0)] * f, [(1, 0)] * f,
-                            row_labels=["e_%d" % i for i in range(1, f + 1)],
-                            col_labels=["e_%d*" % j for j in range(1, f + 1)])
+        return GradedMatrix(ring, ent, [(0, 0)] * f, [(1, 0)] * f)
 
     if name == "d0_contracted":
         cols = []
@@ -221,9 +209,7 @@ def map_matrix(name, ring):
             v = contract(_dec_basis(ring, S), xi)  # xi acting, dual degree 1
             cols.append([v.coeff((i,)) for i in range(1, f + 1)])
         ent = [[cols[c][i] for c in range(len(subs))] for i in range(f)]
-        return GradedMatrix(ring, ent, [(1, 0)] * f, [(2, 0)] * len(subs),
-                            row_labels=["e_%d*" % i for i in range(1, f + 1)],
-                            col_labels=["e_%d*^e_%d*^e_%d*" % (S[2], S[1], S[0]) for S in subs])
+        return GradedMatrix(ring, ent, [(1, 0)] * f, [(2, 0)] * len(subs))
 
     if name == "delta1":
         subs = all_subsets(f, 3)
@@ -232,9 +218,7 @@ def map_matrix(name, ring):
             w = ExteriorElement.basis(ring, "primal", (j,)).wedge(xi)
             cols.append([w.coeff(S) for S in subs])
         ent = [[cols[j][r] for j in range(f)] for r in range(len(subs))]
-        return GradedMatrix(ring, ent, [(-1, 0)] * len(subs), [(0, 0)] * f,
-                            row_labels=["e_%d^e_%d^e_%d" % S for S in subs],
-                            col_labels=["e_%d" % j for j in range(1, f + 1)])
+        return GradedMatrix(ring, ent, [(-1, 0)] * len(subs), [(0, 0)] * f)
 
     if name == "rho":
         if f < 3:
@@ -263,9 +247,7 @@ def map_matrix(name, ring):
         row = tx_entries(ring) + [contract(_dec_basis(ring, S), dp2).terms.get((), z)
                                   for S in subs4]
         return GradedMatrix(ring, [row], [(0, 0)],
-                            [(1, 1)] * f + [(2, 0)] * len(subs4),
-                            col_labels=(["e_%d*" % a for a in range(1, f + 1)]
-                                        + ["w4%s" % (S,) for S in subs4]))
+                            [(1, 1)] * f + [(2, 0)] * len(subs4))
 
     if name == "D2":
         tau = generic_tau(ring)
@@ -275,7 +257,6 @@ def map_matrix(name, ring):
         nrows = f + len(subs4)
         cols = []
         col_degs = []
-        col_labels = []
 
         def column(one_part, four_part):
             col = [one_part.coeff((a,)) for a in range(1, f + 1)]
@@ -287,14 +268,12 @@ def map_matrix(name, ring):
             phi3 = _dec_basis(ring, S)
             cols.append(column(contract(phi3, xi), tau.wedge(phi3)))
             col_degs.append((2, 1))
-            col_labels.append("w3%s" % (S,))
         for a in range(1, f + 1):
             ea_xi = contract(ExteriorElement.basis(ring, "dual", (a,)), xi)
             for S in subs5:
                 phi5 = _dec_basis(ring, S)
                 cols.append(column(zero1, ea_xi.act(phi5)))
                 col_degs.append((3, 0))
-                col_labels.append("e_%d*@w5%s" % (a, S))
         for Sa in subs3:
             pa = _dec_basis(ring, Sa)
             xa = contract(pa, xi)
@@ -304,11 +283,9 @@ def map_matrix(name, ring):
                 four = xa.wedge(pb) - pa.wedge(xb)
                 cols.append(column(zero1, four))
                 col_degs.append((3, 0))
-                col_labels.append("w3%s@w3%s" % (Sa, Sb))
         ent = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
         return GradedMatrix(ring, ent,
-                            [(1, 1)] * f + [(2, 0)] * len(subs4), col_degs,
-                            col_labels=col_labels)
+                            [(1, 1)] * f + [(2, 0)] * len(subs4), col_degs)
 
     raise ValueError("unknown map %r" % (name,))
 

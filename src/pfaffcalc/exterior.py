@@ -256,9 +256,6 @@ class AlternatingMatrix:
         return cls(ring, f, {(i, j): ring.x(i, j)
                              for i in range(1, f + 1) for j in range(i + 1, f + 1)})
 
-    def two_form(self):
-        return ExteriorElement(self.ring, "primal", 2, dict(self.upper))
-
     def entry(self, i, j):
         if i == j:
             return self.ring.zero()

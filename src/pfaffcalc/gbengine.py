@@ -8,8 +8,9 @@ levels use Schreyer orders that embed the parent level's keys, so every
 level of a free resolution runs on the identical reduction code path.
 
 A module element ("vec") is a tuple of (key, coefficient) pairs sorted
-descending by key.  All functions here operate on vecs; the translation
-to Polynomial columns lives in `resolutions`.
+descending by key.  The engine works on vecs; `vec_of_entries` and
+`columns_of_vecs` are the one translation to and from Polynomial
+columns.
 """
 
 import heapq
@@ -153,15 +154,29 @@ class SchreyerOrder(_TwistedOrder):
 
 # -- vec primitives ----------------------------------------------------------
 
-def vec_of_poly(p, order, comp=0):
-    """Embed a Polynomial as a vec concentrated in one component."""
-    return tuple((order.key(comp, m), c) for m, c in p.terms)
+def vec_of_entries(entries, order):
+    """The vec with the given (row, Polynomial) entries, e.g.
+    enumerate(column) for a matrix column."""
+    acc = []
+    for i, p in entries:
+        acc.extend((order.key(i, m), c) for m, c in p.terms)
+    acc.sort(reverse=True)
+    return tuple(acc)
 
 
-def poly_of_vec_component(v, order, ring, comp):
-    """The Polynomial sitting in one component of a vec."""
-    terms = tuple((order.mono(k), c) for k, c in v if order.comp(k) == comp)
-    return Polynomial(ring, terms)
+def columns_of_vecs(vecs, order):
+    """Each vec as a column {row: Polynomial} of its nonzero entries."""
+    ring = order.ring
+    ocomp = order.comp
+    omono = order.mono
+    cols = []
+    for v in vecs:
+        col = {}
+        for key, c in v:
+            col.setdefault(ocomp(key), []).append((omono(key), c))
+        cols.append({i: Polynomial(ring, tuple(terms))
+                     for i, terms in col.items()})
+    return cols
 
 
 def bidegree_memo(ring):

@@ -11,23 +11,19 @@ insists they agree.
 from functools import lru_cache
 
 from .rings import Polynomial
-from .gbengine import FreeModuleOrder, vec_of_poly, poly_of_vec_component, \
-    make_buckets, nf, buchberger, interreduce
+from .gbengine import columns_of_vecs, nf, vec_of_entries
+from .homology import ModuleSpan
 
 
-class GroebnerBasis:
-    """A reduced Groebner basis: monic, auto-reduced, no leading term
-    divides another, sorted by decreasing leading monomial."""
+class GroebnerBasis(ModuleSpan):
+    """A reduced Groebner basis of an ideal, the rank-1 case of
+    ModuleSpan: monic, auto-reduced, no leading term divides another,
+    sorted by decreasing leading monomial."""
 
-    __slots__ = ("ring", "field", "elements", "_order", "_buckets")
-
-    def __init__(self, ring, elements):
-        self.ring = ring
-        self.field = ring.field
-        self.elements = tuple(elements)
-        self._order = FreeModuleOrder(ring, 1)
-        vecs = [vec_of_poly(g, self._order) for g in self.elements]
-        self._buckets = make_buckets(vecs, self._order, self.field)
+    def __init__(self, ring, gens):
+        super().__init__(ring, 1, [[g] for g in gens])
+        self.elements = tuple(col[0] for col in
+                              columns_of_vecs(self._G, self.order))
 
     def __len__(self):
         return len(self.elements)
@@ -35,20 +31,11 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def normal_form(self, p):
-        """The unique remainder of p modulo the basis."""
-        if p.is_zero():
-            return p
-        v = vec_of_poly(p, self._order)
-        rem, _ = nf(v, self._order, self._buckets, self.field)
-        return poly_of_vec_component(rem, self._order, self.ring, 0)
-
     def contains(self, p):
         if p.is_zero():
             return True
-        v = vec_of_poly(p, self._order)
-        rem, _ = nf(v, self._order, self._buckets, self.field,
-                    zero_only=True)
+        v = vec_of_entries(((0, p),), self.order)
+        rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
         return not rem
 
     def contains_one(self):
@@ -72,12 +59,7 @@ def groebner_basis(gens, ring=None):
         if not gens:
             raise ValueError("cannot infer the ring from an empty list")
         ring = gens[0].ring
-    field = ring.field
-    order = FreeModuleOrder(ring, 1)
-    vecs = [vec_of_poly(g, order) for g in gens]
-    G = interreduce(buchberger(vecs, order, field), order, field)
-    elems = [poly_of_vec_component(g, order, ring, 0) for g in G]
-    return GroebnerBasis(ring, elems)
+    return GroebnerBasis(ring, gens)
 
 
 def _as_gb(ideal):

@@ -10,14 +10,13 @@ ring.
 
 from fractions import Fraction
 
-from .rings import Polynomial
 from .fields import QQ, GF
 from .constructions import (map_matrix, module_presentation, generic_xi,
                             _dec_coord, all_subsets)
 from .exterior import ExteriorElement, AlternatingMatrix, pfaffian_oracle
-from .gbengine import (FreeModuleOrder, make_buckets, nf, buchberger,
-                       interreduce)
-from .resolutions import _vec_of_entries, _matrix_of_vecs, ladder_betti
+from .gbengine import (FreeModuleOrder, buchberger, interreduce,
+                       make_buckets, nf, vec_of_entries)
+from .resolutions import ladder_betti, matrix_of_vecs
 
 
 def _quotient_columns(ring, quotient, rank):
@@ -31,20 +30,20 @@ def _quotient_columns(ring, quotient, rank):
 
 class ModuleSpan:
     """Membership oracle for the submodule of a free module generated by
-    the given columns."""
+    the given columns, from its reduced Groebner basis.  GroebnerBasis is
+    the rank-1 case."""
 
     def __init__(self, ring, rank, cols, twists=None):
         self.ring = ring
         self.field = ring.field
         self.order = FreeModuleOrder(ring, rank, twists=twists)
-        vecs = [_vec_of_entries(enumerate(c), self.order) for c in cols]
-        vecs = [v for v in vecs if v]
-        G = buchberger(vecs, self.order, self.field)
+        vecs = [vec_of_entries(enumerate(c), self.order) for c in cols]
+        G = buchberger([v for v in vecs if v], self.order, self.field)
         self._G = interreduce(G, self.order, self.field)
         self._buckets = make_buckets(self._G, self.order, self.field)
 
     def contains_column(self, col):
-        v = _vec_of_entries(enumerate(col), self.order)
+        v = vec_of_entries(enumerate(col), self.order)
         if not v:
             return True
         rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
@@ -77,10 +76,10 @@ def kernel_over_quotient(M, quotient=(), target_relations=()):
     order = FreeModuleOrder(ring, nrows + ncols,
                             twists=list(M.row_degs) + list(M.col_degs))
     one = ring.one()
-    vecs = [_vec_of_entries(list(enumerate(col)) + [(nrows + j, one)], order)
+    vecs = [vec_of_entries(list(enumerate(col)) + [(nrows + j, one)], order)
             for j, col in enumerate(M.columns())]
     rels = list(target_relations) + _quotient_columns(ring, quotient, nrows)
-    vecs.extend(_vec_of_entries(enumerate(c), order) for c in rels)
+    vecs.extend(vec_of_entries(enumerate(c), order) for c in rels)
     korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
     kernel = []
     for g in buchberger(vecs, order, ring.field):
@@ -89,7 +88,7 @@ def kernel_over_quotient(M, quotient=(), target_relations=()):
             kernel.append(tuple((korder.key(order.comp(k) - nrows,
                                             order.mono(k)), c)
                                 for k, c in g))
-    return _matrix_of_vecs(kernel, korder)
+    return matrix_of_vecs(kernel, korder)
 
 
 def homology_is_zero(C, position):

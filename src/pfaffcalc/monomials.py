@@ -21,9 +21,8 @@ variable first.
 Each 8-bit field has a guard bit, so a field holds exponents up to 127;
 `pack` caps them at MAX_EXP.  Divisibility is one subtract-and-mask, and
 quotients and lcms of legal monomials never leave a field.  A product is
-exact only while every exponent sum stays at most 127: two exponents at
-the cap overflow, and `mul` does not check (`Polynomial.__pow__` keeps
-its own coarse bound).
+exact only while every exponent sum stays at most 127; an exponent sum
+past that sets its field's guard bit, and `mul` raises on it.
 """
 
 MAX_EXP = 120  # per-variable exponent cap (fields are 8 bit with a guard bit)
@@ -129,7 +128,10 @@ class OrderCodec:
 
     # -- arithmetic --------------------------------------------------------
     def mul(self, a, b):
-        return a + b - self.one
+        m = a + b - self.one
+        if m & self._guards:
+            raise ValueError("monomial product exceeds the exponent range")
+        return m
 
     def div(self, a, b):
         """a / b; caller guarantees b divides a."""
@@ -156,16 +158,6 @@ class OrderCodec:
                     total += (m >> self._shift[v]) & _FMASK
         return total
 
-    def block_degs(self, m):
-        """Total degree within each block, in block order."""
-        out = []
-        for (bvars, style), degshift in zip(self.blocks, self._degshifts):
-            if style == "grevlex":
-                out.append((m >> degshift) & 0xFFFF)
-            else:
-                out.append(sum((m >> self._shift[v]) & _FMASK for v in bvars))
-        return tuple(out)
-
     def coprime(self, a, b):
         ea, eb = self.unpack(a), self.unpack(b)
         return all(x == 0 or y == 0 for x, y in zip(ea, eb))
@@ -187,32 +179,3 @@ def elim_blocks(nvars, cut, name="elim"):
     return OrderCodec(nvars, [(tuple(range(cut)), "grevlex"),
                               (tuple(range(cut, nvars)), "grevlex")], name)
 
-
-# -- reference comparators (definition-level, for cross-checking) ----------
-
-def cmp_grevlex_ref(ea, eb):
-    """Definition: higher total degree wins; on ties the first nonzero
-    entry of ea-eb scanning from the smallest variable decides, negative
-    meaning ea is larger."""
-    da, db = sum(ea), sum(eb)
-    if da != db:
-        return 1 if da > db else -1
-    for x, y in zip(ea, eb):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
-def cmp_lex_ref(ea, eb):
-    """Definition: scan from the largest variable; first difference wins."""
-    for x, y in zip(reversed(ea), reversed(eb)):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
-
-
-def cmp_blocks_ref(ea, eb, cut):
-    ca = cmp_grevlex_ref(ea[:cut], eb[:cut])
-    if ca:
-        return ca
-    return cmp_grevlex_ref(ea[cut:], eb[cut:])

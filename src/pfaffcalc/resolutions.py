@@ -17,11 +17,10 @@ Both must agree; tests compare them.
 
 from heapq import heapify, heappop, heappush
 
-from .rings import Polynomial
 from .constructions import GradedMatrix
 from .betti import BettiTable
-from .gbengine import (FreeModuleOrder, bidegree_memo, poly_of_vec_component,
-                       vec_bidegs, schreyer_resolution)
+from .gbengine import (FreeModuleOrder, bidegree_memo, columns_of_vecs,
+                       vec_bidegs, vec_of_entries, schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -30,30 +29,21 @@ class ResolutionTruncated(Exception):
 
 # -- vec <-> GradedMatrix ----------------------------------------------------
 
-def _vec_of_entries(entries, order):
-    """The vec with the given (row, Polynomial) entries, e.g.
-    enumerate(column) for a matrix column."""
-    acc = []
-    for i, p in entries:
-        acc.extend((order.key(i, m), c) for m, c in p.terms)
-    acc.sort(reverse=True)
-    return tuple(acc)
-
-
 def _vecs_of_matrix(M):
     """Columns of a GradedMatrix as engine vecs, plus the ambient order."""
     order = FreeModuleOrder(M.ring, M.nrows, twists=M.row_degs)
-    return [_vec_of_entries(enumerate(col), order)
+    return [vec_of_entries(enumerate(col), order)
             for col in M.columns()], order
 
 
-def _matrix_of_vecs(vecs, order, col_degs=None):
+def matrix_of_vecs(vecs, order, col_degs=None):
     """GradedMatrix with the given vecs as columns."""
     ring = order.ring
     if col_degs is None:
         col_degs = vec_bidegs(vecs, order)
-    ent = [[poly_of_vec_component(v, order, ring, i) for v in vecs]
-           for i in range(order.rank)]
+    zero = ring.zero()
+    cols = columns_of_vecs(vecs, order)
+    ent = [[col.get(i, zero) for col in cols] for i in range(order.rank)]
     return GradedMatrix(ring, ent, list(order.twists), list(col_degs))
 
 
@@ -226,7 +216,7 @@ def free_resolution(pres, max_len):
             "syzygy ladder still active after %d levels" % cap)
     twists = _ladder_twists(levels, order0)
     _check_chain(levels, twists, ring.field)
-    mats = [_columns_of_vecs(els, order) for order, els in levels]
+    mats = [columns_of_vecs(els, order) for order, els in levels]
     minC = _minimal_complex(ring, mats, twists, truncated=False)
     if minC.length > max_len:
         raise ResolutionTruncated(
@@ -258,21 +248,6 @@ def complex_betti(C):
 
 
 # -- minimalization on sparse columns ----------------------------------------
-
-def _columns_of_vecs(vecs, order):
-    """Columns of one differential as {row: Polynomial} dicts."""
-    ring = order.ring
-    ocomp = order.comp
-    omono = order.mono
-    cols = []
-    for v in vecs:
-        col = {}
-        for key, c in v:
-            col.setdefault(ocomp(key), []).append((omono(key), c))
-        cols.append({i: Polynomial(ring, tuple(terms))
-                     for i, terms in col.items()})
-    return cols
-
 
 def _is_unit(p, one):
     """Is the Polynomial p a nonzero constant?"""
@@ -371,7 +346,7 @@ def _minimal_complex(ring, mats, twists, truncated):
         if any(_is_unit(e, one) for col in cols for e in col.values()):
             raise AssertionError("unit entry survived minimalization")
         order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
-        levels.append((order, [_vec_of_entries(col.items(), order)
+        levels.append((order, [vec_of_entries(col.items(), order)
                                for col in cols]))
         entries.append([[col.get(i, zero) for col in cols]
                         for i in range(len(pos))])

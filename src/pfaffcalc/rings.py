@@ -76,22 +76,6 @@ class PolyRing:
         dx = sum(exps[: self.n_x])
         return (dx, sum(exps) - dx)
 
-    def with_order(self, order):
-        """Same variables/field under another order ('grevlex', 'lex',
-        'elimxfirst')."""
-        n = len(self.names)
-        if order == "grevlex":
-            codec = monomials.grevlex(n)
-        elif order == "lex":
-            codec = monomials.lex(n)
-        elif order == "elimxfirst":
-            if self.n_x in (0, n):
-                raise ValueError("elimxfirst needs both x- and t-variables")
-            codec = monomials.elim_blocks(n, self.n_x, "elimxfirst")
-        else:
-            raise ValueError("unknown order %r" % (order,))
-        return PolyRing(self.field, self.names, codec, self.n_x, self.f)
-
     def with_tag(self, tagname="w_0"):
         """Ring with one extra variable that outranks everything (its own
         leading block); used for elimination.  The tag is the LAST index
@@ -263,56 +247,6 @@ class Polynomial:
         if f.is_zero(c):
             return self.ring.zero()
         return Polynomial(self.ring, tuple((m, f.mul(cc, c)) for m, cc in self.terms))
-
-    def mul_monomial(self, m, c=None):
-        f = self.ring.field
-        off = m - self.ring.codec.one
-        if c is None:
-            return Polynomial(self.ring, tuple((mm + off, cc) for mm, cc in self.terms))
-        return Polynomial(self.ring, tuple((mm + off, f.mul(cc, c)) for mm, cc in self.terms))
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        if n * max(self.degree(), 0) > monomials.MAX_EXP:
-            # the per-variable cap is what actually matters; this coarse
-            # bound stays well inside it
-            raise ValueError("power too large for the packed exponent range")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
-
-    def monic(self):
-        if not self.terms:
-            return self
-        f = self.ring.field
-        c = self.terms[0][1]
-        if c == f.one():
-            return self
-        inv = f.inv(c)
-        return Polynomial(self.ring, tuple((m, f.mul(cc, inv)) for m, cc in self.terms))
-
-    # -- evaluation ------------------------------------------------------------
-    def specialize(self, values):
-        """Evaluate at a point: values is a sequence of field elements, one
-        per variable.  Exact ring homomorphism into the field."""
-        f = self.ring.field
-        unpack = self.ring.codec.unpack
-        total = f.zero()
-        for m, c in self.terms:
-            v = c
-            for e, val in zip(unpack(m), values):
-                if e:
-                    v = f.mul(v, val ** e if not self.ring.field.char else pow(val, e, f.char))
-            total = f.add(total, v)
-        return total
 
     # -- misc ---------------------------------------------------------------
     def _coerce(self, other):

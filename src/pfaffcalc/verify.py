@@ -23,10 +23,9 @@ import time
 from fractions import Fraction
 from math import comb
 
-from .betti import BettiTable
 from .constructions import (build_complex, build_ideal, map_matrix,
                             mapping_cone_betti, module_presentation,
-                            pfaffian_gens, s1_s2_sets, tx_entries)
+                            s1_s2_sets, tx_entries)
 from .exterior import (AlternatingMatrix, ExteriorElement, all_subsets,
                        determinant_oracle, pfaffian_oracle)
 from .fields import GF, QQ
@@ -484,21 +483,30 @@ def _table_str(B):
                      for (i, (a, b)), c in sorted(B.data.items()))
 
 
-def _resolve_both_routes(pres, max_len):
-    C = free_resolution(pres, max_len)
-    B = complex_betti(C)
-    B2 = ladder_betti(pres)
-    if B.data != B2.data:
-        raise CheckFailure("matrix-route and rank-route Betti tables "
-                           "disagree: %s vs %s"
-                           % (_table_str(B), _table_str(B2)))
-    return B
+# Betti tables by (module, ring, max_len), shared by the checks of one
+# run_suite call, which empties it when it starts and when it ends.  Only
+# a table whose two routes agreed is stored, so a failure or a crash
+# repeats in every check that asks for the table again.
+_TABLES = {}
+
+
+def _resolve_both_routes(module, ring, max_len):
+    key = (module, ring, max_len)
+    if key not in _TABLES:
+        pres = module_presentation(module, ring)
+        B = complex_betti(free_resolution(pres, max_len))
+        B2 = ladder_betti(pres)
+        if B.data != B2.data:
+            raise CheckFailure("matrix-route and rank-route Betti tables "
+                               "disagree: %s vs %s"
+                               % (_table_str(B), _table_str(B2)))
+        _TABLES[key] = B
+    return _TABLES[key]
 
 
 def _rj_resolution_check(f, char, expect_totals):
     ring = ring_for(f, _field_of(char))
-    B = _resolve_both_routes(module_presentation("RJ", ring),
-                             comb(f - 2, 2) + 2)
+    B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
     if B.totals() != expect_totals:
         raise CheckFailure("total Betti numbers %s, expected %s"
                            % (B.totals(), expect_totals))
@@ -514,9 +522,8 @@ def _rj_resolution_check(f, char, expect_totals):
 
 def _rj_oracle_check(f, char):
     ring = ring_for(f, _field_of(char))
-    pres = module_presentation("RJ", ring)
-    B = _resolve_both_routes(pres, comb(f - 2, 2) + 2)
-    O = oracle_betti(pres, max_total_degree=6)
+    B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
+    O = oracle_betti(module_presentation("RJ", ring), max_total_degree=6)
     if B.data != O.data:
         raise CheckFailure("engine table %s disagrees with the "
                            "degreewise-rank oracle %s"
@@ -527,7 +534,7 @@ def _rj_oracle_check(f, char):
 def _pd_check(f, char):
     ring = ring_for(f, _field_of(char), vars="x")
     expected = comb(f - 2, 2)
-    B = _resolve_both_routes(module_presentation("N", ring), expected)
+    B = _resolve_both_routes("N", ring, expected)
     if B.length() != expected:
         raise CheckFailure("projective dimension %d, expected %d"
                            % (B.length(), expected))
@@ -536,11 +543,11 @@ def _pd_check(f, char):
 
 def _mapping_cone_check(char):
     ringx = ring_for(4, _field_of(char), vars="x")
-    BA = _resolve_both_routes(module_presentation("A", ringx), 1)
-    BN = _resolve_both_routes(module_presentation("N", ringx), 1)
+    BA = _resolve_both_routes("A", ringx, 1)
+    BN = _resolve_both_routes("N", ringx, 1)
     predicted = mapping_cone_betti(BA, BN)
     ring = ring_for(4, _field_of(char))
-    direct = _resolve_both_routes(module_presentation("RJ", ring), 3)
+    direct = _resolve_both_routes("RJ", ring, 3)
     if predicted.data != direct.data:
         raise CheckFailure("iterated-cone prediction %s differs from the "
                            "direct bigraded table %s"
@@ -597,7 +604,7 @@ def _palindrome_check(module, f, char):
     else:
         ring = ring_for(f, _field_of(char))
         codim = comb(f - 2, 2) + 2
-    B = _resolve_both_routes(module_presentation(module, ring), codim)
+    B = _resolve_both_routes(module, ring, codim)
     rep = betti_palindrome_check(B, codim)
     if not rep.ok:
         raise CheckFailure("Betti table is not palindromic: totals %s"
@@ -779,6 +786,7 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
 
     start = time.monotonic()
     results = []
+    _TABLES.clear()
     for chk in checks:
         if budget_seconds is not None and \
                 time.monotonic() - start > budget_seconds:
@@ -797,4 +805,5 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
             detail = "%s: %s" % (type(e).__name__, e)
         results.append(CheckResult(chk.name, chk.claim, verdict,
                                    detail or "", time.monotonic() - t0))
+    _TABLES.clear()
     return SuiteReport(suite, grid_fs, grid_chars, seed, results)

@@ -8,29 +8,31 @@ from pfaffcalc import gbengine
 from pfaffcalc.constructions import build_ideal, module_presentation
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.gbengine import (FreeModuleOrder, SchreyerOrder, buchberger,
-                                interreduce, make_buckets, nf,
-                                poly_of_vec_component, schreyer_level,
-                                spair_vec, vec_bidegs, vec_of_poly)
+                                columns_of_vecs, interreduce, make_buckets,
+                                nf, schreyer_level, spair_vec, vec_bidegs,
+                                vec_of_entries)
 from pfaffcalc.resolutions import _run_ladder, _vecs_of_matrix
-from pfaffcalc.rings import ring_for
+from pfaffcalc.rings import Polynomial, ring_for
 
 
 def scalar_setup(f, field, kind="J"):
     ring = ring_for(f, field)
     order = FreeModuleOrder(ring, 1)
     gens = build_ideal(kind, ring).gens
-    vecs = [vec_of_poly(g, order) for g in gens]
+    vecs = [vec_of_entries(((0, g),), order) for g in gens]
     return ring, order, vecs
 
 
 def test_vec_poly_roundtrip():
     ring = ring_for(3, QQ)
-    order = FreeModuleOrder(ring, 1)
+    order = FreeModuleOrder(ring, 3)
     p = ring.x(1, 2) * ring.t(3) - ring.x(2, 3).scale(QQ.from_int(5))
-    v = vec_of_poly(p, order)
-    assert poly_of_vec_component(v, order, ring, 0) == p
-    # leading entry first
+    q = ring.t(1) + ring.x(1, 3)
+    v = vec_of_entries(((2, q), (0, p)), order)
+    assert columns_of_vecs([v, ()], order) == [{0: p, 2: q}, {}]
+    # leading entry first: component 0 outranks component 2
     assert v[0][0] == order.key(0, p.lm())
+    assert list(v) == sorted(v, reverse=True)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -71,9 +73,10 @@ def test_membership_via_normal_form():
     buckets = make_buckets(G, order, QQ)
     gens = build_ideal("J", ring).gens
     member = gens[0] * ring.x(1, 3) + gens[2].scale(QQ.from_int(-3))
-    rem, _ = nf(vec_of_poly(member, order), order, buckets, QQ)
+    rem, _ = nf(vec_of_entries(((0, member),), order), order, buckets, QQ)
     assert not rem
-    rem, _ = nf(vec_of_poly(ring.x(1, 2), order), order, buckets, QQ)
+    rem, _ = nf(vec_of_entries(((0, ring.x(1, 2)),), order), order, buckets,
+                QQ)
     assert rem
 
 
@@ -81,17 +84,17 @@ def test_schreyer_level_produces_syzygies():
     ring = ring_for(4, QQ)
     order = FreeModuleOrder(ring, 1)
     gens = build_ideal("J", ring).gens
-    vecs = [vec_of_poly(g, order) for g in gens]
+    vecs = [vec_of_entries(((0, g),), order) for g in gens]
     G = buchberger(vecs, order, QQ)
     G = interreduce(G, order, QQ)
     syz, sorder = schreyer_level(G, order, QQ)
-    polys = [poly_of_vec_component(g, order, ring, 0) for g in G]
+    polys = [col[0] for col in columns_of_vecs(G, order)]
     assert syz
     for s in syz[:10]:
         acc = ring.zero()
         for key, c in s:
-            comp = sorder.comp(key)
-            acc = acc + polys[comp].mul_monomial(sorder.mono(key), c)
+            term = Polynomial(ring, ((sorder.mono(key), c),))
+            acc = acc + polys[sorder.comp(key)] * term
         assert acc.is_zero()
 
 

@@ -5,10 +5,12 @@ from math import comb
 import pytest
 
 from conftest import J4_HILBERT_NUMERATOR, codim_I, codim_J
+from pfaffcalc import groebner
 from pfaffcalc.constructions import build_ideal
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.groebner import (dimension_codim, divide_exact, groebner_basis,
                                 ideal_quotient, same_ideal, saturation_member)
+from pfaffcalc.homology import ModuleSpan
 from pfaffcalc.rings import ring_for
 
 
@@ -72,11 +74,43 @@ def test_membership_and_normal_form():
     gens = build_ideal("J", ring).gens
     for g in gens:
         assert gb.contains(g)
-        assert gb.normal_form(g).is_zero()
     assert not gb.contains(ring.x(1, 2))
     assert not gb.contains_one()
     member = gens[0] * gens[1] + gens[3].scale(QQ.from_int(7)) * ring.t(2)
     assert gb.contains(member)
+
+
+def test_ideal_membership_is_not_module_membership(monkeypatch):
+    """A GroebnerBasis is the rank-1 ModuleSpan, but ideal membership
+    does not call ModuleSpan.contains_column, so that method's time is
+    module membership only."""
+    gb, ring = gb_of("J", 4, 0)
+
+    def refuse(self, col):
+        raise AssertionError("ideal membership went through contains_column")
+    monkeypatch.setattr(ModuleSpan, "contains_column", refuse)
+    assert isinstance(gb, ModuleSpan)
+    assert gb.contains(build_ideal("J", ring).gens[0])
+    assert not gb.contains(ring.x(1, 2))
+    assert saturation_member(gb, ring.x(1, 2), ring.t(1), 2) == (False, None)
+
+
+@pytest.mark.parametrize("side", ["independent set", "Hilbert numerator"])
+def test_dimension_routes_must_agree(side, monkeypatch):
+    """dimension_codim refuses when one dimension route is off by one."""
+    gb, ring = gb_of("J", 4, 0)
+    if side == "independent set":
+        real = groebner._independent_set_dim
+        monkeypatch.setattr(groebner, "_independent_set_dim",
+                            lambda lts, nvars: real(lts, nvars) + 1)
+    else:
+        # one more factor (1 - T) raises the order of vanishing at T = 1
+        real = groebner._hilbert_numerator
+        monkeypatch.setattr(
+            groebner, "_hilbert_numerator",
+            lambda lts, nvars: groebner._poly_mul(real(lts, nvars), (1, -1)))
+    with pytest.raises(AssertionError, match="independent-set dimension"):
+        dimension_codim(gb)
 
 
 def test_groebner_idempotence():

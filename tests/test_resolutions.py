@@ -146,7 +146,7 @@ def test_public_minimalize_of_the_frame_is_frozen(name, f, char):
     levels, _, order0 = resolutions._run_ladder(
         module_presentation(name, ring), len(ring.names) + 2)
     twists = resolutions._ladder_twists(levels, order0)
-    diffs = [resolutions._matrix_of_vecs(els, order, twists[k + 1])
+    diffs = [resolutions.matrix_of_vecs(els, order, twists[k + 1])
              for k, (order, els) in enumerate(levels)]
     frame = FreeComplex(ring, twists, diffs)
     assert not frame.is_minimal()
@@ -170,6 +170,23 @@ def test_zero_module_resolves_to_the_zero_complex(qq):
     C = free_resolution(pres, max_len=3)
     assert C.twists == [[]] and C.diffs == []
     assert complex_betti(C).data == {}
+
+
+@pytest.mark.parametrize("route", ["free_resolution", "minimalize"])
+def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
+    # contract nothing: the unit relation of the presentation survives
+    monkeypatch.setattr(resolutions, "_contract_units",
+                        lambda mats, twists, field, one:
+                        [[True] * len(tw) for tw in twists])
+    ring = ring_for(4, qq, vars="x")
+    pres = GradedMatrix(ring, [[ring.one(), ring.x(1, 2)]], [(0, 0)],
+                        [(0, 0), (1, 0)])
+    with pytest.raises(AssertionError, match="unit entry survived"):
+        if route == "free_resolution":
+            free_resolution(pres, max_len=3)
+        else:
+            minimalize(FreeComplex(ring, [pres.row_degs, pres.col_degs],
+                                   [pres]))
 
 
 def _koszul_maps(ring, sign):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pfaffcalc import verify
+from pfaffcalc.betti import BettiTable
 from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
                               CheckFailure, CheckResult, SuiteReport,
                               run_suite)
@@ -108,6 +109,48 @@ def test_crashed_check_is_an_error_not_a_fail(monkeypatch):
     rep = run_suite("grades")
     assert [c.verdict for c in rep.checks] == [ERROR, PASS, FAIL]
     assert rep.status == "fail"
+
+
+def _counting(monkeypatch, name, calls):
+    real = getattr(verify, name)
+
+    def counted(pres, *args, **kw):
+        calls.append((name, len(pres.ring.names), pres.ncols))
+        return real(pres, *args, **kw)
+    monkeypatch.setattr(verify, name, counted)
+
+
+def test_resolution_tables_are_computed_once_per_run(monkeypatch):
+    """Six checks of the f = 4 resolutions suite over QQ ask for the
+    tables of RJ (three times), N (twice) and A (once); each table is
+    resolved by both routes once per run, and again in the next run."""
+    calls = []
+    _counting(monkeypatch, "free_resolution", calls)
+    _counting(monkeypatch, "ladder_betti", calls)
+    first = run_suite("resolutions", fs=[4], chars=[0])
+    assert first.status == "pass" and len(first.checks) == 4
+    # (variables, presentation columns): RJ 10 and 5, N 6 and 8, A 6 and 1
+    assert sorted(calls) == sorted(
+        (name,) + shape for name in ("free_resolution", "ladder_betti")
+        for shape in ((10, 5), (6, 8), (6, 1)))
+    assert verify._TABLES == {}
+    second = run_suite("resolutions", fs=[4], chars=[0])
+    assert len(calls) == 12
+    assert second.to_json() == first.to_json()
+    assert verify._TABLES == {}
+
+
+def test_a_table_whose_routes_disagree_is_not_kept(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "free_resolution", calls)
+    monkeypatch.setattr(verify, "ladder_betti", lambda pres: BettiTable())
+    rep = run_suite("resolutions", fs=[4], chars=[0])
+    assert [c.verdict for c in rep.checks] == [FAIL] * 4
+    assert all(c.detail.startswith("matrix-route and rank-route Betti tables "
+                                   "disagree") for c in rep.checks)
+    # every check that asked for a table resolved it again
+    assert len(calls) == 4
+    assert verify._TABLES == {}
 
 
 def test_text_report_shape():
