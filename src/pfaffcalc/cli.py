@@ -119,6 +119,12 @@ class Config:
         except ValueError:
             parser.error("budget-seconds must be a number, got %r"
                          % (budget,))
+        # NaN would compare false against elapsed time and never stop a
+        # run, and a negative budget would skip every check
+        if self.budget_seconds is not None and \
+                not self.budget_seconds >= 0:
+            parser.error("budget-seconds must be a number >= 0, got %r"
+                         % (budget,))
         outdir = getattr(args, "outdir", None)
         if outdir is None:
             outdir = os.environ.get("PFAFFCALC_OUTDIR") or \

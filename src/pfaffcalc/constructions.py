@@ -161,10 +161,6 @@ class GradedMatrix:
             out.append(row)
         return GradedMatrix(self.ring, out, self.row_degs, other.col_degs, check=False)
 
-    def __neg__(self):
-        return GradedMatrix(self.ring, [[-e for e in row] for row in self.entries],
-                            self.row_degs, self.col_degs, check=False)
-
     @classmethod
     def identity(cls, ring, n, degs=None):
         if degs is None:
@@ -295,13 +291,12 @@ class TermSpec:
     generator bidegrees `degs`, presented modulo `extra_relations`
     (columns over the cover) plus the complex-wide quotient ideal."""
 
-    __slots__ = ("rank", "degs", "extra_relations", "label")
+    __slots__ = ("rank", "degs", "extra_relations")
 
-    def __init__(self, rank, degs, extra_relations=None, label=""):
+    def __init__(self, rank, degs, extra_relations=None):
         self.rank = rank
         self.degs = list(degs)
         self.extra_relations = [list(c) for c in (extra_relations or [])]
-        self.label = label
 
 
 class PresentedComplex:
@@ -338,10 +333,11 @@ def build_complex(name, ring):
         d0 = map_matrix("d0", ring)
         delta1 = map_matrix("delta1", ring)
         n3 = len(all_subsets(f, 3))
-        terms = [TermSpec(n3, [(-1, 0)] * n3, label="wedge3 F"),
-                 TermSpec(f, [(0, 0)] * f, label="F"),
-                 TermSpec(f, [(1, 0)] * f, label="F*"),
-                 TermSpec(n3, [(2, 0)] * n3, label="wedge3 F*")]
+        # spots, rightmost first: wedge3 F, F, F*, wedge3 F*
+        terms = [TermSpec(n3, [(-1, 0)] * n3),
+                 TermSpec(f, [(0, 0)] * f),
+                 TermSpec(f, [(1, 0)] * f),
+                 TermSpec(n3, [(2, 0)] * n3)]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [delta1, d0, d1], (1, 2))
 
@@ -355,11 +351,12 @@ def build_complex(name, ring):
         ident = GradedMatrix.identity(ring, 1)
         n3 = len(all_subsets(f, 3))
         small = [[ring.x(1, 2)], [ring.x(1, 3)], [ring.x(2, 3)]]
-        terms = [TermSpec(1, [(0, 0)], extra_relations=small, label="R/I_3"),
-                 TermSpec(1, [(0, 0)], label="A"),
-                 TermSpec(3, [(1, 0)] * 3, label="A^3"),
-                 TermSpec(f, [(2, 0)] * f, label="F*"),
-                 TermSpec(n3, [(3, 0)] * n3, label="wedge3 F*")]
+        # spots, rightmost first: R/I_3, A, A^3, F*, wedge3 F*
+        terms = [TermSpec(1, [(0, 0)], extra_relations=small),
+                 TermSpec(1, [(0, 0)]),
+                 TermSpec(3, [(1, 0)] * 3),
+                 TermSpec(f, [(2, 0)] * f),
+                 TermSpec(n3, [(3, 0)] * n3)]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [ident, rho, d0p, d1], (0, 1, 2, 3))
 
@@ -371,11 +368,11 @@ def build_complex(name, ring):
             row_degs=[(1, 1)] * f, col_degs=[(1, 2)])
         ident = GradedMatrix.identity(ring, 1)
         d1cols = map_matrix("d1", ring).retwisted([(1, 1)] * f, [(2, 1)] * len(all_subsets(f, 3))).columns()
-        terms = [TermSpec(1, [(0, 0)], extra_relations=[[g] for g in tx_entries(ring)],
-                          label="R/J"),
-                 TermSpec(1, [(0, 0)], label="A"),
-                 TermSpec(f, [(1, 1)] * f, extra_relations=d1cols, label="N"),
-                 TermSpec(1, [(1, 2)], label="A")]
+        # spots, rightmost first: R/J, A, N, A
+        terms = [TermSpec(1, [(0, 0)], extra_relations=[[g] for g in tx_entries(ring)]),
+                 TermSpec(1, [(0, 0)]),
+                 TermSpec(f, [(1, 1)] * f, extra_relations=d1cols),
+                 TermSpec(1, [(1, 2)])]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [ident, tXi, tau_col], (0, 1, 2, 3))
 

@@ -23,13 +23,6 @@ SBITS = 24              # index bits appended per Schreyer level
 SMASK = (1 << SBITS) - 1
 
 
-def _codec_bits(codec):
-    bits = 0
-    for bvars, style in codec.blocks:
-        bits += 8 * len(bvars) + (16 if style == "grevlex" else 0)
-    return bits
-
-
 class _TwistedOrder:
     """Degrees shared by both module orders: a term m*e_i has the
     bidegree of m plus twists[i]."""
@@ -70,8 +63,8 @@ class FreeModuleOrder(_TwistedOrder):
         self.twists = twists
         self.codec = ring.codec
         self.one = self.codec.one
-        self.guards = self.codec._guards
-        self.shift = _codec_bits(self.codec)
+        self.guards = self.codec.guards
+        self.shift = self.codec.nbits
         self._mask = (1 << self.shift) - 1
         self.mshift = 0
 

@@ -2,17 +2,18 @@
 saturation exponents, and Hilbert-series dimension data.
 
 Everything here works in a single polynomial ring (the rank-1 case of
-the module engine in gbengine).  The dimension/codimension routine runs
-two independent computations -- a maximal-independent-set search and a
-Hilbert-numerator recursion, both on the leading-term ideal -- and
-insists they agree.
+the module engine in gbengine).  A colon ideal is the kernel of a 1x1
+map, taken by `homology.kernel_over_quotient`.  The
+dimension/codimension routine runs two independent computations -- a
+maximal-independent-set search and a Hilbert-numerator recursion, both
+on the leading-term ideal -- and insists they agree.
 """
 
 from functools import lru_cache
 
-from .rings import Polynomial
+from .constructions import GradedMatrix
 from .gbengine import columns_of_vecs, nf, vec_of_entries
-from .homology import ModuleSpan
+from .homology import ModuleSpan, kernel_over_quotient
 
 
 class GroebnerBasis(ModuleSpan):
@@ -76,69 +77,23 @@ def same_ideal(a, b):
         all(ga.contains(p) for p in gb)
 
 
-def divide_exact(p, f):
-    """The quotient p/f, raising ValueError unless f divides p exactly."""
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = p.ring
-    field, codec = ring.field, ring.codec
-    fm, fc = f.terms[0]
-    fcinv = field.inv(fc)
-    out = []
-    while p.terms:
-        m, c = p.terms[0]
-        if not codec.divides(fm, m):
-            raise ValueError("division is not exact")
-        qm = codec.div(m, fm)
-        qc = field.mul(c, fcinv)
-        out.append((qm, qc))
-        p = p - Polynomial(ring, ((qm, qc),)) * f
-    return Polynomial(ring, tuple(out))
-
-
-def _bihomogeneous_parts(p):
-    """Split a polynomial into its bihomogeneous components, in
-    decreasing order of bidegree."""
-    ring = p.ring
-    groups = {}
-    for m, c in p.terms:
-        groups.setdefault(ring.bidegree_of_monomial(m), []).append((m, c))
-    return [Polynomial(ring, tuple(groups[bd]))
-            for bd in sorted(groups, reverse=True)]
-
-
 def ideal_quotient(gens, f):
-    """Generators of the colon ideal (I : f) for a single polynomial f.
+    """Generators of the colon ideal (I : f) for a single polynomial f;
+    f and the generators of I must be bihomogeneous.
 
-    Route: in the tag ring R[w] with w outranking all other variables,
-    a Groebner basis of (w*I, (1-w)*f) meets R in I \\cap (f); dividing
-    those intersection generators exactly by f gives (I : f).  When the
-    inputs are bihomogeneous the output is split into bihomogeneous
-    parts (the colon ideal is bihomogeneous, the elimination basis need
-    not be)."""
+    (I : f) is the kernel of the 1x1 map [f] into R/I, taken by the
+    graph-module elimination of `kernel_over_quotient` (the colon by
+    syzygies)."""
     gens = [g for g in gens if not g.is_zero()]
     if f.is_zero():
         raise ZeroDivisionError("colon by the zero polynomial")
+    for g in gens:
+        g.bidegree()  # raises ValueError unless g is bihomogeneous
     if not gens:
         return []
-    ring = gens[0].ring
-    rw = ring.with_tag()
-    w = rw.var_poly(len(rw.names) - 1)
-    lifted = [ring.convert(g, rw) * w for g in gens]
-    lifted.append((rw.one() - w) * ring.convert(f, rw))
-    gbw = groebner_basis(lifted, rw)
-    bihom = all(g.is_homogeneous() for g in gens) and f.is_homogeneous()
-    wexp = len(rw.names) - 1
-    out = []
-    for g in gbw:
-        if any(rw.codec.unpack(m)[wexp] for m, _ in g.terms):
-            continue
-        q = divide_exact(rw.restrict(g, ring), f)
-        if bihom:
-            out.extend(_bihomogeneous_parts(q))
-        else:
-            out.append(q)
-    return out
+    M = GradedMatrix(f.ring, [[f]], [(0, 0)], [f.bidegree()])
+    return kernel_over_quotient(
+        M, target_relations=[[g] for g in gens]).entries[0]
 
 
 def saturation_member(gens, f, g, bound):

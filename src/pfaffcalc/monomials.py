@@ -6,16 +6,17 @@ the monomial-order comparison.  Multiplication and division of
 monomials become integer addition/subtraction, which keeps the
 Groebner-basis inner loops allocation-free and fast.
 
-Layout, per order block (most significant first):
+Each codec implements one order over all its variables.  Layout (most
+significant first):
 
-  grevlex-style block:  [deg:16][127-e_first:8]...[127-e_last:8]
-  lex-style block:      [e_last:8]...[e_first:8]
+  grevlex:  [deg:16][127-e_first:8]...[127-e_last:8]
+  lex:      [e_last:8]...[e_first:8]
 
-Variables are listed ascending (index 0 is the smallest variable).  A
-grevlex block stores complements so that, on a total-degree tie, the
+Variables are listed ascending (index 0 is the smallest variable).
+grevlex stores complements so that, on a total-degree tie, the
 monomial with the *smaller* exponent on the *smallest* variable wins --
 which is graded reverse lexicographic order for an ascending variable
-listing.  A lex block gives the plain lexicographic comparison, largest
+listing.  lex gives the plain lexicographic comparison, largest
 variable first.
 
 Each 8-bit field has a guard bit, so a field holds exponents up to 127;
@@ -34,92 +35,49 @@ _COMPL = 127
 class OrderCodec:
     """Monomial order plus the packed representation implementing it.
 
-    blocks: list of (var_index_tuple, style) pairs, highest priority
-    first; the var index tuples must partition range(nvars) and each be
-    contiguous ascending.  style is 'grevlex' or 'lex'.
+    style is 'grevlex' or 'lex' and names the order.  nbits is the width
+    of a packed monomial and guards the mask of its guard bits; module
+    orders in `gbengine` stack component bits above nbits.
     """
 
-    __slots__ = ("nvars", "blocks", "name", "one", "_shift", "_degshifts",
-                 "_guards", "_styles", "_single_degshift")
+    __slots__ = ("nvars", "name", "one", "nbits", "guards", "_shift",
+                 "_degshift")
 
-    def __init__(self, nvars, blocks, name):
-        cover = sorted(i for b, _ in blocks for i in b)
-        if cover != list(range(nvars)):
-            raise ValueError("blocks must partition the variable indices")
+    def __init__(self, nvars, style):
+        if style == "grevlex":
+            self._shift = tuple(8 * (nvars - 1 - v) for v in range(nvars))
+            self._degshift = 8 * nvars
+            self.nbits = 8 * nvars + 16
+            self.guards = sum(0x80 << s for s in self._shift) | \
+                (0x8000 << self._degshift)
+            self.one = sum(_COMPL << s for s in self._shift)
+        elif style == "lex":
+            self._shift = tuple(8 * v for v in range(nvars))
+            self._degshift = None
+            self.nbits = 8 * nvars
+            self.guards = sum(0x80 << s for s in self._shift)
+            self.one = 0
+        else:
+            raise ValueError("unknown order %r" % (style,))
         self.nvars = nvars
-        self.blocks = tuple((tuple(b), style) for b, style in blocks)
-        self.name = name
-        shift = [0] * nvars
-        degshifts = []
-        guards = 0
-        pos = 0
-        for bvars, style in reversed(self.blocks):
-            if style == "grevlex":
-                for v in reversed(bvars):
-                    shift[v] = pos
-                    guards |= 0x80 << pos
-                    pos += 8
-                degshifts.append(pos)
-                guards |= 0x8000 << pos
-                pos += 16
-            elif style == "lex":
-                for v in bvars:
-                    shift[v] = pos
-                    guards |= 0x80 << pos
-                    pos += 8
-                degshifts.append(None)
-            else:
-                raise ValueError("unknown block style %r" % (style,))
-        self._shift = tuple(shift)
-        self._degshifts = tuple(reversed(degshifts))
-        self._guards = guards
-        self._styles = tuple(style for _, style in self.blocks)
-        one = 0
-        for bvars, style in self.blocks:
-            if style == "grevlex":
-                for v in bvars:
-                    one |= _COMPL << shift[v]
-        self.one = one
-        # fast total-degree path when a single grevlex block spans everything
-        self._single_degshift = (self._degshifts[0]
-                                 if len(self.blocks) == 1 and self._styles[0] == "grevlex"
-                                 else None)
+        self.name = style
 
     # -- packing ---------------------------------------------------------
     def pack(self, exps):
         if len(exps) != self.nvars:
             raise ValueError("expected %d exponents, got %d" % (self.nvars, len(exps)))
-        key = self.one
-        shift = self._shift
-        for (bvars, style), degshift in zip(self.blocks, self._degshifts):
-            if style == "grevlex":
-                d = 0
-                for v in bvars:
-                    e = exps[v]
-                    if not 0 <= e <= MAX_EXP:
-                        raise ValueError("exponent %r out of range [0, %d]" % (e, MAX_EXP))
-                    d += e
-                    key -= e << shift[v]
-                key |= d << degshift
-            else:
-                for v in bvars:
-                    e = exps[v]
-                    if not 0 <= e <= MAX_EXP:
-                        raise ValueError("exponent %r out of range [0, %d]" % (e, MAX_EXP))
-                    key |= e << shift[v]
-        return key
+        for e in exps:
+            if not 0 <= e <= MAX_EXP:
+                raise ValueError("exponent %r out of range [0, %d]" % (e, MAX_EXP))
+        if self._degshift is None:
+            return sum(e << s for e, s in zip(exps, self._shift))
+        return self.one - sum(e << s for e, s in zip(exps, self._shift)) + \
+            (sum(exps) << self._degshift)
 
     def unpack(self, m):
-        out = [0] * self.nvars
-        shift = self._shift
-        for bvars, style in self.blocks:
-            if style == "grevlex":
-                for v in bvars:
-                    out[v] = _COMPL - ((m >> shift[v]) & _FMASK)
-            else:
-                for v in bvars:
-                    out[v] = (m >> shift[v]) & _FMASK
-        return tuple(out)
+        if self._degshift is None:
+            return tuple((m >> s) & _FMASK for s in self._shift)
+        return tuple(_COMPL - ((m >> s) & _FMASK) for s in self._shift)
 
     def var(self, i):
         e = [0] * self.nvars
@@ -129,7 +87,7 @@ class OrderCodec:
     # -- arithmetic --------------------------------------------------------
     def mul(self, a, b):
         m = a + b - self.one
-        if m & self._guards:
+        if m & self.guards:
             raise ValueError("monomial product exceeds the exponent range")
         return m
 
@@ -139,24 +97,16 @@ class OrderCodec:
 
     def divides(self, b, a):
         """Does b divide a?"""
-        return (a - b + self.one) & self._guards == 0
+        return (a - b + self.one) & self.guards == 0
 
     def lcm(self, a, b):
         ea, eb = self.unpack(a), self.unpack(b)
         return self.pack(tuple(x if x >= y else y for x, y in zip(ea, eb)))
 
     def deg(self, m):
-        s = self._single_degshift
-        if s is not None:
-            return m >> s
-        total = 0
-        for (bvars, style), degshift in zip(self.blocks, self._degshifts):
-            if style == "grevlex":
-                total += (m >> degshift) & 0xFFFF
-            else:
-                for v in bvars:
-                    total += (m >> self._shift[v]) & _FMASK
-        return total
+        if self._degshift is None:
+            return sum((m >> s) & _FMASK for s in self._shift)
+        return m >> self._degshift
 
     def coprime(self, a, b):
         ea, eb = self.unpack(a), self.unpack(b)
@@ -167,15 +117,8 @@ class OrderCodec:
 
 
 def grevlex(nvars):
-    return OrderCodec(nvars, [(tuple(range(nvars)), "grevlex")], "grevlex")
+    return OrderCodec(nvars, "grevlex")
 
 
 def lex(nvars):
-    return OrderCodec(nvars, [(tuple(range(nvars)), "lex")], "lex")
-
-
-def elim_blocks(nvars, cut, name="elim"):
-    """Two grevlex blocks: variables [0, cut) outrank [cut, nvars)."""
-    return OrderCodec(nvars, [(tuple(range(cut)), "grevlex"),
-                              (tuple(range(cut, nvars)), "grevlex")], name)
-
+    return OrderCodec(nvars, "lex")

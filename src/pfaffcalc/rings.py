@@ -2,9 +2,10 @@
 
 The standard ring for matrix size f has the x-variables x_(i,j),
 1 <= i < j <= f, listed ascending by (i,j), followed by t_1..t_f.
-x-variables carry bidegree (1,0) and t-variables (0,1).  Polynomials
-are immutable term lists (packed monomial, coefficient), sorted
-descending in the ring's monomial order.
+x-variables carry bidegree (1,0) and t-variables (0,1).  A ring has
+one monomial order over all its variables, grevlex or lex (see
+`monomials`).  Polynomials are immutable term lists (packed monomial,
+coefficient), sorted descending in the ring's monomial order.
 """
 
 from . import monomials
@@ -76,41 +77,6 @@ class PolyRing:
         dx = sum(exps[: self.n_x])
         return (dx, sum(exps) - dx)
 
-    def with_tag(self, tagname="w_0"):
-        """Ring with one extra variable that outranks everything (its own
-        leading block); used for elimination.  The tag is the LAST index
-        so existing exponent vectors embed by appending a zero."""
-        n = len(self.names)
-        codec = monomials.OrderCodec(
-            n + 1, [((n,), "grevlex"), (tuple(range(n)), "grevlex")], "tagfirst")
-        return PolyRing(self.field, self.names + (tagname,), codec, self.n_x, self.f)
-
-    def convert(self, poly, target):
-        """Re-sort a polynomial into `target`, which must share a variable
-        name prefix (extra target variables get exponent 0)."""
-        if target.names[: len(self.names)] != self.names:
-            raise ValueError("rings do not share a variable prefix")
-        pad = len(target.names) - len(self.names)
-        pairs = []
-        for m, c in poly.terms:
-            exps = self.codec.unpack(m)
-            pairs.append((exps + (0,) * pad, c))
-        return target.from_exp_terms(pairs)
-
-    def restrict(self, poly, target):
-        """Inverse of convert: drop trailing variables, which must not
-        occur in the polynomial."""
-        if self.names[: len(target.names)] != target.names:
-            raise ValueError("rings do not share a variable prefix")
-        k = len(target.names)
-        pairs = []
-        for m, c in poly.terms:
-            exps = self.codec.unpack(m)
-            if any(exps[k:]):
-                raise ValueError("polynomial involves a variable outside the target ring")
-            pairs.append((exps[:k], c))
-        return target.from_exp_terms(pairs)
-
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
                 and self.names == other.names and self.codec.name == other.codec.name)
@@ -124,7 +90,7 @@ class PolyRing:
 
 def ring_for(f, field, order="grevlex", vars="xt"):
     """The standard ring for matrix size f: x_(i,j) ascending, then t_i.
-    vars='x' gives the x-only subring."""
+    vars='x' gives the x-only subring; order is 'grevlex' or 'lex'."""
     if f < 2:
         raise ValueError("need f >= 2")
     names = ["x_(%d,%d)" % (i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1)]
@@ -133,18 +99,8 @@ def ring_for(f, field, order="grevlex", vars="xt"):
         names += ["t_%d" % i for i in range(1, f + 1)]
     elif vars != "x":
         raise ValueError("vars must be 'xt' or 'x'")
-    n = len(names)
-    if order == "grevlex":
-        codec = monomials.grevlex(n)
-    elif order == "lex":
-        codec = monomials.lex(n)
-    elif order == "elimxfirst":
-        if vars != "xt":
-            raise ValueError("elimxfirst needs both variable groups")
-        codec = monomials.elim_blocks(n, n_x, "elimxfirst")
-    else:
-        raise ValueError("unknown order %r" % (order,))
-    return PolyRing(field, names, codec, n_x, f)
+    return PolyRing(field, names, monomials.OrderCodec(len(names), order),
+                    n_x, f)
 
 
 class Polynomial:

@@ -483,14 +483,16 @@ def _table_str(B):
                      for (i, (a, b)), c in sorted(B.data.items()))
 
 
-# Betti tables by (module, ring, max_len), shared by the checks of one
-# run_suite call, which empties it when it starts and when it ends.  Only
-# a table whose two routes agreed is stored, so a failure or a crash
-# repeats in every check that asks for the table again.
+# (presentation, Betti table) pairs by (module, ring, max_len), shared by
+# the checks of one run_suite call, which empties it when it starts and
+# when it ends.  Only a table whose two routes agreed is stored, so a
+# failure or a crash repeats in every check that asks for the table again.
 _TABLES = {}
 
 
 def _resolve_both_routes(module, ring, max_len):
+    """The module's presentation and its Betti table, computed by the
+    matrix route and the rank route, which must agree."""
     key = (module, ring, max_len)
     if key not in _TABLES:
         pres = module_presentation(module, ring)
@@ -500,13 +502,13 @@ def _resolve_both_routes(module, ring, max_len):
             raise CheckFailure("matrix-route and rank-route Betti tables "
                                "disagree: %s vs %s"
                                % (_table_str(B), _table_str(B2)))
-        _TABLES[key] = B
+        _TABLES[key] = (pres, B)
     return _TABLES[key]
 
 
 def _rj_resolution_check(f, char, expect_totals):
     ring = ring_for(f, _field_of(char))
-    B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
+    _, B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
     if B.totals() != expect_totals:
         raise CheckFailure("total Betti numbers %s, expected %s"
                            % (B.totals(), expect_totals))
@@ -522,8 +524,8 @@ def _rj_resolution_check(f, char, expect_totals):
 
 def _rj_oracle_check(f, char):
     ring = ring_for(f, _field_of(char))
-    B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
-    O = oracle_betti(module_presentation("RJ", ring), max_total_degree=6)
+    pres, B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
+    O = oracle_betti(pres, max_total_degree=6)
     if B.data != O.data:
         raise CheckFailure("engine table %s disagrees with the "
                            "degreewise-rank oracle %s"
@@ -534,7 +536,7 @@ def _rj_oracle_check(f, char):
 def _pd_check(f, char):
     ring = ring_for(f, _field_of(char), vars="x")
     expected = comb(f - 2, 2)
-    B = _resolve_both_routes("N", ring, expected)
+    _, B = _resolve_both_routes("N", ring, expected)
     if B.length() != expected:
         raise CheckFailure("projective dimension %d, expected %d"
                            % (B.length(), expected))
@@ -543,11 +545,11 @@ def _pd_check(f, char):
 
 def _mapping_cone_check(char):
     ringx = ring_for(4, _field_of(char), vars="x")
-    BA = _resolve_both_routes("A", ringx, 1)
-    BN = _resolve_both_routes("N", ringx, 1)
+    _, BA = _resolve_both_routes("A", ringx, 1)
+    _, BN = _resolve_both_routes("N", ringx, 1)
     predicted = mapping_cone_betti(BA, BN)
     ring = ring_for(4, _field_of(char))
-    direct = _resolve_both_routes("RJ", ring, 3)
+    _, direct = _resolve_both_routes("RJ", ring, 3)
     if predicted.data != direct.data:
         raise CheckFailure("iterated-cone prediction %s differs from the "
                            "direct bigraded table %s"
@@ -604,7 +606,7 @@ def _palindrome_check(module, f, char):
     else:
         ring = ring_for(f, _field_of(char))
         codim = comb(f - 2, 2) + 2
-    B = _resolve_both_routes(module, ring, codim)
+    _, B = _resolve_both_routes(module, ring, codim)
     rep = betti_palindrome_check(B, codim)
     if not rep.ok:
         raise CheckFailure("Betti table is not palindromic: totals %s"

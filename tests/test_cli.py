@@ -119,6 +119,19 @@ def test_verify_zero_budget_exit_two(capsys):
     assert "skipped (budget)" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_verify_rejects_nan_or_negative_budget(value, tmp_path, capsys):
+    argv = ["verify", "--suite", "grades", "--f", "2", "--char", "0"]
+    code, _, err = run(argv + ["--budget-seconds", value], capsys)
+    assert code == 64
+    assert "budget-seconds must be a number >= 0" in err
+    conf = tmp_path / "run.conf"
+    conf.write_text("budget-seconds = %s\n" % value)
+    code, _, err = run(argv + ["--config", str(conf)], capsys)
+    assert code == 64
+    assert "budget-seconds must be a number >= 0" in err
+
+
 def test_verify_failure_exit_one(monkeypatch, capsys):
     fake = SuiteReport("grades", [4], [0], 0,
                        [CheckResult("x", "c", FAIL, "boom", 0.0)])

@@ -1,5 +1,6 @@
 """Groebner layer: membership, dimension/codimension, quotients."""
 
+import hashlib
 from math import comb
 
 import pytest
@@ -8,10 +9,11 @@ from conftest import J4_HILBERT_NUMERATOR, codim_I, codim_J
 from pfaffcalc import groebner
 from pfaffcalc.constructions import build_ideal
 from pfaffcalc.fields import GF, QQ
-from pfaffcalc.groebner import (dimension_codim, divide_exact, groebner_basis,
+from pfaffcalc.groebner import (dimension_codim, groebner_basis,
                                 ideal_quotient, same_ideal, saturation_member)
 from pfaffcalc.homology import ModuleSpan
 from pfaffcalc.rings import ring_for
+from pfaffcalc.textio import render
 
 
 def field_of(char):
@@ -128,18 +130,6 @@ def test_same_ideal_distinguishes():
     assert not same_ideal(gb_i, gb_j)
 
 
-def test_divide_exact():
-    ring = ring_for(4, QQ)
-    g = build_ideal("I", ring).gens[0]
-    x = ring.x(1, 2)
-    assert divide_exact(g * x, x) == g
-    assert divide_exact(ring.zero(), x).is_zero()
-    with pytest.raises(ValueError):
-        divide_exact(ring.x(1, 3), x)
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(g, ring.zero())
-
-
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("kind", ["I", "J"])
 @pytest.mark.parametrize("f", [4, 5])
@@ -162,6 +152,59 @@ def test_quotient_detects_zero_divisor():
     q = ideal_quotient([x12 * x13], x12)
     gb = groebner_basis(q, ring)
     assert gb.contains(x13)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_strict_colons_by_hand(char):
+    ring = ring_for(4, field_of(char))
+    x12, x13, x14 = ring.x(1, 2), ring.x(1, 3), ring.x(1, 4)
+    for gens, want in (([x12 * x13, x12 * x14], [x13, x14]),
+                       ([x12 * x12 * x13], [x12 * x13])):
+        q = ideal_quotient(gens, x12)
+        gq, gwant = groebner_basis(q, ring), groebner_basis(want, ring)
+        assert all(gwant.contains(p) for p in q)
+        assert all(gq.contains(p) for p in want)
+        assert not same_ideal(q, gens)
+
+
+# sha256 of the rendered reduced Groebner basis of each colon ideal that
+# the localization suite takes over GF(2), computed by the earlier
+# tag-variable elimination route
+GF2_COLON_DIGESTS = {
+    ("I", 4, "x12"): "07115beb57aa2b3c05bdff42834f7ce1a59ab5f51540481edfb093761f628d5e",
+    ("I", 4, "x13"): "212f2d45a8a68e9298c922b3914507b62123898a1c6ae3fbd592458a20ec705e",
+    ("I", 5, "x12"): "e8cc70d55400ceecd1f1aeb80049d43616b394b9b3f506492f7c10635ed90051",
+    ("I", 5, "x13"): "b5dd24946d0f50ebdbd45b9c75789524ec48e28eb0a5bd81f68f1d6be5c8984e",
+    ("J", 4, "x12"): "a9d5de1659892d4c6a9f8b723faee05f410e5736c4b5270459f9b0903c3598bc",
+    ("J", 4, "x13"): "1dd67d3bcab81814927f7274acf3437c32569c6b01e6c30bca6fb6c88d20443c",
+    ("J", 5, "x12"): "8f5f0883f78a801a0852ac144d3fd375555dca55d89bc33fdd2091e9674b3a07",
+    ("J", 5, "x13"): "229bebd45fcb62fc9f09c138ac1f66ce8f3ac2085d36831b667ec5ee338a27f2",
+}
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+@pytest.mark.parametrize("f", [4, 5])
+def test_verify_grid_colons_gf2_frozen(kind, f):
+    ring = ring_for(f, GF(2))
+    gens = list(build_ideal(kind, ring).gens)
+    x12, x13 = ring.x(1, 2), ring.x(1, 3)
+    for step, q in (("x12", ideal_quotient(gens, x12)),
+                    ("x13", ideal_quotient(gens + [x12], x13))):
+        text = "\n".join(render(g) for g in groebner_basis(q, ring))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GF2_COLON_DIGESTS[(kind, f, step)]
+
+
+def test_colon_input_checks():
+    ring = ring_for(4, QQ)
+    x12, x13 = ring.x(1, 2), ring.x(1, 3)
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        ideal_quotient([x13], x12 + x12 * x13)
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        ideal_quotient([x13, x13 + ring.t(1)], x12)
+    with pytest.raises(ZeroDivisionError):
+        ideal_quotient([x13], ring.zero())
+    assert ideal_quotient([ring.zero()], x12) == []
 
 
 def test_pivot_power_clears_into_smaller_ideal():

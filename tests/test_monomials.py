@@ -5,7 +5,10 @@ from itertools import combinations, product
 
 import pytest
 
-from pfaffcalc.monomials import MAX_EXP, OrderCodec, elim_blocks, grevlex, lex
+from pfaffcalc.fields import QQ
+from pfaffcalc.gbengine import FreeModuleOrder
+from pfaffcalc.monomials import MAX_EXP, grevlex, lex
+from pfaffcalc.rings import ring_for
 
 
 # -- reference comparators (definition-level, for cross-checking) ----------
@@ -31,13 +34,6 @@ def cmp_lex_ref(ea, eb):
     return 0
 
 
-def cmp_blocks_ref(ea, eb, cut):
-    ca = cmp_grevlex_ref(ea[:cut], eb[:cut])
-    if ca:
-        return ca
-    return cmp_grevlex_ref(ea[cut:], eb[cut:])
-
-
 def random_exps(rng, nvars, maxdeg=9):
     return tuple(rng.randrange(maxdeg + 1) for _ in range(nvars))
 
@@ -58,15 +54,53 @@ def test_pack_roundtrip_and_order(maker, ref, nvars):
         assert got == ref(ea, eb), (ea, eb)
 
 
-def test_elim_blocks_order_matches_reference():
-    codec = elim_blocks(7, 4)
-    rng = random.Random("codec|elim|7|4")
-    pool = [random_exps(rng, 7, maxdeg=5) for _ in range(40)]
-    for e in pool:
-        assert codec.unpack(codec.pack(e)) == e
-    for ea, eb in combinations(pool[:20], 2):
-        got = (codec.pack(ea) > codec.pack(eb)) - (codec.pack(ea) < codec.pack(eb))
-        assert got == cmp_blocks_ref(ea, eb, 4)
+# Packed keys from the earlier multi-block codec; the layout must not move.
+FROZEN_PACK = {
+    ("grevlex", 1): (24, [(0,), (1,), (7,), (120,)],
+                     [0x7f, 0x17e, 0x778, 0x7807]),
+    ("grevlex", 2): (32, [(0, 0), (1, 0), (0, 1), (3, 5), (120, 120)],
+                     [0x7f7f, 0x17e7f, 0x17f7e, 0x87c7a, 0xf00707]),
+    ("grevlex", 5): (56, [(0,) * 5, (1, 0, 0, 0, 0), (0, 0, 0, 0, 1),
+                          (2, 0, 3, 1, 4), (120,) * 5],
+                     [0x7f7f7f7f7f, 0x17e7f7f7f7f, 0x17f7f7f7f7e,
+                      0xa7d7f7c7e7b, 0x2580707070707]),
+    ("lex", 1): (8, [(0,), (1,), (7,), (120,)], [0x0, 0x1, 0x7, 0x78]),
+    ("lex", 2): (16, [(0, 0), (1, 0), (0, 1), (3, 5), (120, 120)],
+                 [0x0, 0x1, 0x100, 0x503, 0x7878]),
+    ("lex", 5): (40, [(0,) * 5, (1, 0, 0, 0, 0), (0, 0, 0, 0, 1),
+                      (2, 0, 3, 1, 4), (120,) * 5],
+                 [0x0, 0x1, 0x100000000, 0x401030002, 0x7878787878]),
+}
+
+
+@pytest.mark.parametrize("name,nvars", sorted(FROZEN_PACK))
+def test_pack_values_are_frozen(name, nvars):
+    codec = {"grevlex": grevlex, "lex": lex}[name](nvars)
+    nbits, pool, keys = FROZEN_PACK[(name, nvars)]
+    assert codec.nbits == nbits
+    assert [codec.pack(e) for e in pool] == keys
+
+
+# (shift, key(2, pack(0, 1, ..., n-1)), key(0, one)) of a rank-3
+# FreeModuleOrder over ring_for(4), from the earlier multi-block codec
+FROZEN_MODULE_KEYS = {
+    ("x", "grevlex"): (64, 0xffffe000f7f7e7d7c7b7a,
+                       0x10000000007f7f7f7f7f7f),
+    ("x", "lex"): (48, 0xffffe050403020100, 0x100000000000000000),
+    ("xt", "grevlex"): (96, 0xffffe002d7f7e7d7c7b7a79787776,
+                        0x10000000007f7f7f7f7f7f7f7f7f7f),
+    ("xt", "lex"): (80, 0xffffe09080706050403020100,
+                    0x10000000000000000000000000),
+}
+
+
+@pytest.mark.parametrize("vars,order", sorted(FROZEN_MODULE_KEYS))
+def test_module_key_layout_is_frozen(vars, order):
+    ring = ring_for(4, QQ, order=order, vars=vars)
+    o = FreeModuleOrder(ring, 3)
+    m = ring.codec.pack(tuple(range(len(ring.names))))
+    assert (o.shift, o.key(2, m), o.key(0, ring.codec.one)) == \
+        FROZEN_MODULE_KEYS[(vars, order)]
 
 
 def test_mul_div_divides_lcm_deg():
@@ -110,7 +144,7 @@ def test_pack_rejects_out_of_range():
 
 # -- the exponent cap ---------------------------------------------------------
 
-CODECS = {"grevlex": grevlex(3), "lex": lex(3), "elim": elim_blocks(3, 1)}
+CODECS = {"grevlex": grevlex(3), "lex": lex(3)}
 NEAR_CAP = (0, 1, 7, 60, 113, 119, MAX_EXP)
 
 

@@ -81,28 +81,6 @@ def test_bigraded_multiplication_adds_bidegrees(qq):
     assert (p * q).is_homogeneous()
 
 
-def test_convert_between_orders(qq):
-    ring = ring_for(3, qq)
-    lexring = ring_for(3, qq, order="lex")
-    p = ring.x(1, 2) * ring.t(3) + ring.x(2, 3)
-    q = ring.convert(p, lexring)
-    assert q.ring is lexring
-    assert lexring.convert(q, ring) == p
-
-
-def test_restrict_to_x_subring(qq):
-    from pfaffcalc.textio import render
-
-    full = ring_for(4, qq)
-    sub = ring_for(4, qq, vars="x")
-    p = full.x(1, 2) * full.x(3, 4) - full.x(1, 3) * full.x(2, 4)
-    q = full.restrict(p, sub)
-    assert q.ring is sub
-    assert render(q) == render(p)
-    with pytest.raises(ValueError):
-        full.restrict(full.t(1), sub)
-
-
 def test_field_validation():
     with pytest.raises(ValueError):
         CoefficientField(6)

@@ -98,6 +98,11 @@ def test_cas_rejects_bad_header():
         parse_cas("")
 
 
+def test_cas_rejects_unknown_order():
+    with pytest.raises(ValueError, match="unknown order"):
+        parse_cas("ring: QQ[x_(1,2),t_1,t_2], order: elimxfirst\nt_1\n")
+
+
 def test_cas_rejects_nonstandard_variables():
     with pytest.raises(ParseError):
         parse_cas("ring: QQ[x_(1,2),t_5], order: grevlex\nt_5\n")

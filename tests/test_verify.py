@@ -123,12 +123,22 @@ def _counting(monkeypatch, name, calls):
 def test_resolution_tables_are_computed_once_per_run(monkeypatch):
     """Six checks of the f = 4 resolutions suite over QQ ask for the
     tables of RJ (three times), N (twice) and A (once); each table is
-    resolved by both routes once per run, and again in the next run."""
+    resolved by both routes once per run, and again in the next run.
+    The rank-oracle check reads the RJ presentation from the same cache,
+    so each module is presented once per run."""
     calls = []
     _counting(monkeypatch, "free_resolution", calls)
     _counting(monkeypatch, "ladder_betti", calls)
+    presented = []
+    real_presentation = verify.module_presentation
+
+    def presentation(module, ring):
+        presented.append(module)
+        return real_presentation(module, ring)
+    monkeypatch.setattr(verify, "module_presentation", presentation)
     first = run_suite("resolutions", fs=[4], chars=[0])
     assert first.status == "pass" and len(first.checks) == 4
+    assert sorted(presented) == ["A", "N", "RJ"]
     # (variables, presentation columns): RJ 10 and 5, N 6 and 8, A 6 and 1
     assert sorted(calls) == sorted(
         (name,) + shape for name in ("free_resolution", "ladder_betti")
