@@ -68,22 +68,28 @@ class IdealSpec:
         return "<IdealSpec %s f=%s, %d gens%s>" % (self.kind, self.ring.f, len(self.gens), extra)
 
 
+_LAMBDA_ONLY = "lambda applies only to Ilambda, not %r"
+
+
 def build_ideal(kind, ring, lam=None):
     """kinds: 'I' (4x4 Pfaffians of X), 'K' (entries of t*X), 'J' (I + K),
-    'Ilambda' (I + x-variables with column index <= lam)."""
+    'Ilambda' (I + x-variables with column index <= lam).  lam is
+    required for 'Ilambda' and rejected for every other kind."""
     f = ring.f
-    if kind == "I":
-        return IdealSpec(kind, ring, pfaffian_gens(ring))
-    if kind == "K":
-        return IdealSpec(kind, ring, tx_entries(ring))
-    if kind == "J":
-        return IdealSpec(kind, ring, pfaffian_gens(ring) + tx_entries(ring))
     if kind == "Ilambda":
         if lam is None or not 1 <= lam <= f - 1:
             raise ValueError("Ilambda needs 1 <= lambda <= f-1")
         extra = [ring.x(i, j)
                  for i in range(1, f + 1) for j in range(i + 1, f + 1) if j <= lam]
         return IdealSpec(kind, ring, pfaffian_gens(ring) + extra, lam)
+    if lam is not None:
+        raise ValueError(_LAMBDA_ONLY % (kind,))
+    if kind == "I":
+        return IdealSpec(kind, ring, pfaffian_gens(ring))
+    if kind == "K":
+        return IdealSpec(kind, ring, tx_entries(ring))
+    if kind == "J":
+        return IdealSpec(kind, ring, pfaffian_gens(ring) + tx_entries(ring))
     raise ValueError("unknown ideal kind %r" % (kind,))
 
 
@@ -135,11 +141,8 @@ class GradedMatrix:
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def transpose(self, row_degs=None, col_degs=None):
+    def transpose(self, row_degs, col_degs):
         ent = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        if row_degs is None:
-            row_degs = [(-a, -b) for (a, b) in self.col_degs]
-            col_degs = [(-a, -b) for (a, b) in self.row_degs]
         return GradedMatrix(self.ring, ent, row_degs, col_degs, check=False)
 
     def __matmul__(self, other):
@@ -162,9 +165,8 @@ class GradedMatrix:
         return GradedMatrix(self.ring, out, self.row_degs, other.col_degs, check=False)
 
     @classmethod
-    def identity(cls, ring, n, degs=None):
-        if degs is None:
-            degs = [(0, 0)] * n
+    def identity(cls, ring, n):
+        degs = [(0, 0)] * n
         one, zero = ring.one(), ring.zero()
         ent = [[one if i == j else zero for j in range(n)] for i in range(n)]
         return cls(ring, ent, degs, degs, check=False)
@@ -425,6 +427,8 @@ def module_presentation(name, ring, lam=None):
         return GradedMatrix(ring, [list(gens)], [(0, 0)],
                             [g.bidegree() for g in gens])
     if name == "N":
+        if lam is not None:
+            raise ValueError(_LAMBDA_ONLY % (name,))
         f = ring.f
         d1 = map_matrix("d1", ring)
         rows = [(0, 0)] * f

@@ -87,9 +87,6 @@ class CoefficientField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return (a % self.char == 0) if self.char else a == 0
 

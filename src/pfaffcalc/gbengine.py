@@ -23,23 +23,7 @@ SBITS = 24              # index bits appended per Schreyer level
 SMASK = (1 << SBITS) - 1
 
 
-class _TwistedOrder:
-    """Degrees shared by both module orders: a term m*e_i has the
-    bidegree of m plus twists[i]."""
-
-    __slots__ = ()
-
-    def bideg(self, key):
-        mx, mt = self.ring.bidegree_of_monomial(self.mono(key))
-        ta, tb = self.twists[self.comp(key)]
-        return (mx + ta, mt + tb)
-
-    def compdeg(self, comp):
-        a, b = self.twists[comp]
-        return a + b
-
-
-class FreeModuleOrder(_TwistedOrder):
+class FreeModuleOrder:
     """Position-over-term order on R^rank with one bidegree twist per
     component.  Keys: (MAXC - comp) << shift | monomial.
 
@@ -93,7 +77,7 @@ class FreeModuleOrder(_TwistedOrder):
         return a - b + self.one
 
 
-class SchreyerOrder(_TwistedOrder):
+class SchreyerOrder:
     """Order on the syzygy module of a basis G inside a parent order:
     m*eps_i compares by the parent key of lt(m*g_i); ties go to the
     smaller index i.  anchors[i] = parent key of lt(g_i); twists[i] =
@@ -320,7 +304,8 @@ def buchberger(vecs, order, field):
     lcms = {}
 
     def pair_degree(L, comp):
-        return codec.deg(L) + order.compdeg(comp)
+        a, b = order.twists[comp]
+        return codec.deg(L) + a + b
 
     def add_pairs(t):
         kt = lts[t]

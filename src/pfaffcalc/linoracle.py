@@ -2,7 +2,8 @@
 
 A deliberately independent route: no Groebner bases, no S-pairs, no
 division — only exact ranks and null spaces of multiplication matrices
-on graded pieces, bidegree by bidegree up to a total-degree cap.
+on graded pieces, bidegree by bidegree up to total degree
+MAX_TOTAL_DEGREE.
 
 The tower is built level by level.  Level 1 is the column module of the
 presentation; its graded pieces are spanned by monomial multiples of
@@ -30,6 +31,8 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .betti import BettiTable
+
+MAX_TOTAL_DEGREE = 6  # the oracle's total-degree cap
 
 
 def monomials_of_bidegree(ring, a, b):
@@ -199,9 +202,9 @@ def _poly_columns_to_vectors(pres):
     return out
 
 
-def oracle_betti(pres, max_total_degree=6):
+def oracle_betti(pres):
     """Bigraded Betti numbers of coker(pres) with total degree at most
-    the cap, by graded linear algebra alone.
+    MAX_TOTAL_DEGREE, by graded linear algebra alone.
 
     The presentation must be bihomogeneous with no unit entries (its
     cover generators are taken as the minimal ones)."""
@@ -224,7 +227,7 @@ def oracle_betti(pres, max_total_degree=6):
             got = mono_memo[(a, b)] = monomials_of_bidegree(ring, a, b)
         return got
 
-    degrees = _bidegrees_upto(max_total_degree)
+    degrees = _bidegrees_upto(MAX_TOTAL_DEGREE)
     prev_twists = list(pres.row_degs)
     gens = _poly_columns_to_vectors(pres)  # generating set of level 1
     level = 1
@@ -278,7 +281,7 @@ def oracle_betti(pres, max_total_degree=6):
         prev_twists = [bd for _, bd in chosen]
         gens = next_gens
         level += 1
-        if level > max_total_degree + len(ring.names) + 2:
+        if level > MAX_TOTAL_DEGREE + len(ring.names) + 2:
             raise AssertionError("oracle tower failed to terminate")
     return B
 

@@ -1,4 +1,4 @@
-"""Packed-integer monomials and monomial orders.
+"""Packed-integer monomials in graded reverse lexicographic order.
 
 A monomial in n variables is stored as a single Python int whose bit
 fields are arranged so that comparing two packed values as integers IS
@@ -6,18 +6,15 @@ the monomial-order comparison.  Multiplication and division of
 monomials become integer addition/subtraction, which keeps the
 Groebner-basis inner loops allocation-free and fast.
 
-Each codec implements one order over all its variables.  Layout (most
-significant first):
+Grevlex is the one order: everything computed here is graded.  Layout
+(most significant first):
 
-  grevlex:  [deg:16][127-e_first:8]...[127-e_last:8]
-  lex:      [e_last:8]...[e_first:8]
+  [deg:16][127-e_first:8]...[127-e_last:8]
 
 Variables are listed ascending (index 0 is the smallest variable).
-grevlex stores complements so that, on a total-degree tie, the
-monomial with the *smaller* exponent on the *smallest* variable wins --
-which is graded reverse lexicographic order for an ascending variable
-listing.  lex gives the plain lexicographic comparison, largest
-variable first.
+Storing complements means that, on a total-degree tie, the monomial
+with the *smaller* exponent on the *smallest* variable wins -- which is
+graded reverse lexicographic order for an ascending variable listing.
 
 Each 8-bit field has a guard bit, so a field holds exponents up to 127;
 `pack` caps them at MAX_EXP.  Divisibility is one subtract-and-mask, and
@@ -33,34 +30,24 @@ _COMPL = 127
 
 
 class OrderCodec:
-    """Monomial order plus the packed representation implementing it.
+    """Grevlex order on nvars variables plus the packed representation
+    implementing it.
 
-    style is 'grevlex' or 'lex' and names the order.  nbits is the width
-    of a packed monomial and guards the mask of its guard bits; module
-    orders in `gbengine` stack component bits above nbits.
+    nbits is the width of a packed monomial and guards the mask of its
+    guard bits; module orders in `gbengine` stack component bits above
+    nbits.
     """
 
-    __slots__ = ("nvars", "name", "one", "nbits", "guards", "_shift",
-                 "_degshift")
+    __slots__ = ("nvars", "one", "nbits", "guards", "_shift", "_degshift")
 
-    def __init__(self, nvars, style):
-        if style == "grevlex":
-            self._shift = tuple(8 * (nvars - 1 - v) for v in range(nvars))
-            self._degshift = 8 * nvars
-            self.nbits = 8 * nvars + 16
-            self.guards = sum(0x80 << s for s in self._shift) | \
-                (0x8000 << self._degshift)
-            self.one = sum(_COMPL << s for s in self._shift)
-        elif style == "lex":
-            self._shift = tuple(8 * v for v in range(nvars))
-            self._degshift = None
-            self.nbits = 8 * nvars
-            self.guards = sum(0x80 << s for s in self._shift)
-            self.one = 0
-        else:
-            raise ValueError("unknown order %r" % (style,))
+    def __init__(self, nvars):
         self.nvars = nvars
-        self.name = style
+        self._shift = tuple(8 * (nvars - 1 - v) for v in range(nvars))
+        self._degshift = 8 * nvars
+        self.nbits = 8 * nvars + 16
+        self.guards = sum(0x80 << s for s in self._shift) | \
+            (0x8000 << self._degshift)
+        self.one = sum(_COMPL << s for s in self._shift)
 
     # -- packing ---------------------------------------------------------
     def pack(self, exps):
@@ -69,14 +56,10 @@ class OrderCodec:
         for e in exps:
             if not 0 <= e <= MAX_EXP:
                 raise ValueError("exponent %r out of range [0, %d]" % (e, MAX_EXP))
-        if self._degshift is None:
-            return sum(e << s for e, s in zip(exps, self._shift))
         return self.one - sum(e << s for e, s in zip(exps, self._shift)) + \
             (sum(exps) << self._degshift)
 
     def unpack(self, m):
-        if self._degshift is None:
-            return tuple((m >> s) & _FMASK for s in self._shift)
         return tuple(_COMPL - ((m >> s) & _FMASK) for s in self._shift)
 
     def var(self, i):
@@ -104,8 +87,6 @@ class OrderCodec:
         return self.pack(tuple(x if x >= y else y for x, y in zip(ea, eb)))
 
     def deg(self, m):
-        if self._degshift is None:
-            return sum((m >> s) & _FMASK for s in self._shift)
         return m >> self._degshift
 
     def coprime(self, a, b):
@@ -113,12 +94,4 @@ class OrderCodec:
         return all(x == 0 or y == 0 for x, y in zip(ea, eb))
 
     def __repr__(self):
-        return "OrderCodec(%s, %d vars)" % (self.name, self.nvars)
-
-
-def grevlex(nvars):
-    return OrderCodec(nvars, "grevlex")
-
-
-def lex(nvars):
-    return OrderCodec(nvars, "lex")
+        return "OrderCodec(%d vars)" % (self.nvars,)

@@ -123,16 +123,15 @@ class FreeComplex:
     differentials match the twist data, and consecutive composites are
     identically zero.  The check converts the matrices to engine vecs and
     runs the same sparse routine that checks the Schreyer ladder inside
-    `free_resolution`.  `truncated` marks a chain cut off before its
-    natural end; it is never set silently by the constructors here."""
+    `free_resolution`.  A chain is never cut short: a resolution that
+    would be raises ResolutionTruncated instead."""
 
-    __slots__ = ("ring", "twists", "diffs", "truncated")
+    __slots__ = ("ring", "twists", "diffs")
 
-    def __init__(self, ring, twists, diffs, truncated=False, check=True):
+    def __init__(self, ring, twists, diffs, check=True):
         self.ring = ring
         self.twists = [list(tw) for tw in twists]
         self.diffs = list(diffs)
-        self.truncated = bool(truncated)
         if len(self.twists) != len(self.diffs) + 1:
             raise ValueError("need exactly one twist list per module")
         if check:
@@ -168,9 +167,7 @@ class FreeComplex:
                        for d in self.diffs for row in d.entries for e in row)
 
     def __repr__(self):
-        return "<FreeComplex ranks %r%s>" % (
-            [len(t) for t in self.twists],
-            " (truncated)" if self.truncated else "")
+        return "<FreeComplex ranks %r>" % ([len(t) for t in self.twists],)
 
 
 def _run_ladder(pres, cap):
@@ -217,7 +214,7 @@ def free_resolution(pres, max_len):
     twists = _ladder_twists(levels, order0)
     _check_chain(levels, twists, ring.field)
     mats = [columns_of_vecs(els, order) for order, els in levels]
-    minC = _minimal_complex(ring, mats, twists, truncated=False)
+    minC = _minimal_complex(ring, mats, twists)
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
@@ -236,7 +233,7 @@ def minimalize(C):
     runs on sparse columns, the kernel `free_resolution` uses too."""
     mats = [[{i: p for i, p in enumerate(col) if not p.is_zero()}
              for col in d.columns()] for d in C.diffs]
-    out = _minimal_complex(C.ring, mats, C.twists, truncated=C.truncated)
+    out = _minimal_complex(C.ring, mats, C.twists)
     return out, out.betti()
 
 
@@ -326,7 +323,7 @@ def _contract_units(mats, twists, field, one):
     return alive
 
 
-def _minimal_complex(ring, mats, twists, truncated):
+def _minimal_complex(ring, mats, twists):
     """Minimalize a chain of sparse differentials (see `minimalize`),
     check the result on engine vecs, and return it as a FreeComplex of
     graded matrices."""
@@ -353,7 +350,7 @@ def _minimal_complex(ring, mats, twists, truncated):
     _check_chain(levels, twists, field)
     diffs = [GradedMatrix(ring, ent, twists[k], twists[k + 1], check=False)
              for k, ent in enumerate(entries)]
-    return FreeComplex(ring, twists, diffs, truncated=truncated, check=False)
+    return FreeComplex(ring, twists, diffs, check=False)
 
 
 # -- Betti numbers straight from the ladder ----------------------------------
@@ -416,18 +413,17 @@ def _constant_strands(order, els, row_twists, col_twists, field):
     return strands
 
 
-def ladder_betti(pres, cap=None):
+def ladder_betti(pres):
     """Minimal bigraded Betti numbers of coker(pres), read directly off
     the non-minimal Schreyer ladder.
 
     In each bidegree, beta_{k} = (generators of the ladder's F_k there)
     minus the ranks of the incoming and outgoing constant strands; no
     minimalization is performed.  Raises ResolutionTruncated if the
-    ladder does not end naturally within the cap."""
+    ladder does not end naturally within len(ring.names) + 2 levels."""
     ring = pres.ring
     field = ring.field
-    if cap is None:
-        cap = len(ring.names) + 2
+    cap = len(ring.names) + 2
     levels, truncated, order0 = _run_ladder(pres, cap)
     if truncated:
         raise ResolutionTruncated(

@@ -2,10 +2,10 @@
 
 The standard ring for matrix size f has the x-variables x_(i,j),
 1 <= i < j <= f, listed ascending by (i,j), followed by t_1..t_f.
-x-variables carry bidegree (1,0) and t-variables (0,1).  A ring has
-one monomial order over all its variables, grevlex or lex (see
-`monomials`).  Polynomials are immutable term lists (packed monomial,
-coefficient), sorted descending in the ring's monomial order.
+x-variables carry bidegree (1,0) and t-variables (0,1).  Every ring
+is ordered by grevlex over all its variables (see `monomials`).
+Polynomials are immutable term lists (packed monomial, coefficient),
+sorted descending in that order.
 """
 
 from . import monomials
@@ -15,7 +15,7 @@ from .fields import CoefficientField
 class PolyRing:
     __slots__ = ("field", "names", "codec", "n_x", "f", "xidx", "tidx", "_vcache")
 
-    def __init__(self, field, names, codec, n_x, f=None):
+    def __init__(self, field, names, codec, n_x, f):
         if not isinstance(field, CoefficientField):
             raise TypeError("field must be a CoefficientField")
         if codec.nvars != len(names):
@@ -79,18 +79,18 @@ class PolyRing:
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
-                and self.names == other.names and self.codec.name == other.codec.name)
+                and self.names == other.names)
 
     def __hash__(self):
-        return hash((self.field, self.names, self.codec.name))
+        return hash((self.field, self.names))
 
     def __repr__(self):
-        return "PolyRing(%r, %d vars, %s)" % (self.field, len(self.names), self.codec.name)
+        return "PolyRing(%r, %d vars, grevlex)" % (self.field, len(self.names))
 
 
-def ring_for(f, field, order="grevlex", vars="xt"):
+def ring_for(f, field, vars="xt"):
     """The standard ring for matrix size f: x_(i,j) ascending, then t_i.
-    vars='x' gives the x-only subring; order is 'grevlex' or 'lex'."""
+    vars='x' gives the x-only subring."""
     if f < 2:
         raise ValueError("need f >= 2")
     names = ["x_(%d,%d)" % (i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1)]
@@ -99,8 +99,7 @@ def ring_for(f, field, order="grevlex", vars="xt"):
         names += ["t_%d" % i for i in range(1, f + 1)]
     elif vars != "x":
         raise ValueError("vars must be 'xt' or 'x'")
-    return PolyRing(field, names, monomials.OrderCodec(len(names), order),
-                    n_x, f)
+    return PolyRing(field, names, monomials.OrderCodec(len(names)), n_x, f)
 
 
 class Polynomial:
@@ -137,13 +136,6 @@ class Polynomial:
             if self.ring.bidegree_of_monomial(m) != bd:
                 raise ValueError("polynomial is not bihomogeneous")
         return bd
-
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        deg = self.ring.codec.deg
-        d = deg(self.terms[0][0])
-        return all(deg(m) == d for m, _ in self.terms)
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other):

@@ -201,16 +201,18 @@ def field_str(field):
 
 def emit_cas(gens, ring):
     """Header naming ring and order, then one generator per line."""
-    head = "ring: %s[%s], order: %s" % (
-        field_str(ring.field), ",".join(ring.names), ring.codec.name)
+    head = "ring: %s[%s], order: grevlex" % (
+        field_str(ring.field), ",".join(ring.names))
     return "\n".join([head] + [render(g) for g in gens]) + "\n"
 
 
 _HEAD = re.compile(r"^ring:\s*(QQ|GF\((\d+)\))\[(.*)\],\s*order:\s*(\w+)\s*$")
+_VAR = re.compile(r"x_\((\d+),(\d+)\)|t_(\d+)")
 
 
 def parse_cas(text):
-    """Inverse of emit_cas: returns (ring, [gens])."""
+    """Inverse of emit_cas: returns (ring, [gens]).  The header must name
+    grevlex, the one monomial order, and a standard ring."""
     from .fields import CoefficientField
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -219,22 +221,22 @@ def parse_cas(text):
     m = _HEAD.match(lines[0])
     if not m:
         raise ParseError("bad header line", 0)
+    if m.group(4) != "grevlex":
+        raise ParseError("unknown order %r (only grevlex is supported)"
+                         % m.group(4), 0)
     field = CoefficientField(int(m.group(2)) if m.group(2) else 0)
-    names = [nm.strip() for nm in m.group(3).split(",")]
-    # x_(i,j) names contain a comma; re-join the split halves
-    fixed = []
-    k = 0
-    while k < len(names):
-        if names[k].startswith("x_(") and not names[k].endswith(")"):
-            fixed.append(names[k] + "," + names[k + 1])
-            k += 2
-        else:
-            fixed.append(names[k])
-            k += 1
-    f = max(int(nm[2:]) if nm.startswith("t_") else int(nm[3:-1].split(",")[1])
-            for nm in fixed)
-    vars = "xt" if any(nm.startswith("t_") for nm in fixed) else "x"
-    ring = ring_for(f, field, m.group(4), vars=vars)
-    if list(ring.names) != fixed:
+    # x_(i,j) names contain a comma; split only outside the parentheses
+    names = [nm.strip() for nm in re.split(r",(?![^(]*\))", m.group(3))]
+    f = 0
+    for nm in names:
+        v = _VAR.fullmatch(nm)
+        if not v:
+            raise ParseError("bad variable name %r" % nm, 0)
+        f = max(f, int(v.group(2) or v.group(3)))
+    if f < 2:
+        raise ParseError("variable list is not a standard ring", 0)
+    vars = "xt" if any(nm.startswith("t_") for nm in names) else "x"
+    ring = ring_for(f, field, vars=vars)
+    if list(ring.names) != names:
         raise ParseError("variable list is not the standard ring for f=%d" % f, 0)
     return ring, [parse(ln, ring) for ln in lines[1:]]

@@ -525,7 +525,7 @@ def _rj_resolution_check(f, char, expect_totals):
 def _rj_oracle_check(f, char):
     ring = ring_for(f, _field_of(char))
     pres, B = _resolve_both_routes("RJ", ring, comb(f - 2, 2) + 2)
-    O = oracle_betti(pres, max_total_degree=6)
+    O = oracle_betti(pres)
     if B.data != O.data:
         raise CheckFailure("engine table %s disagrees with the "
                            "degreewise-rank oracle %s"

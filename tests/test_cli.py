@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, config layering."""
 
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,31 @@ def test_resolve_total_json(capsys):
     assert code == 0
     assert json.loads(out)["betti"] == [
         {"i": 0, "j": 0, "count": 1}, {"i": 1, "j": 2, "count": 1}]
+
+
+# -- frozen output bytes ---------------------------------------------------------
+
+# sha256 of the complete stdout; any change in rendering, term order,
+# generator order or JSON layout shows here.
+FROZEN_STDOUT = [
+    (["resolve", "--module", "RJ", "--f", "4", "--format", "json"],
+     "3fb08876e28b1f73f5f83d92719ac24076c089702bce5c52f6520f937e71cffe"),
+    (["resolve", "--module", "N", "--f", "5", "--bigraded",
+      "--format", "json"],
+     "8e30fc00f8311db9ad92b30c38f0aa798e9d636ff97e521f35871a37f55f0d59"),
+    (["codim", "--ideal", "J", "--f", "5"],
+     "bd3789d60ed8d5417e28796721ffc391b04c71aa298971047ac9a55a9019e8dc"),
+    (["gen", "--ideal", "J", "--f", "4", "--format", "cas"],
+     "d73de21e0b5ac85301eb2da6f55cbfa26dd917cb2bb78c2024654471e0e8ceb3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FROZEN_STDOUT,
+                         ids=[" ".join(a) for a, _ in FROZEN_STDOUT])
+def test_stdout_bytes_are_frozen(argv, digest, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- verify ---------------------------------------------------------------------
@@ -285,6 +311,11 @@ def test_config_file_missing(capsys):
     ["resolve", "--module", "RJ", "--f", "4", "--format", "yaml"],
     ["frobnicate"],
     [],
+    # --lambda belongs to Ilambda alone
+    ["gen", "--ideal", "J", "--f", "4", "--lambda", "3"],
+    ["codim", "--ideal", "I", "--f", "4", "--lambda", "2"],
+    ["resolve", "--module", "RJ", "--f", "4", "--lambda", "9"],
+    ["resolve", "--module", "N", "--f", "4", "--lambda", "2"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     code, _, _ = run(argv, capsys)

@@ -181,8 +181,9 @@ def test_module_presentations_shapes():
 def test_graded_matrix_transpose_and_identity():
     ring = ring_for(3, QQ)
     M = map_matrix("d0", ring)
-    T = M.transpose()
+    T = M.transpose(M.col_degs, M.row_degs)
     assert (T.nrows, T.ncols) == (M.ncols, M.nrows)
+    assert (T.row_degs, T.col_degs) == (M.col_degs, M.row_degs)
     assert all(T.entries[j][i] == M.entries[i][j]
                for i in range(M.nrows) for j in range(M.ncols))
     E = GradedMatrix.identity(ring, 3)

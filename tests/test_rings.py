@@ -78,7 +78,6 @@ def test_bigraded_multiplication_adds_bidegrees(qq):
     assert p.bidegree() == (2, 0)
     assert q.bidegree() == (1, 1)
     assert (p * q).bidegree() == (3, 1)
-    assert (p * q).is_homogeneous()
 
 
 def test_field_validation():

@@ -96,11 +96,19 @@ def test_cas_rejects_bad_header():
         parse_cas("ring: ZZ[x], order: grevlex\nx\n")
     with pytest.raises(ParseError):
         parse_cas("")
+    # empty and non-standard variable names are parse errors, not IndexError
+    with pytest.raises(ParseError, match="bad variable name"):
+        parse_cas("ring: QQ[], order: grevlex\n0\n")
+    with pytest.raises(ParseError, match="bad variable name"):
+        parse_cas("ring: QQ[y], order: grevlex\ny\n")
 
 
 def test_cas_rejects_unknown_order():
-    with pytest.raises(ValueError, match="unknown order"):
-        parse_cas("ring: QQ[x_(1,2),t_1,t_2], order: elimxfirst\nt_1\n")
+    """grevlex is the one order; every other header order is refused."""
+    for order in ("elimxfirst", "lex"):
+        with pytest.raises(ParseError, match="unknown order"):
+            parse_cas("ring: QQ[x_(1,2),t_1,t_2], order: %s\nt_1\n"
+                      % order)
 
 
 def test_cas_rejects_nonstandard_variables():
