@@ -1,8 +1,9 @@
 """Exterior algebra over a free module F of rank f, with coefficients in
-a polynomial ring.
+a domain: a `CoefficientField` or a `PolyRing`.
 
 Elements of wedge^k(F) ("primal") and wedge^k(F*) ("dual") are stored as
-{increasing index tuple: polynomial coefficient}.  The two algebras act
+{increasing index tuple: coefficient}, with arithmetic by the domain's
+zero/one/add/mul/neg/is_zero (the rank is implicit).  The two algebras act
 on each other as modules: a degree-1 actor expands at the leftmost
 position with alternating signs, and a wedge of actors applies right
 factor first, i.e. (u ^ v)(w) = u(v(w)).  All other signs (wedge
@@ -63,16 +64,50 @@ def _act_basis(T, S):
     return sign, tuple(cur)
 
 
+def _accumulate(domain, table, left, right):
+    """Sum over all term pairs of the basis product table(A, B) (None
+    when it vanishes) times the two coefficients."""
+    add, mul, neg, is_zero = domain.add, domain.mul, domain.neg, domain.is_zero
+    out = {}
+    for A, p in left.items():
+        for B, q in right.items():
+            hit = table(A, B)
+            if hit is None:
+                continue
+            sign, key = hit
+            c = mul(p, q)
+            if sign < 0:
+                c = neg(c)
+            s = out.get(key)
+            if s is not None:
+                c = add(s, c)
+            if is_zero(c):
+                out.pop(key, None)
+            else:
+                out[key] = c
+    return out
+
+
+def _sort_sign(idx):
+    """Sign of sorting the index tuple into increasing order."""
+    sign = 1
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            if idx[a] > idx[b]:
+                sign = -sign
+    return sign
+
+
 class ExteriorElement:
     __slots__ = ("ring", "side", "k", "terms")
 
     def __init__(self, ring, side, k, terms=None):
         if side not in ("primal", "dual"):
             raise ValueError("side must be 'primal' or 'dual'")
-        self.ring = ring
+        self.ring = ring  # the coefficient domain
         self.side = side
         self.k = k
-        self.terms = {} if terms is None else terms  # tuple -> Polynomial
+        self.terms = {} if terms is None else terms  # tuple -> coefficient
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -83,21 +118,15 @@ class ExteriorElement:
     def basis(cls, ring, side, indices, coeff=None):
         """Wedge of basis vectors in the listed order (sign-normalized to
         the increasing tuple)."""
-        idx = list(indices)
+        idx = tuple(indices)
         if len(set(idx)) != len(idx):
             return cls.zero(ring, side, len(idx))
-        sign = 1
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                if idx[a] > idx[b]:
-                    sign = -sign
         c = ring.one() if coeff is None else coeff
-        if sign < 0:
-            c = -c
-        key = tuple(sorted(idx))
-        if c.is_zero():
+        if _sort_sign(idx) < 0:
+            c = ring.neg(c)
+        if ring.is_zero(c):
             return cls.zero(ring, side, len(idx))
-        return cls(ring, side, len(idx), {key: c})
+        return cls(ring, side, len(idx), {tuple(sorted(idx)): c})
 
     def _new(self, terms):
         return ExteriorElement(self.ring, self.side, self.k, terms)
@@ -106,26 +135,30 @@ class ExteriorElement:
     def __add__(self, other):
         if (other.side, other.k) != (self.side, self.k):
             raise ValueError("degree/side mismatch in addition")
+        R = self.ring
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
+            if s is not None:
+                c = R.add(s, c)
+            if R.is_zero(c):
                 out.pop(key, None)
             else:
-                out[key] = s
+                out[key] = c
         return self._new(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        neg = self.ring.neg
+        return self._new({k: neg(c) for k, c in self.terms.items()})
 
-    def scale(self, poly):
-        if poly.is_zero():
-            return ExteriorElement.zero(self.ring, self.side, self.k)
-        return self._new({k: c * poly for k, c in self.terms.items()})
+    def scale(self, c):
+        R = self.ring
+        if R.is_zero(c):
+            return ExteriorElement.zero(R, self.side, self.k)
+        return self._new({k: R.mul(a, c) for k, a in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -134,36 +167,16 @@ class ExteriorElement:
         """Coefficient of the basis element with the given indices (any
         order; the sign of sorting is applied)."""
         idx = tuple(indices)
-        sign = 1
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                if idx[a] > idx[b]:
-                    sign = -sign
         c = self.terms.get(tuple(sorted(idx)))
         if c is None:
             return self.ring.zero()
-        return -c if sign < 0 else c
+        return self.ring.neg(c) if _sort_sign(idx) < 0 else c
 
     # -- multiplicative structure -----------------------------------------------
     def wedge(self, other):
         if other.side != self.side:
             raise ValueError("wedge requires matching sides")
-        out = {}
-        for S, p in self.terms.items():
-            for T, q in other.terms.items():
-                hit = _wedge_basis(S, T)
-                if hit is None:
-                    continue
-                sign, key = hit
-                c = p * q
-                if sign < 0:
-                    c = -c
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        out = _accumulate(self.ring, _wedge_basis, self.terms, other.terms)
         return ExteriorElement(self.ring, self.side, self.k + other.k, out)
 
     def act(self, other):
@@ -174,22 +187,7 @@ class ExteriorElement:
             raise ValueError("module action requires opposite sides")
         if self.k > other.k:
             raise ValueError("actor degree exceeds target degree")
-        out = {}
-        for T, p in self.terms.items():
-            for S, q in other.terms.items():
-                hit = _act_basis(T, S)
-                if hit is None:
-                    continue
-                sign, key = hit
-                c = p * q
-                if sign < 0:
-                    c = -c
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        out = _accumulate(self.ring, _act_basis, self.terms, other.terms)
         return ExteriorElement(self.ring, other.side, other.k - self.k, out)
 
     # -- divided powers -----------------------------------------------------------
@@ -202,11 +200,11 @@ class ExteriorElement:
             return ExteriorElement(self.ring, self.side, 0, {(): self.ring.one()})
         if ell == 1:
             return self
-        f = self.ring.f
         prev = self.divided_power(ell - 1)
         opp = "dual" if self.side == "primal" else "primal"
         out = {}
-        for i in range(1, f + 1):
+        # e_i*(self) = 0 for an index i that occurs in no term
+        for i in sorted({i for S in self.terms for i in S}):
             w = ExteriorElement.basis(self.ring, opp, (i,)).act(self).wedge(prev)
             for S, c in w.terms.items():
                 if S and S[0] > i:

@@ -3,6 +3,7 @@
 Field elements are plain Python values: `Fraction` over QQ, ints in
 [0, p) over GF(p).  The field object just bundles the arithmetic, so
 polynomial code can stay generic without wrapping every coefficient.
+A field is also the scalar coefficient domain of `exterior`.
 """
 
 from fractions import Fraction

@@ -71,6 +71,19 @@ class PolyRing:
                       if not f.is_zero(c))
         return Polynomial(self, terms)
 
+    # -- coefficient domain of `exterior` -----------------------------------
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return a.is_zero()
+
     # -- structure ----------------------------------------------------------
     def bidegree_of_monomial(self, m):
         exps = self.codec.unpack(m)

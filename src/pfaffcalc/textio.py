@@ -16,6 +16,7 @@ then x-variables (ascending (i,j)).  parse(render(f)) == f exactly.
 import re
 from fractions import Fraction
 
+from .monomials import MAX_EXP
 from .rings import ring_for
 
 
@@ -176,6 +177,9 @@ class _Parser:
                 if acc_exps is None:
                     acc_exps = [0] * len(ring.names)
                 acc_exps[self.vindex[val]] += e
+                if acc_exps[self.vindex[val]] > MAX_EXP:
+                    raise ParseError("exponent of %s exceeds %d"
+                                     % (val, MAX_EXP), pos)
             else:
                 raise ParseError("expected a number or variable", pos)
             kind, val, pos = self.peek()

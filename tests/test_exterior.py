@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from pfaffcalc import exterior
 from pfaffcalc.constructions import generic_xi
 from pfaffcalc.exterior import (AlternatingMatrix, ExteriorElement,
                                 all_subsets, contract, determinant_oracle,
                                 merge_sign, pfaffian_oracle)
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.rings import ring_for
+from pfaffcalc.verify import _rand_form, run_suite
 
 
 def rand_form(ring, rng, side, k, span=4):
@@ -200,3 +202,84 @@ def test_all_subsets_counts():
     assert len(all_subsets(5, 3)) == 10
     assert all_subsets(4, 4) == [(1, 2, 3, 4)]
     assert all(s == tuple(sorted(s)) for s in all_subsets(6, 3))
+
+
+# -- scalar coefficients: a field as the domain ----------------------------
+
+def _ring_rand_form(ring, rng, side, k):
+    """The identity suites' form sampler as it was over the polynomial
+    ring: one constant per subset, summed through `basis`."""
+    el = ExteriorElement.zero(ring, side, k)
+    for S in all_subsets(ring.f, k):
+        if ring.field.char == 0:
+            c = ring.const(Fraction(rng.randrange(-9, 10)))
+        else:
+            c = ring.const(rng.randrange(ring.field.char))
+        el = el + ExteriorElement.basis(ring, side, S, coeff=c)
+    return el
+
+
+def _lift(ring, el):
+    return ExteriorElement(ring, el.side, el.k,
+                           {S: ring.const(c) for S, c in el.terms.items()})
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+@pytest.mark.parametrize("f", [4, 5, 6])
+def test_field_sampler_draws_like_the_ring_sampler(f, char):
+    field = GF(char) if char else QQ
+    ring = ring_for(f, field, vars="x")
+    for side in ("primal", "dual"):
+        for k in (1, 2, 3, 4):
+            a = random.Random("sampler|%d|%d|%s|%d" % (f, char, side, k))
+            b = random.Random("sampler|%d|%d|%s|%d" % (f, char, side, k))
+            for _ in range(5):
+                got = _rand_form(field, f, a, side, k)
+                assert _lift(ring, got) == _ring_rand_form(ring, b, side, k)
+                assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("f", [4, 5, 6])
+def test_field_and_polynomial_coefficients_agree(f, char):
+    field = GF(char) if char else QQ
+    ring = ring_for(f, field, vars="x")
+    rng = random.Random("domains|%d|%d" % (f, char))
+
+    def same(scalar, poly):
+        assert _lift(ring, scalar) == poly
+        assert _lift(ring, scalar).terms.keys() == poly.terms.keys()
+
+    for _ in range(6):
+        v, w = (_rand_form(field, f, rng, "primal", 2) for _ in range(2))
+        u = _rand_form(field, f, rng, "primal", 1)
+        phi = _rand_form(field, f, rng, "dual", 3)
+        tau = _rand_form(field, f, rng, "dual", 1)
+        pv, pw, pu, pphi, ptau = (_lift(ring, e) for e in (v, w, u, phi, tau))
+        same(v.wedge(u), pv.wedge(pu))
+        same(v.wedge(w), pv.wedge(pw))
+        same(tau.act(v), ptau.act(pv))
+        same(v.act(phi), pv.act(pphi))
+        same(phi.act(v.wedge(u)), pphi.act(pv.wedge(pu)))
+        same(v.divided_power(2), pv.divided_power(2))
+        same(v + w, pv + pw)
+        same(v - w, pv - pw)
+        same(v - v, pv - pv)
+        scalar = tau.act(u).coeff(())
+        lifted = ptau.act(pu).coeff(())
+        assert ring.const(scalar) == lifted
+        same(w.scale(scalar), pw.scale(lifted))
+
+
+def test_identity_suite_runs_through_the_shared_act_table(monkeypatch):
+    # every module action with its sign flipped must break the identities
+    raw = exterior._act_basis.__wrapped__
+
+    def flipped(T, S):
+        hit = raw(T, S)
+        return None if hit is None else (-hit[0], hit[1])
+
+    exterior._act_basis.cache_clear()
+    monkeypatch.setattr(exterior, "_act_basis", flipped)
+    rep = run_suite("exterior-identities", fs=[4], chars=[32003])
+    assert rep.status == "fail"

@@ -114,3 +114,22 @@ def test_cas_rejects_unknown_order():
 def test_cas_rejects_nonstandard_variables():
     with pytest.raises(ParseError):
         parse_cas("ring: QQ[x_(1,2),t_5], order: grevlex\nt_5\n")
+
+
+def test_exponent_above_the_cap_is_a_positioned_parse_error(qq):
+    # the codec caps each variable's exponent at 120
+    ring = ring_for(3, qq)
+    with pytest.raises(ParseError, match="exceeds 120") as one:
+        parse("t_1 + x_(1,2)^121", ring)
+    assert one.value.pos == 6
+    with pytest.raises(ParseError, match="exceeds 120") as prod:
+        parse("x_(1,2)^100*x_(1,2)^27", ring)
+    assert prod.value.pos == 12
+    assert parse("x_(1,2)^100*x_(1,2)^20", ring) == parse("x_(1,2)^120", ring)
+
+
+def test_cas_exponent_above_the_cap_is_a_parse_error(qq):
+    head = emit_cas([], ring_for(3, qq))
+    for line in ("x_(1,2)^121", "x_(1,2)^100*x_(1,2)^27"):
+        with pytest.raises(ParseError, match="exceeds 120"):
+            parse_cas(head + line + "\n")
