@@ -287,6 +287,23 @@ def spair_vec(gi, gj, ua, ub, order, field):
 
 # -- Buchberger --------------------------------------------------------------
 
+def _divisibility_minimal(cand, divides):
+    """The candidates (degree, monomial, ...), sorted, whose monomial no
+    earlier candidate's divides: the divisibility-minimal monomials, the
+    first of equal ones.  Sorting puts every divisor of a monomial
+    before it, so each candidate is tested only against those kept."""
+    cand.sort()
+    kept = []
+    for c in cand:
+        m = c[1]
+        for k in kept:
+            if divides(k[1], m):
+                break
+        else:
+            kept.append(c)
+    return kept
+
+
 def buchberger(vecs, order, field):
     """Groebner basis of the submodule generated by `vecs`, as a list of
     vecs (leading coefficients arbitrary).
@@ -317,16 +334,7 @@ def buchberger(vecs, order, field):
                 continue
             L = codec.lcm(order.mono(lts[i]), mt)
             cand.append((codec.deg(L), L, i))
-        cand.sort()
-        kept = []
-        for dL, L, i in cand:
-            redundant = False
-            for dK, K, _ in kept:
-                if dK <= dL and codec.divides(K, L):
-                    redundant = True
-                    break
-            if not redundant:
-                kept.append((dL, L, i))
+        kept = _divisibility_minimal(cand, codec.divides)
         if scalar:
             kept = [(dL, L, i) for (dL, L, i) in kept
                     if not codec.coprime(order.mono(lts[i]), mt)]
@@ -457,17 +465,7 @@ def schreyer_pairs(G, order):
                 L = codec.lcm(monos[i], monos[j])
                 u = codec.div(L, monos[i])
                 cand.append((codec.deg(u), u, j, L))
-            cand.sort()
-            kept = []
-            for du, u, j, L in cand:
-                redundant = False
-                for dv, v, _, _ in kept:
-                    if dv <= du and codec.divides(v, u):
-                        redundant = True
-                        break
-                if not redundant:
-                    kept.append((du, u, j, L))
-            for du, u, j, L in kept:
+            for du, u, j, L in _divisibility_minimal(cand, codec.divides):
                 out.append((i, j, u, codec.div(L, monos[j])))
     return out
 

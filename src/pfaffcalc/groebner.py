@@ -92,8 +92,7 @@ def ideal_quotient(gens, f):
     if not gens:
         return []
     M = GradedMatrix(f.ring, [[f]], [(0, 0)], [f.bidegree()])
-    return kernel_over_quotient(
-        M, target_relations=[[g] for g in gens]).entries[0]
+    return kernel_over_quotient(M, [[g] for g in gens]).entries[0]
 
 
 def saturation_member(gens, f, g, bound):

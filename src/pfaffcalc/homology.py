@@ -11,8 +11,8 @@ ring.
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .constructions import (map_matrix, module_presentation, generic_xi,
-                            _dec_coord, all_subsets)
+from .constructions import (GradedMatrix, map_matrix, module_presentation,
+                            generic_xi, _dec_coord, all_subsets)
 from .exterior import ExteriorElement, AlternatingMatrix, pfaffian_oracle
 from .gbengine import (FreeModuleOrder, buchberger, interreduce,
                        make_buckets, nf, vec_of_entries)
@@ -59,9 +59,9 @@ def relation_columns(C, k):
                                                     term.rank)
 
 
-def kernel_over_quotient(M, quotient=(), target_relations=()):
+def kernel_over_quotient(M, relations=()):
     """Column generators of {v : M v = 0 in the target module}, where
-    the target is coker of its relation columns plus quotient * cover.
+    the target is the cokernel of the given relation columns.
 
     Elimination on the graph module: in R^nrows (+) R^ncols, the columns
     (M e_j, e_j) and (rel, 0) generate a submodule whose elements with
@@ -78,8 +78,7 @@ def kernel_over_quotient(M, quotient=(), target_relations=()):
     one = ring.one()
     vecs = [vec_of_entries(list(enumerate(col)) + [(nrows + j, one)], order)
             for j, col in enumerate(M.columns())]
-    rels = list(target_relations) + _quotient_columns(ring, quotient, nrows)
-    vecs.extend(vec_of_entries(enumerate(c), order) for c in rels)
+    vecs.extend(vec_of_entries(enumerate(c), order) for c in relations)
     korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
     kernel = []
     for g in buchberger(vecs, order, ring.field):
@@ -110,9 +109,8 @@ def homology_is_zero(C, position):
     span_cols.extend(relation_columns(C, position))
     span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs)
     if position >= 1:
-        tgt = C.terms[position - 1]
-        K = kernel_over_quotient(C.maps[position - 1], C.quotient,
-                                 tgt.extra_relations)
+        K = kernel_over_quotient(C.maps[position - 1],
+                                 relation_columns(C, position - 1))
         tests = K.columns()
     else:
         zero = ring.zero()
@@ -259,15 +257,11 @@ def char2_anomaly_check(ring_for_fn):
     cert_ok = (image == expected)
 
     # the same certificate as a coordinate vector through the matrix
-    coords = [_dec_coord(cert, S) for S in all_subsets(5, 3)]
-    recomposed = [r0.zero()] * 5
-    for j, c in enumerate(coords):
-        if c.is_zero():
-            continue
-        for i in range(5):
-            e = d1_0.entries[i][j]
-            if not e.is_zero():
-                recomposed[i] = recomposed[i] + e * c
+    coords = [[_dec_coord(cert, S)] for S in all_subsets(5, 3)]
+    # unchecked degrees: a wrong certificate must fail the comparison
+    # below, not raise
+    recomposed = (d1_0 @ GradedMatrix(r0, coords, d1_0.col_degs, [(3, 0)],
+                                      check=False)).column(0)
     cert_ok = cert_ok and all(
         (recomposed[i] - w0[i]).is_zero() for i in range(5))
 

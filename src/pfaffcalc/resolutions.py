@@ -1,12 +1,18 @@
 """Graded free resolutions and Betti tables.
 
+A `FreeComplex` keeps each differential as engine vecs, the one
+representation the whole pipeline works on: levels[k] = (order_k,
+columns of d_{k+1} as vecs over order_k).  It checks itself when built
+(twist data, entry bidegrees, d o d = 0), and dense graded matrices
+exist only at the API edge: `FreeComplex.of_matrices` takes them in, and
+reading `diffs` builds them.
+
 Two independent Betti routes are provided on purpose:
 
-* ``free_resolution`` builds the iterated-syzygy ladder under Schreyer
-  orders and keeps it as engine vecs: the d o d = 0 check runs on the
-  vecs, the ladder is minimalized on sparse columns by contracting unit
-  entries (deterministic pivot order), and only the minimal complex it
-  returns is converted to graded matrices;
+* ``free_resolution`` wraps the iterated-syzygy ladder under Schreyer
+  orders as a (checked) FreeComplex and returns ``minimalize`` of it:
+  unit entries are contracted on sparse columns (deterministic pivot
+  order) and the minimal complex is checked again;
 * ``ladder_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal ladder as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -118,39 +124,49 @@ def _check_chain(levels, twists, field):
 class FreeComplex:
     """A chain F_0 <- F_1 <- ... of graded free modules.
 
-    twists[i] lists the generator bidegrees of F_i; diffs[i] is the
-    graded matrix of d_{i+1}: F_{i+1} -> F_i.  Invariants (checked):
-    differentials match the twist data, and consecutive composites are
-    identically zero.  The check converts the matrices to engine vecs and
-    runs the same sparse routine that checks the Schreyer ladder inside
-    `free_resolution`.  A chain is never cut short: a resolution that
-    would be raises ResolutionTruncated instead."""
+    twists[i] lists the generator bidegrees of F_i; levels[i] = (order_i,
+    columns of d_{i+1}: F_{i+1} -> F_i as vecs over order_i).
+    Invariants, checked on construction: the differentials match the
+    twist data, and consecutive composites are identically zero.  A chain
+    is never cut short: a resolution that would be raises
+    ResolutionTruncated instead."""
 
-    __slots__ = ("ring", "twists", "diffs")
+    __slots__ = ("ring", "twists", "levels")
 
-    def __init__(self, ring, twists, diffs, check=True):
+    def __init__(self, ring, twists, levels):
         self.ring = ring
         self.twists = [list(tw) for tw in twists]
-        self.diffs = list(diffs)
-        if len(self.twists) != len(self.diffs) + 1:
+        self.levels = list(levels)
+        if len(self.twists) != len(self.levels) + 1:
             raise ValueError("need exactly one twist list per module")
-        if check:
-            self.check()
+        self.check()
+
+    @classmethod
+    def of_matrices(cls, ring, twists, diffs):
+        """The complex whose differential d_{k+1} is the graded matrix
+        diffs[k]."""
+        levels = []
+        for k, d in enumerate(diffs):
+            if [list(d.row_degs), list(d.col_degs)] != \
+                    [list(tw) for tw in twists[k:k + 2]]:
+                raise ValueError("differential %d does not match the twist "
+                                 "data" % (k + 1,))
+            vecs, order = _vecs_of_matrix(d)
+            levels.append((order, vecs))
+        return cls(ring, twists, levels)
+
+    @property
+    def diffs(self):
+        """The differentials as graded matrices, built on each read."""
+        return [matrix_of_vecs(vecs, order, self.twists[k + 1])
+                for k, (order, vecs) in enumerate(self.levels)]
 
     @property
     def length(self):
         return len(self.twists) - 1
 
     def check(self):
-        levels = []
-        for k, d in enumerate(self.diffs):
-            if list(d.row_degs) != list(self.twists[k]) or \
-                    list(d.col_degs) != list(self.twists[k + 1]):
-                raise ValueError("differential %d does not match the twist "
-                                 "data" % (k + 1,))
-            vecs, order = _vecs_of_matrix(d)
-            levels.append((order, vecs))
-        _check_chain(levels, self.twists, self.ring.field)
+        _check_chain(self.levels, self.twists, self.ring.field)
 
     def betti(self):
         """Generator counts by (homological index, bidegree) — the Betti
@@ -162,59 +178,50 @@ class FreeComplex:
         return B
 
     def is_minimal(self):
-        one = self.ring.codec.one
-        return not any(_is_unit(e, one)
-                       for d in self.diffs for row in d.entries for e in row)
+        """No differential has a term with a constant monomial; every
+        entry of a checked complex is bihomogeneous, so such a term is a
+        whole unit entry."""
+        return not any(order.mono(key) == order.one
+                       for order, vecs in self.levels
+                       for v in vecs for key, _ in v)
 
     def __repr__(self):
         return "<FreeComplex ranks %r>" % ([len(t) for t in self.twists],)
 
 
-def _run_ladder(pres, cap):
-    field = pres.ring.field
+def _ladder(pres):
+    """The Schreyer ladder of coker(pres) as (levels, twists), the data
+    of a FreeComplex: F_0 from the rows of pres, F_k from the Schreyer
+    order of level k, the last module from its columns.  Raises
+    ResolutionTruncated if the ladder does not end naturally within
+    len(ring.names) + 2 levels."""
+    cap = len(pres.ring.names) + 2
     vecs, order0 = _vecs_of_matrix(pres)
-    vecs = [v for v in vecs if v]
-    levels, truncated = schreyer_resolution(vecs, order0, field,
-                                            max_levels=cap)
-    return levels, truncated, order0
-
-
-def _ladder_twists(levels, order0):
-    """Generator bidegrees of every module of the ladder: F_0 from order0,
-    F_k from the Schreyer order of level k, the last module from its
-    columns."""
-    twists = [list(order0.twists)]
-    for k in range(1, len(levels)):
-        twists.append(list(levels[k][0].twists))
-    if levels:
-        last_order, last_els = levels[-1]
-        twists.append(vec_bidegs(last_els, last_order))
-    return twists
+    levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
+                                            pres.ring.field, max_levels=cap)
+    if truncated:
+        raise ResolutionTruncated(
+            "syzygy ladder still active after %d levels" % cap)
+    if not levels:
+        return levels, [list(order0.twists)]
+    last_order, last_els = levels[-1]
+    return levels, [list(order.twists) for order, _ in levels] + \
+        [vec_bidegs(last_els, last_order)]
 
 
 def free_resolution(pres, max_len):
     """The minimal graded free resolution of coker(pres), of length at
     most max_len.
 
-    Iterated Schreyer syzygies of the column module, kept as engine vecs
-    over the target free module: d o d = 0 is checked on the vecs, the
-    ladder is minimalized on sparse columns, and only the minimal complex
-    is built from graded matrices.  If the ladder does not end naturally
-    within a generous internal cap, or the minimal resolution turns out
-    longer than max_len, a ResolutionTruncated error is raised — never a
-    silently shortened complex."""
+    The iterated Schreyer syzygies of the column module form a checked
+    FreeComplex, which `minimalize` contracts.  If the ladder does not
+    end naturally within len(ring.names) + 2 levels, or the minimal
+    resolution turns out longer than max_len, a ResolutionTruncated error
+    is raised — never a silently shortened complex."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    ring = pres.ring
-    cap = max(max_len + 3, len(ring.names) + 2)
-    levels, truncated, order0 = _run_ladder(pres, cap)
-    if truncated:
-        raise ResolutionTruncated(
-            "syzygy ladder still active after %d levels" % cap)
-    twists = _ladder_twists(levels, order0)
-    _check_chain(levels, twists, ring.field)
-    mats = [columns_of_vecs(els, order) for order, els in levels]
-    minC = _minimal_complex(ring, mats, twists)
+    levels, twists = _ladder(pres)
+    minC, _ = minimalize(FreeComplex(pres.ring, twists, levels))
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
@@ -230,10 +237,24 @@ def minimalize(C):
     c there, column r of d_{k-1} and row c of d_{k+1} (basis changes
     touch only the deleted row and column).  Pivot choice is the lowest
     (i, j) unit of the lowest k, so tables are reproducible.  The work
-    runs on sparse columns, the kernel `free_resolution` uses too."""
-    mats = [[{i: p for i, p in enumerate(col) if not p.is_zero()}
-             for col in d.columns()] for d in C.diffs]
-    out = _minimal_complex(C.ring, mats, C.twists)
+    runs on sparse columns; the result is a checked FreeComplex."""
+    ring = C.ring
+    mats = [columns_of_vecs(vecs, order) for order, vecs in C.levels]
+    alive = _contract_units(mats, C.twists, ring.field, ring.codec.one)
+    keep = [[i for i, a in enumerate(al) if a] for al in alive]
+    twists = [[tw[i] for i in kp] for tw, kp in zip(C.twists, keep)]
+    while len(twists) > 1 and not twists[-1]:
+        twists.pop()
+    levels = []
+    for k in range(len(twists) - 1):
+        pos = {i: p for p, i in enumerate(keep[k])}
+        order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
+        levels.append((order, [
+            vec_of_entries(((pos[i], e) for i, e in mats[k][j].items()),
+                           order) for j in keep[k + 1]]))
+    out = FreeComplex(ring, twists, levels)
+    if not out.is_minimal():
+        raise AssertionError("unit entry survived minimalization")
     return out, out.betti()
 
 
@@ -258,7 +279,7 @@ def _contract_units(mats, twists, field, one):
 
     Pivots come off a heap keyed by the original (row, column) labels.
     Deleting rows and columns keeps the relative order of the survivors,
-    so the heap's minimum is the dense route's lowest (i, j) unit; a
+    so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
     pivot, and those are pushed as they appear."""
     alive = [[True] * len(tw) for tw in twists]
@@ -321,36 +342,6 @@ def _contract_units(mats, twists, field, one):
                     del mats[k + 1][j][c]
                 rows[k + 1][c] = set()
     return alive
-
-
-def _minimal_complex(ring, mats, twists):
-    """Minimalize a chain of sparse differentials (see `minimalize`),
-    check the result on engine vecs, and return it as a FreeComplex of
-    graded matrices."""
-    field = ring.field
-    one = ring.codec.one
-    alive = _contract_units(mats, twists, field, one)
-    keep = [[i for i, a in enumerate(al) if a] for al in alive]
-    twists = [[tw[i] for i in kp] for tw, kp in zip(twists, keep)]
-    while len(twists) > 1 and not twists[-1]:
-        twists.pop()
-    zero = ring.zero()
-    levels, entries = [], []
-    for k in range(len(twists) - 1):
-        pos = {i: p for p, i in enumerate(keep[k])}
-        cols = [{pos[i]: e for i, e in mats[k][j].items()}
-                for j in keep[k + 1]]
-        if any(_is_unit(e, one) for col in cols for e in col.values()):
-            raise AssertionError("unit entry survived minimalization")
-        order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
-        levels.append((order, [vec_of_entries(col.items(), order)
-                               for col in cols]))
-        entries.append([[col.get(i, zero) for col in cols]
-                        for i in range(len(pos))])
-    _check_chain(levels, twists, field)
-    diffs = [GradedMatrix(ring, ent, twists[k], twists[k + 1], check=False)
-             for k, ent in enumerate(entries)]
-    return FreeComplex(ring, twists, diffs, check=False)
 
 
 # -- Betti numbers straight from the ladder ----------------------------------
@@ -421,14 +412,8 @@ def ladder_betti(pres):
     minus the ranks of the incoming and outgoing constant strands; no
     minimalization is performed.  Raises ResolutionTruncated if the
     ladder does not end naturally within len(ring.names) + 2 levels."""
-    ring = pres.ring
-    field = ring.field
-    cap = len(ring.names) + 2
-    levels, truncated, order0 = _run_ladder(pres, cap)
-    if truncated:
-        raise ResolutionTruncated(
-            "syzygy ladder still active after %d levels" % cap)
-    twists = _ladder_twists(levels, order0)
+    field = pres.ring.field
+    levels, twists = _ladder(pres)
     ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
     for k, (order_k, els) in enumerate(levels):
         strands = _constant_strands(order_k, els, twists[k], twists[k + 1],

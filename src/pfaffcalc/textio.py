@@ -199,14 +199,9 @@ def parse(s, ring):
 
 # -- CAS-portable ideal files -------------------------------------------------
 
-def field_str(field):
-    return "QQ" if field.char == 0 else "GF(%d)" % field.char
-
-
 def emit_cas(gens, ring):
     """Header naming ring and order, then one generator per line."""
-    head = "ring: %s[%s], order: grevlex" % (
-        field_str(ring.field), ",".join(ring.names))
+    head = "ring: %r[%s], order: grevlex" % (ring.field, ",".join(ring.names))
     return "\n".join([head] + [render(g) for g in gens]) + "\n"
 
 

@@ -143,16 +143,72 @@ def test_public_minimalize_of_the_frame_is_frozen(name, f, char):
     # the dense entry point contracts the whole non-minimal frame
     ring = ring_for(f, GF(char) if char else QQ,
                     vars="xt" if name == "RJ" else "x")
-    levels, _, order0 = resolutions._run_ladder(
-        module_presentation(name, ring), len(ring.names) + 2)
-    twists = resolutions._ladder_twists(levels, order0)
-    diffs = [resolutions.matrix_of_vecs(els, order, twists[k + 1])
-             for k, (order, els) in enumerate(levels)]
-    frame = FreeComplex(ring, twists, diffs)
+    levels, twists = resolutions._ladder(module_presentation(name, ring))
+    vec_frame = FreeComplex(ring, twists, levels)
+    frame = FreeComplex.of_matrices(ring, twists, vec_frame.diffs)
     assert not frame.is_minimal()
     minC, B = minimalize(frame)
     assert complex_digest(minC) == MINIMAL_COMPLEX_SHA256[(name, f, char)]
     assert B == complex_betti(minC)
+
+
+@pytest.mark.parametrize("name,f,char", [("A", 5, 32003), ("N", 4, 0),
+                                         ("RJ", 4, 2)])
+def test_dense_round_trip_keeps_the_frozen_complex(name, f, char):
+    # of_matrices is the one dense entry point; diffs the one way out
+    C = resolve(name, f, GF(char) if char else QQ,
+                vars="xt" if name == "RJ" else "x")
+    D = FreeComplex.of_matrices(C.ring, C.twists, C.diffs)
+    assert complex_digest(D) == MINIMAL_COMPLEX_SHA256[(name, f, char)]
+
+
+def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
+    ring = ring_for(5, qq, vars="x")
+    levels, twists = resolutions._ladder(module_presentation("N", ring))
+    frame = FreeComplex(ring, twists, levels)
+    minC, _ = minimalize(frame)
+    one = ring.codec.one
+    for C, minimal in ((frame, False), (minC, True)):
+        dense = not any(resolutions._is_unit(e, one) for d in C.diffs
+                        for row in d.entries for e in row)
+        assert C.is_minimal() == dense == minimal
+
+
+def test_free_resolution_checks_the_frame_and_its_minimal_complex(
+        qq, monkeypatch):
+    calls = []
+    check, minimalize_ = FreeComplex.check, resolutions.minimalize
+
+    def counting_check(self):
+        calls.append(("check", [len(tw) for tw in self.twists]))
+        check(self)
+
+    def counting_minimalize(C):
+        calls.append(("minimalize", [len(tw) for tw in C.twists]))
+        return minimalize_(C)
+
+    monkeypatch.setattr(FreeComplex, "check", counting_check)
+    monkeypatch.setattr(resolutions, "minimalize", counting_minimalize)
+    C = resolve("N", 4, qq)
+    assert [name for name, _ in calls] == ["check", "minimalize", "check"]
+    # the frame goes in, the minimal complex comes out
+    ranks = [len(tw) for tw in C.twists]
+    assert calls[0][1] == calls[1][1] != ranks == calls[2][1]
+
+
+def test_both_routes_refuse_a_truncated_ladder_alike(qq, monkeypatch):
+    real = resolutions.schreyer_resolution
+    monkeypatch.setattr(resolutions, "schreyer_resolution",
+                        lambda *args, **kw: (real(*args, **kw)[0], True))
+    ring = ring_for(4, qq, vars="x")
+    pres = module_presentation("N", ring)
+    messages = []
+    for route in (lambda: free_resolution(pres, max_len=6),
+                  lambda: ladder_betti(pres)):
+        with pytest.raises(ResolutionTruncated) as err:
+            route()
+        messages.append(str(err.value))
+    assert messages == ["syzygy ladder still active after 8 levels"] * 2
 
 
 def test_row_module_resolution_f6(gf32003):
@@ -185,8 +241,8 @@ def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
         if route == "free_resolution":
             free_resolution(pres, max_len=3)
         else:
-            minimalize(FreeComplex(ring, [pres.row_degs, pres.col_degs],
-                                   [pres]))
+            minimalize(FreeComplex.of_matrices(
+                ring, [pres.row_degs, pres.col_degs], [pres]))
 
 
 def _koszul_maps(ring, sign):
@@ -202,9 +258,9 @@ def _koszul_maps(ring, sign):
 def test_check_rejects_a_nonzero_composite(char):
     ring = ring_for(4, GF(char) if char else QQ, vars="x")
     twists = [[(0, 0)], [(1, 0)] * 2, [(2, 0)]]
-    FreeComplex(ring, twists, _koszul_maps(ring, -1))
+    FreeComplex.of_matrices(ring, twists, _koszul_maps(ring, -1))
     with pytest.raises(ValueError, match="composite d_1 o d_2 is nonzero"):
-        FreeComplex(ring, twists, _koszul_maps(ring, 1))
+        FreeComplex.of_matrices(ring, twists, _koszul_maps(ring, 1))
 
 
 def test_check_rejects_a_twist_mismatch(qq):
@@ -212,10 +268,12 @@ def test_check_rejects_a_twist_mismatch(qq):
     d1, d2 = _koszul_maps(ring, -1)
     with pytest.raises(ValueError,
                        match="differential 2 does not match the twist data"):
-        FreeComplex(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]], [d1, d2])
+        FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
+                                [d1, d2])
     bad = GradedMatrix(ring, d2.entries, d2.row_degs, [(3, 0)], check=False)
     with pytest.raises(ValueError, match="entry \\(0,0\\) has bidegree"):
-        FreeComplex(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]], [d1, bad])
+        FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
+                                [d1, bad])
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])

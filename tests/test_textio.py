@@ -8,8 +8,7 @@ import pytest
 from pfaffcalc.constructions import build_ideal
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.rings import ring_for
-from pfaffcalc.textio import (ParseError, emit_cas, field_str, parse,
-                              parse_cas, render)
+from pfaffcalc.textio import ParseError, emit_cas, parse, parse_cas, render
 
 
 def random_poly(ring, rng, nterms=6, maxdeg=4):
@@ -66,8 +65,11 @@ def test_parse_rejects_garbage(qq):
 
 
 def test_field_str():
-    assert field_str(QQ) == "QQ"
-    assert field_str(GF(2)) == "GF(2)"
+    # the .cas header names the field by its repr
+    assert repr(QQ) == "QQ"
+    assert repr(GF(2)) == "GF(2)"
+    ring = ring_for(2, GF(2))
+    assert emit_cas([], ring).startswith("ring: GF(2)[x_(1,2),")
 
 
 @pytest.mark.parametrize("char", [0, 32003])
