@@ -156,16 +156,11 @@ def columns_of_vecs(vecs, order):
     return cols
 
 
-def bidegree_memo(ring):
-    """ring.bidegree_of_monomial, memoized for the lifetime of the
-    returned function; callers that scan many terms share one."""
-    return lru_cache(maxsize=None)(ring.bidegree_of_monomial)
-
-
 def vec_bidegs(vecs, order):
     """Bidegree of each bihomogeneous vec (None for the zero vec); raises
-    on a vec with mixed terms.  One bidegree_memo serves all the vecs."""
-    of_monomial = bidegree_memo(order.ring)
+    on a vec with mixed terms.  Monomial bidegrees are memoized across
+    all the vecs."""
+    of_monomial = lru_cache(maxsize=None)(order.ring.bidegree_of_monomial)
     ocomp = order.comp
     omono = order.mono
     twists = order.twists

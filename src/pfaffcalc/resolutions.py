@@ -11,7 +11,7 @@ Two independent Betti routes are provided on purpose:
 
 * ``free_resolution`` wraps the iterated-syzygy ladder under Schreyer
   orders as a (checked) FreeComplex and returns ``minimalize`` of it:
-  unit entries are contracted on sparse columns (deterministic pivot
+  unit entries are contracted on packed terms (deterministic pivot
   order) and the minimal complex is checked again;
 * ``ladder_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal ladder as dimensions of constant-strand homology
@@ -25,8 +25,8 @@ from heapq import heapify, heappop, heappush
 
 from .constructions import GradedMatrix
 from .betti import BettiTable
-from .gbengine import (FreeModuleOrder, bidegree_memo, columns_of_vecs,
-                       vec_bidegs, vec_of_entries, schreyer_resolution)
+from .gbengine import (FreeModuleOrder, columns_of_vecs, vec_bidegs,
+                       vec_of_entries, schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -54,24 +54,6 @@ def matrix_of_vecs(vecs, order, col_degs=None):
 
 
 # -- invariants of a chain of vecs --------------------------------------------
-
-def _check_vec_degrees(vecs, order, col_degs, bideg):
-    """Every term of column j lies in bidegree col_degs[j]: the monomial
-    of a term in row i has bidegree col_degs[j] - twists[i].  `bideg` is
-    a memoized bidegree_of_monomial."""
-    twists = order.twists
-    ocomp = order.comp
-    omono = order.mono
-    for j, v in enumerate(vecs):
-        ca, cb = col_degs[j]
-        for key, _ in v:
-            i = ocomp(key)
-            got = bideg(omono(key))
-            want = (ca - twists[i][0], cb - twists[i][1])
-            if got != want:
-                raise ValueError("entry (%d,%d) has bidegree %s, expected %s"
-                                 % (i, j, got, want))
-
 
 def _composes_to_zero(v, order_next, G, order, field):
     """Does the vec v over order_next map to zero, where component i of
@@ -101,15 +83,16 @@ def _check_chain(levels, twists, field):
     generator of F_{k+1}, every entry has the bidegree its row and column
     twists demand, and d_{k+1} o d_{k+2} = 0, by pushing each column of
     level k+1 through the columns of level k."""
-    if not levels:
-        return
-    bideg = bidegree_memo(levels[0][0].ring)
     for k, (order, vecs) in enumerate(levels):
         if order.twists != tuple(map(tuple, twists[k])) or \
                 len(vecs) != len(twists[k + 1]):
             raise ValueError("differential %d does not match the twist "
                              "data" % (k + 1,))
-        _check_vec_degrees(vecs, order, twists[k + 1], bideg)
+        for j, (got, want) in enumerate(zip(vec_bidegs(vecs, order),
+                                            map(tuple, twists[k + 1]))):
+            if got is not None and got != want:
+                raise ValueError("column %d of differential %d has bidegree "
+                                 "%s, expected %s" % (j, k + 1, got, want))
     for k in range(len(levels) - 1):
         order, G = levels[k]
         order_next, H = levels[k + 1]
@@ -237,9 +220,15 @@ def minimalize(C):
     c there, column r of d_{k-1} and row c of d_{k+1} (basis changes
     touch only the deleted row and column).  Pivot choice is the lowest
     (i, j) unit of the lowest k, so tables are reproducible.  The work
-    runs on sparse columns; the result is a checked FreeComplex."""
+    runs on the vecs' own terms; the result is a checked FreeComplex."""
     ring = C.ring
-    mats = [columns_of_vecs(vecs, order) for order, vecs in C.levels]
+    mats = []
+    for order, vecs in C.levels:
+        cols = [{} for _ in vecs]
+        for col, v in zip(cols, vecs):
+            for key, c in v:
+                col.setdefault(order.comp(key), {})[order.mono(key)] = c
+        mats.append(cols)
     alive = _contract_units(mats, C.twists, ring.field, ring.codec.one)
     keep = [[i for i, a in enumerate(al) if a] for al in alive]
     twists = [[tw[i] for i in kp] for tw, kp in zip(C.twists, keep)]
@@ -250,8 +239,10 @@ def minimalize(C):
         pos = {i: p for p, i in enumerate(keep[k])}
         order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
         levels.append((order, [
-            vec_of_entries(((pos[i], e) for i, e in mats[k][j].items()),
-                           order) for j in keep[k + 1]]))
+            tuple(sorted(((order.key(pos[i], m), c) for i, e in
+                          mats[k][j].items() for m, c in e.items()),
+                         reverse=True))
+            for j in keep[k + 1]]))
     out = FreeComplex(ring, twists, levels)
     if not out.is_minimal():
         raise AssertionError("unit entry survived minimalization")
@@ -265,23 +256,21 @@ def complex_betti(C):
     return C.betti()
 
 
-# -- minimalization on sparse columns ----------------------------------------
-
-def _is_unit(p, one):
-    """Is the Polynomial p a nonzero constant?"""
-    return len(p.terms) == 1 and p.terms[0][0] == one
-
+# -- minimalization on engine terms ------------------------------------------
 
 def _contract_units(mats, twists, field, one):
-    """Contract every unit entry of a chain of sparse differentials, in
-    place.  mats[k][j] maps the rows of d_{k+1}'s column j to their
-    nonzero entries.  Returns alive[k], the surviving generators of F_k.
+    """Contract every unit entry of a chain of sparse differentials in
+    place; returns alive[k], the surviving generators of F_k.  mats[k][j]
+    maps the rows of column j of d_{k+1} to its nonzero entries, each a
+    {packed monomial: coefficient} dict.  A unit is an entry holding the
+    constant monomial `one`; bihomogeneity makes that its only term.
 
     Pivots come off a heap keyed by the original (row, column) labels.
     Deleting rows and columns keeps the relative order of the survivors,
     so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
     pivot, and those are pushed as they appear."""
+    mul, sub, is_zero = field.mul, field.sub, field.is_zero
     alive = [[True] * len(tw) for tw in twists]
     rows = []   # rows[k][i]: columns of mats[k] with an entry in row i
     for k, cols in enumerate(mats):
@@ -294,7 +283,7 @@ def _contract_units(mats, twists, field, one):
     for k, cols in enumerate(mats):
         rowidx = rows[k]
         heap = [(i, j) for j, col in enumerate(cols)
-                for i, p in col.items() if _is_unit(p, one)]
+                for i, e in col.items() if one in e]
         heapify(heap)
         while heap:
             r, c = heappop(heap)
@@ -302,27 +291,32 @@ def _contract_units(mats, twists, field, one):
                 continue
             pivcol = cols[c]
             u = pivcol.get(r)
-            if u is None or not _is_unit(u, one):
+            if u is None or one not in u:
                 continue
-            uinv = field.inv(u.lc())
+            uinv = field.inv(u[one])
             pivrow = [(j, cols[j][r]) for j in rowidx[r] if j != c]
             for i, p in pivcol.items():
                 if i == r:
                     continue
-                fac = p.scale(uinv)
+                # entry (i, j) -= p * u^-1 * q for q = entry (r, j)
+                facs = [(mp - one, mul(cp, uinv)) for mp, cp in p.items()]
                 rowi = rowidx[i]
                 for j, q in pivrow:
                     col = cols[j]
-                    old = col.get(i)
-                    new = -(fac * q) if old is None else old - fac * q
-                    if new.is_zero():
-                        if old is not None:
-                            del col[i]
-                            rowi.discard(j)
-                        continue
-                    col[i] = new
+                    e = col.setdefault(i, {})
                     rowi.add(j)
-                    if _is_unit(new, one):
+                    for base, fac in facs:
+                        for mq, cq in q.items():
+                            m = base + mq
+                            x = sub(e.get(m, 0), mul(fac, cq))
+                            if is_zero(x):
+                                del e[m]
+                            else:
+                                e[m] = x
+                    if not e:
+                        del col[i]
+                        rowi.discard(j)
+                    elif one in e:
                         heappush(heap, (i, j))
             # delete row r and column c of d_{k+1}
             for j in rowidx[r]:

@@ -129,9 +129,6 @@ class Polynomial:
     def lm(self):
         return self.terms[0][0]
 
-    def lc(self):
-        return self.terms[0][1]
-
     def degree(self):
         """Total degree (max over terms); -1 for the zero polynomial."""
         if not self.terms:

@@ -16,6 +16,7 @@ then x-variables (ascending (i,j)).  parse(render(f)) == f exactly.
 import re
 from fractions import Fraction
 
+from .fields import GF, QQ
 from .monomials import MAX_EXP
 from .rings import ring_for
 
@@ -162,8 +163,9 @@ class _Parser:
                 if k2 == "op" and v2 == "/":
                     self.take()
                     den = self.expect_num("denominator")
-                    if den == 0:
-                        raise ParseError("zero denominator", pos)
+                    if ring.field.is_zero(ring.field.from_int(den)):
+                        raise ParseError("denominator vanishes in %r"
+                                         % ring.field, pos)
                 acc = acc * ring.const(ring.field.from_fraction(num, den))
             elif kind == "var":
                 self.take()
@@ -212,8 +214,6 @@ _VAR = re.compile(r"x_\((\d+),(\d+)\)|t_(\d+)")
 def parse_cas(text):
     """Inverse of emit_cas: returns (ring, [gens]).  The header must name
     grevlex, the one monomial order, and a standard ring."""
-    from .fields import CoefficientField
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input", 0)
@@ -223,7 +223,13 @@ def parse_cas(text):
     if m.group(4) != "grevlex":
         raise ParseError("unknown order %r (only grevlex is supported)"
                          % m.group(4), 0)
-    field = CoefficientField(int(m.group(2)) if m.group(2) else 0)
+    field = QQ
+    if m.group(2) is not None:
+        try:
+            field = GF(int(m.group(2)) or -1)   # GF(0) does not name QQ
+        except ValueError:
+            raise ParseError("GF(%s): need a prime below 2**31"
+                             % m.group(2), 0) from None
     # x_(i,j) names contain a comma; split only outside the parentheses
     names = [nm.strip() for nm in re.split(r",(?![^(]*\))", m.group(3))]
     f = 0

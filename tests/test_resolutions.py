@@ -169,8 +169,8 @@ def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
     minC, _ = minimalize(frame)
     one = ring.codec.one
     for C, minimal in ((frame, False), (minC, True)):
-        dense = not any(resolutions._is_unit(e, one) for d in C.diffs
-                        for row in d.entries for e in row)
+        dense = not any(len(e.terms) == 1 and e.terms[0][0] == one
+                        for d in C.diffs for row in d.entries for e in row)
         assert C.is_minimal() == dense == minimal
 
 
@@ -245,6 +245,31 @@ def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
                 ring, [pres.row_degs, pres.col_degs], [pres]))
 
 
+@pytest.mark.parametrize("char", [0, 2])
+def test_contraction_fills_in_a_unit_and_drops_a_cancelled_entry(char):
+    # F_0 = R^4 <- F_1 = R^2 + R(-1)^3 <- F_2 = R(-2), a = x12, b = x13.
+    # The pivot (0,0) sends row 1 to [-1, 0, -b, -a] past column 0: (1,1)
+    # is a fill-in unit, below and to the right.  It sends row 2 to
+    # [0, a, -b, 0]: (2,1) = 1 - 1 and the surviving (2,4) = a - a cancel.
+    # Pivot (1,1) has nothing else in its column, and row 1 of d_2 goes
+    # with column 1 of d_1.
+    ring = ring_for(4, GF(char) if char else QQ, vars="x")
+    o, z, a, b = ring.one(), ring.zero(), ring.x(1, 2), ring.x(1, 3)
+    twists = [[(0, 0)] * 4, [(0, 0)] * 2 + [(1, 0)] * 3, [(2, 0)]]
+    d1 = GradedMatrix(ring, [[o, o, z, b, a],
+                             [o, z, z, z, z],
+                             [o, o, a, z, a],
+                             [z, z, z, z, b]], twists[0], twists[1])
+    d2 = GradedMatrix(ring, [[z], [-(a * b)], [b], [a], [z]],
+                      twists[1], twists[2])
+    frame = FreeComplex.of_matrices(ring, twists, [d1, d2])
+    minC, B = minimalize(frame)
+    assert minC.twists == [[(0, 0)] * 2, [(1, 0)] * 3, [(2, 0)]]
+    assert [d.entries for d in minC.diffs] == [
+        [[a, -b, z], [z, z, b]], [[b], [a], [z]]]
+    assert B == complex_betti(minC)
+
+
 def _koszul_maps(ring, sign):
     """d1 = [x12 x13] and d2 = [x13, sign * x12]^T; the composite
     vanishes exactly when sign = -1."""
@@ -271,7 +296,7 @@ def test_check_rejects_a_twist_mismatch(qq):
         FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
                                 [d1, d2])
     bad = GradedMatrix(ring, d2.entries, d2.row_degs, [(3, 0)], check=False)
-    with pytest.raises(ValueError, match="entry \\(0,0\\) has bidegree"):
+    with pytest.raises(ValueError, match="column 0 of differential 2 has bidegree"):
         FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
                                 [d1, bad])
 

@@ -135,3 +135,24 @@ def test_cas_exponent_above_the_cap_is_a_parse_error(qq):
     for line in ("x_(1,2)^121", "x_(1,2)^100*x_(1,2)^27"):
         with pytest.raises(ParseError, match="exceeds 120"):
             parse_cas(head + line + "\n")
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_cas_rejects_a_header_field_that_is_not_prime(p):
+    # GF(0) must not parse as QQ, nor GF(4) escape as a bare ValueError
+    with pytest.raises(ParseError, match=r"GF\(%d\): need a prime" % p) as err:
+        parse_cas("ring: GF(%d)[x_(1,2)], order: grevlex\nx_(1,2)\n" % p)
+    assert err.value.pos == 0
+
+
+def test_denominator_vanishing_mod_p_is_a_positioned_parse_error():
+    ring = ring_for(2, GF(2))
+    with pytest.raises(ParseError, match=r"denominator vanishes in GF\(2\)") \
+            as err:
+        parse("x_(1,2) + 1/2", ring)
+    assert err.value.pos == 10
+    assert parse("x_(1,2) + 1/3", ring) == parse("x_(1,2) + 1", ring)
+    with pytest.raises(ParseError, match=r"denominator vanishes in GF\(2\)"):
+        parse_cas(emit_cas([], ring) + "1/2*t_1\n")
+    with pytest.raises(ParseError, match="denominator vanishes in QQ"):
+        parse("1/0", ring_for(2, QQ))
