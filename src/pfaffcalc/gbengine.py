@@ -10,11 +10,13 @@ level of a free resolution runs on the identical reduction code path.
 A module element ("vec") is a tuple of (key, coefficient) pairs sorted
 descending by key.  The engine works on vecs; `vec_of_entries` and
 `columns_of_vecs` are the one translation to and from Polynomial
-columns.
+columns.  `nf` and `spair_vec` sum into a dict {key: coeff}, and `nf`
+pops the largest key left from a heap, so a reduction step costs one
+dict probe per term of the reducer and never copies the rest of the vec.
 """
 
-import heapq
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .rings import Polynomial
 
@@ -179,42 +181,6 @@ def vec_bidegs(vecs, order):
     return out
 
 
-def _merge_sub(a, ai, g, m, c, order, field):
-    """a[ai:] minus (m, c)*g[1:] as a fresh descending list.
-
-    Precondition: the caller has arranged that a[ai-1] cancels against
-    (m, c)*g[0]; neither canceled head is included."""
-    out = []
-    off = order.moff(m)
-    fmul = field.mul
-    fsub = field.sub
-    fneg = field.neg
-    fzero = field.is_zero
-    i, j = ai, 1
-    na, ng = len(a), len(g)
-    while i < na and j < ng:
-        ka, ca = a[i]
-        kg = g[j][0] + off
-        if ka > kg:
-            out.append(a[i])
-            i += 1
-        elif ka < kg:
-            out.append((kg, fneg(fmul(c, g[j][1]))))
-            j += 1
-        else:
-            cc = fsub(ca, fmul(c, g[j][1]))
-            if not fzero(cc):
-                out.append((ka, cc))
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    while j < ng:
-        out.append((g[j][0] + off, fneg(fmul(c, g[j][1]))))
-        j += 1
-    return out
-
-
 def make_buckets(G, order, field):
     """Index a basis by leading component for divisor scans: comp ->
     list of (ltkey, inv(lc), terms, index)."""
@@ -235,49 +201,80 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
     Returns (remainder, quots): remainder is a descending tuple; quots
     (when record) maps basis index -> list of (monomial, coeff) with
     f = sum(quots * basis) + remainder.  With zero_only=True, returns as
-    soon as an irreducible head proves the remainder nonzero (the
-    remainder returned is then partial)."""
-    work = list(f)
-    i0 = 0
+    soon as an irreducible head proves the remainder nonzero, with a
+    partial remainder: the terms reached so far, that head and the
+    unreduced rest.  Keys enter the heap when they enter the dict; a
+    popped key no longer in it is skipped."""
+    p = field.char
+    acc = dict(f)
+    heap = [-k for k, _ in f]   # f descends, so this list is a heap
     rem = []
     quots = {} if record else None
     ocomp = order.comp
     odiv = order.divides
     oquot = order.quot
-    fmul = field.mul
+    moff = order.moff
+    get = acc.get
+    pop, push = heappop, heappush
     empty = ()
-    while i0 < len(work):
-        k, c = work[i0]
-        hit = None
+    while heap:
+        k = -pop(heap)
+        c = acc.pop(k, None)
+        if c is None:
+            continue
         for ent in buckets.get(ocomp(k), empty):
             if odiv(ent[0], k):
-                hit = ent
                 break
-        if hit is None:
+        else:
+            rem.append((k, c))
             if zero_only:
-                rem.extend(work[i0:])
+                rem.extend(sorted(acc.items(), reverse=True))
                 return tuple(rem), quots
-            rem.append(work[i0])
-            i0 += 1
             continue
-        lk, inv, g, gi = hit
+        lk, inv, g, gi = ent
         m = oquot(k, lk)
-        cc = fmul(c, inv)
+        cc = c * inv % p if p else c * inv
         if record:
             quots.setdefault(gi, []).append((m, cc))
-        work = _merge_sub(work, i0 + 1, g, m, cc, order, field)
-        i0 = 0
+        ncc = -cc
+        off = moff(m)
+        for kg, cg in g[1:]:
+            kk = kg + off
+            x = get(kk)
+            if x is None:
+                acc[kk] = ncc * cg % p if p else ncc * cg
+                push(heap, -kk)
+            else:
+                y = x + ncc * cg
+                if p:
+                    y %= p
+                if y:
+                    acc[kk] = y
+                else:
+                    del acc[kk]
     return tuple(rem), quots
 
 
 def spair_vec(gi, gj, ua, ub, order, field):
     """ua*gi/lc(gi) - ub*gj/lc(gj); the leading terms cancel exactly."""
+    p = field.char
     inv_i = field.inv(gi[0][1])
     inv_j = field.inv(gj[0][1])
     offa = order.moff(ua)
-    fmul = field.mul
-    a = [(k + offa, fmul(c, inv_i)) for k, c in gi]
-    return _merge_sub(a, 1, gj, ub, inv_j, order, field), inv_i, inv_j
+    offb = order.moff(ub)
+    acc = {k + offa: c * inv_i % p if p else c * inv_i for k, c in gi[1:]}
+    get = acc.get
+    ninv = -inv_j
+    for k, c in gj[1:]:
+        kk = k + offb
+        y = get(kk, 0) + ninv * c
+        if p:
+            y %= p
+        if y:
+            acc[kk] = y
+        else:
+            del acc[kk]
+    return sorted(acc.items(), reverse=True), inv_i, inv_j
 
 
 # -- Buchberger --------------------------------------------------------------
@@ -349,7 +346,7 @@ def buchberger(vecs, order, field):
         for dL, L, i in kept:
             alive.add((i, t))
             lcms[(i, t)] = L
-            heapq.heappush(heap, (pair_degree(L, ct), t, i))
+            heappush(heap, (pair_degree(L, ct), t, i))
 
     def install(remainder):
         s = len(G)
@@ -367,7 +364,7 @@ def buchberger(vecs, order, field):
             install(rem)
 
     while heap:
-        _, j, i = heapq.heappop(heap)
+        _, j, i = heappop(heap)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
@@ -473,27 +470,27 @@ def schreyer_level(G, order, field):
     anchors = [g[0][0] for g in G]
     nxt = SchreyerOrder(order, anchors, vec_bidegs(G, order))
     buckets = make_buckets(G, order, field)
+    p = field.char
+    nkey = nxt.key
     taus = []
     for (i, j, ua, ub) in schreyer_pairs(G, order):
         sp, inv_i, inv_j = spair_vec(G[i], G[j], ua, ub, order, field)
         rem, quots = nf(sp, order, buckets, field, record=True)
         if rem:
             raise AssertionError("S-pair of a Groebner basis did not reduce to zero")
-        acc = {}
-        acc[nxt.key(i, ua)] = inv_i
-        kj = nxt.key(j, ub)
-        acc[kj] = field.sub(acc.get(kj, field.zero()), inv_j)
-        if quots:
-            for gi, terms in quots.items():
-                for m, c in terms:
-                    k = nxt.key(gi, m)
-                    s = field.sub(acc.get(k, field.zero()), c)
-                    if field.is_zero(s):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = s
-        tau = tuple(sorted(((k, c) for k, c in acc.items()
-                            if not field.is_zero(c)), reverse=True))
+        # components differ, so neither entry is zero
+        acc = {nkey(i, ua): inv_i, nkey(j, ub): (-inv_j) % p if p else -inv_j}
+        for gi, terms in quots.items():
+            for m, c in terms:
+                k = nkey(gi, m)
+                y = acc.get(k, 0) - c
+                if p:
+                    y %= p
+                if y:
+                    acc[k] = y
+                else:
+                    del acc[k]
+        tau = tuple(sorted(acc.items(), reverse=True))
         if tau[0][0] != nxt.key(i, ua):
             raise AssertionError("Schreyer leading term mismatch")
         taus.append(tau)

@@ -70,8 +70,8 @@ def _composes_to_zero(v, order_next, G, order, field):
         for kg, cg in G[ncomp(key)]:
             kk = kg + off
             acc[kk] = get(kk, 0) + c * cg
-    is_zero = field.is_zero
-    return all(is_zero(x) for x in acc.values())
+    p = field.char
+    return not any(x % p if p else x for x in acc.values())
 
 
 def _check_chain(levels, twists, field):
@@ -270,7 +270,7 @@ def _contract_units(mats, twists, field, one):
     so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
     pivot, and those are pushed as they appear."""
-    mul, sub, is_zero = field.mul, field.sub, field.is_zero
+    p = field.char
     alive = [[True] * len(tw) for tw in twists]
     rows = []   # rows[k][i]: columns of mats[k] with an entry in row i
     for k, cols in enumerate(mats):
@@ -295,24 +295,26 @@ def _contract_units(mats, twists, field, one):
                 continue
             uinv = field.inv(u[one])
             pivrow = [(j, cols[j][r]) for j in rowidx[r] if j != c]
-            for i, p in pivcol.items():
+            for i, a in pivcol.items():
                 if i == r:
                     continue
-                # entry (i, j) -= p * u^-1 * q for q = entry (r, j)
-                facs = [(mp - one, mul(cp, uinv)) for mp, cp in p.items()]
+                # entry (i, j) -= a * u^-1 * q for q = entry (r, j)
+                facs = [(ma - one, -ca * uinv) for ma, ca in a.items()]
                 rowi = rowidx[i]
                 for j, q in pivrow:
                     col = cols[j]
                     e = col.setdefault(i, {})
                     rowi.add(j)
-                    for base, fac in facs:
+                    for base, nfac in facs:
                         for mq, cq in q.items():
                             m = base + mq
-                            x = sub(e.get(m, 0), mul(fac, cq))
-                            if is_zero(x):
-                                del e[m]
+                            y = e.get(m, 0) + nfac * cq
+                            if p:
+                                y %= p
+                            if y:
+                                e[m] = y
                             else:
-                                e[m] = x
+                                del e[m]
                     if not e:
                         del col[i]
                         rowi.discard(j)

@@ -8,6 +8,9 @@ Polynomials are immutable term lists (packed monomial, coefficient),
 sorted descending in that order.
 """
 
+from functools import reduce
+from operator import or_
+
 from . import monomials
 from .fields import CoefficientField
 
@@ -190,6 +193,9 @@ class Polynomial:
                     m = base + mb
                     c = get(m)
                     acc[m] = f.mul(ca, cb) if c is None else f.add(c, f.mul(ca, cb))
+            # a legal monomial has no guard bit, so neither has their OR
+            if reduce(or_, acc, 0) & self.ring.codec.guards:
+                raise ValueError("monomial product exceeds the exponent range")
             terms = tuple((m, c) for m, c in sorted(acc.items(), reverse=True)
                           if not f.is_zero(c))
             return Polynomial(self.ring, terms)

@@ -1,6 +1,7 @@
 """Buchberger/Schreyer engine: S-pair closure, module orders."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,188 @@ def test_interreduce_guards_leading_terms():
     for fn in (interreduce, interreduce_reference):
         with pytest.raises(AssertionError, match="destroyed a leading term"):
             fn(G, order, field)
+
+
+# -- nf against the merge-based reference -------------------------------------
+
+def _merge_sub_reference(a, ai, g, m, c, order, field):
+    """a[ai:] minus (m, c)*g[1:] as a fresh descending list; the caller
+    has arranged that a[ai-1] cancels against (m, c)*g[0]."""
+    out = []
+    off = order.moff(m)
+    i, j = ai, 1
+    na, ng = len(a), len(g)
+    while i < na and j < ng:
+        ka, ca = a[i]
+        kg = g[j][0] + off
+        if ka > kg:
+            out.append(a[i])
+            i += 1
+        elif ka < kg:
+            out.append((kg, field.neg(field.mul(c, g[j][1]))))
+            j += 1
+        else:
+            cc = field.sub(ca, field.mul(c, g[j][1]))
+            if not field.is_zero(cc):
+                out.append((ka, cc))
+            i += 1
+            j += 1
+    if i < na:
+        out.extend(a[i:])
+    while j < ng:
+        out.append((g[j][0] + off, field.neg(field.mul(c, g[j][1]))))
+        j += 1
+    return out
+
+
+def nf_reference(f, order, buckets, field, record=False, zero_only=False):
+    """nf as it was when every reduction step merged the subtrahend into a
+    fresh copy of the remaining work list."""
+    work = list(f)
+    i0 = 0
+    rem = []
+    quots = {} if record else None
+    while i0 < len(work):
+        k, c = work[i0]
+        hit = None
+        for ent in buckets.get(order.comp(k), ()):
+            if order.divides(ent[0], k):
+                hit = ent
+                break
+        if hit is None:
+            if zero_only:
+                rem.extend(work[i0:])
+                return tuple(rem), quots
+            rem.append(work[i0])
+            i0 += 1
+            continue
+        lk, inv, g, gi = hit
+        m = order.quot(k, lk)
+        cc = field.mul(c, inv)
+        if record:
+            quots.setdefault(gi, []).append((m, cc))
+        work = _merge_sub_reference(work, i0 + 1, g, m, cc, order, field)
+        i0 = 0
+    return tuple(rem), quots
+
+
+def spair_vec_reference(gi, gj, ua, ub, order, field):
+    """spair_vec as it was, one merge of the two scaled vecs."""
+    inv_i = field.inv(gi[0][1])
+    inv_j = field.inv(gj[0][1])
+    offa = order.moff(ua)
+    a = [(k + offa, field.mul(c, inv_i)) for k, c in gi]
+    return _merge_sub_reference(a, 1, gj, ub, inv_j, order, field), \
+        inv_i, inv_j
+
+
+def assert_canonical(vec, field):
+    """Every coefficient is a nonzero field element in canonical form: a
+    reduced int over GF(p), a Fraction over QQ."""
+    p = field.char
+    for _, c in vec:
+        if p:
+            assert type(c) is int and 0 < c < p
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+def coeff_types(terms):
+    return [type(c) for _, c in terms]
+
+
+def checked_engine(monkeypatch, calls):
+    """Route gbengine's nf and spair_vec through wrappers that also run
+    the references on the same input and assert identical output, down
+    to coefficient types and the order of the quotient dict and lists.
+    Every plain nf call is repeated with zero_only=True, whose partial
+    remainder must be empty exactly when the reference's is.  calls
+    counts the engine's nf calls by (record, zero_only)."""
+    real_nf, real_spair = gbengine.nf, gbengine.spair_vec
+
+    def nf_both(f, order, buckets, field, record=False, zero_only=False):
+        got = real_nf(f, order, buckets, field, record=record,
+                      zero_only=zero_only)
+        want = nf_reference(f, order, buckets, field, record=record,
+                            zero_only=zero_only)
+        calls[record, zero_only] = calls.get((record, zero_only), 0) + 1
+        assert got[0] == want[0]
+        assert coeff_types(got[0]) == coeff_types(want[0])
+        assert_canonical(got[0], field)
+        if record:
+            assert list(got[1].items()) == list(want[1].items())
+            for gi, terms in got[1].items():
+                assert coeff_types(terms) == coeff_types(want[1][gi])
+                assert_canonical(terms, field)
+        else:
+            assert got[1] is None and want[1] is None
+        if not zero_only:
+            z = real_nf(f, order, buckets, field, zero_only=True)[0]
+            zw = nf_reference(f, order, buckets, field, zero_only=True)[0]
+            assert bool(z) == bool(zw) == bool(got[0])
+        return got
+
+    def spair_both(gi, gj, ua, ub, order, field):
+        got = real_spair(gi, gj, ua, ub, order, field)
+        want = spair_vec_reference(gi, gj, ua, ub, order, field)
+        assert list(got[0]) == want[0]
+        assert coeff_types(got[0]) == coeff_types(want[0])
+        assert got[1:] == want[1:]
+        assert_canonical(got[0], field)
+        return got
+
+    monkeypatch.setattr(gbengine, "nf", nf_both)
+    monkeypatch.setattr(gbengine, "spair_vec", spair_both)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", ["A", "N", "RJ"])
+@pytest.mark.parametrize("f", [4, 5])
+def test_nf_matches_merge_reference(f, name, char, monkeypatch):
+    """Every nf call of buchberger, interreduce and schreyer_level on the
+    A, N and RJ ladders: the same remainder, the same recorded
+    quotients, the same coefficient types as the merge-based nf."""
+    field = GF(char) if char else QQ
+    ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
+    vecs, order = _vecs_of_matrix(module_presentation(name, ring))
+    calls = {}
+    checked_engine(monkeypatch, calls)
+    G = buchberger([v for v in vecs if v], order, field)
+    while G:
+        G = interreduce(G, order, field)
+        G, order = schreyer_level(G, order, field)
+    assert calls[False, False] > 0
+    # A at f = 4 is principal: its ladder has no S-pairs
+    assert (calls.get((True, False), 0) > 0) == (name != "A" or f != 4)
+
+
+def test_nf_drops_a_term_that_cancels_over_gf2():
+    """In GF(2), 1 + 1 = 0: the cancelled term leaves no zero coefficient
+    and no key behind, in nf and in spair_vec."""
+    field = GF(2)
+    ring = ring_for(3, field)
+    order = FreeModuleOrder(ring, 1)
+    x, y, t = ring.x(1, 2), ring.x(1, 3), ring.t(1)
+    assert y.lm() > x.lm()
+
+    def vec(p):
+        return vec_of_entries(((0, p),), order)
+
+    g = vec(y + x)
+    buckets = make_buckets([g], order, field)
+    # y^2 - y*(y + x) = xy in GF(2), which cancels the xy of f
+    f = vec(y * y + x * y + t * t)
+    rem, quots = nf(f, order, buckets, field, record=True)
+    assert rem == vec(t * t)
+    assert quots == {0: [(y.lm(), 1)]}
+    for zero_only in (False, True):
+        assert nf(vec(y * y + x * y), order, buckets, field,
+                  zero_only=zero_only)[0] == ()
+    # under the leading w, the y terms cancel: (w + y + x) - (w + y) = x
+    w = ring.x(2, 3)
+    sp, _, _ = spair_vec(vec(w + y + x), vec(w + y), order.one, order.one,
+                         order, field)
+    assert list(sp) == list(vec(x))
 
 
 # -- Schreyer keys deep in the ladder -----------------------------------------

@@ -288,6 +288,24 @@ def test_check_rejects_a_nonzero_composite(char):
         FreeComplex.of_matrices(ring, twists, _koszul_maps(ring, 1))
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_check_sums_the_composite_in_the_field(char):
+    """d1 = [a a] and d2 = [16001, 16002]^T: the composite is 32003 * a,
+    zero in GF(32003) and nonzero over QQ."""
+    ring = ring_for(4, GF(char) if char else QQ, vars="x")
+    a = ring.x(1, 2)
+    twists = [[(0, 0)], [(1, 0)] * 2, [(1, 0)]]
+    diffs = [GradedMatrix(ring, [[a, a]], twists[0], twists[1]),
+             GradedMatrix(ring, [[ring.const(16001)], [ring.const(16002)]],
+                          twists[1], twists[2])]
+    if char:
+        FreeComplex.of_matrices(ring, twists, diffs)
+    else:
+        with pytest.raises(ValueError,
+                           match="composite d_1 o d_2 is nonzero"):
+            FreeComplex.of_matrices(ring, twists, diffs)
+
+
 def test_check_rejects_a_twist_mismatch(qq):
     ring = ring_for(4, qq, vars="x")
     d1, d2 = _koszul_maps(ring, -1)

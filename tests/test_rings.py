@@ -80,6 +80,22 @@ def test_bigraded_multiplication_adds_bidegrees(qq):
     assert (p * q).bidegree() == (3, 1)
 
 
+def test_product_past_the_exponent_range_raises(qq):
+    """An exponent sum of 127 still fits a packed field; 128 reaches its
+    guard bit, and the product raises as OrderCodec.mul does instead of
+    wrapping."""
+    ring = ring_for(3, qq, vars="x")
+
+    def power(e):
+        return ring.from_exp_terms([((e, 0, 0), qq.one())])
+
+    assert ring.codec.unpack((power(100) * power(27)).lm()) == (127, 0, 0)
+    for p, q in [(power(100), power(28)),
+                 (power(28), power(100) + ring.x(1, 3))]:
+        with pytest.raises(ValueError, match="exceeds the exponent range"):
+            p * q
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         CoefficientField(6)
