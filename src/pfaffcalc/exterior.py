@@ -3,12 +3,13 @@ a domain: a `CoefficientField` or a `PolyRing`.
 
 Elements of wedge^k(F) ("primal") and wedge^k(F*) ("dual") are stored as
 {increasing index tuple: coefficient}, with arithmetic by the domain's
-zero/one/add/mul/neg/is_zero (the rank is implicit).  The two algebras act
-on each other as modules: a degree-1 actor expands at the leftmost
-position with alternating signs, and a wedge of actors applies right
-factor first, i.e. (u ^ v)(w) = u(v(w)).  All other signs (wedge
-reordering, interior products of higher degree) emerge from these two
-rules; none are hand-coded.
+zero/one/add/mul/neg/is_zero (the rank is implicit); a product sums its
+terms with the coefficients' own operators and reduces each sum once
+through the domain.  The two algebras act on each other as modules: a
+degree-1 actor expands at the leftmost position with alternating signs,
+and a wedge of actors applies right factor first, i.e. (u ^ v)(w) =
+u(v(w)).  All other signs (wedge reordering, interior products of higher
+degree) emerge from these two rules; none are hand-coded.
 
 Divided powers of a degree-2 element v are computed by the recursion
 e_i*(v^(l)) = e_i*(v) ^ v^(l-1), reading off the coefficient of each
@@ -66,25 +67,31 @@ def _act_basis(T, S):
 
 def _accumulate(domain, table, left, right):
     """Sum over all term pairs of the basis product table(A, B) (None
-    when it vanishes) times the two coefficients."""
-    add, mul, neg, is_zero = domain.add, domain.mul, domain.neg, domain.is_zero
-    out = {}
+    when it vanishes) times the two coefficients.
+
+    Each sum is built unreduced with the coefficients' own + and * (- for
+    a negative sign), then made canonical once by domain.add(zero, s),
+    which reduces mod p over GF(p) and is the identity over QQ and a
+    PolyRing, and dropped if zero."""
+    zero = domain.zero()
+    acc = {}
+    get = acc.get
     for A, p in left.items():
         for B, q in right.items():
             hit = table(A, B)
             if hit is None:
                 continue
             sign, key = hit
-            c = mul(p, q)
             if sign < 0:
-                c = neg(c)
-            s = out.get(key)
-            if s is not None:
-                c = add(s, c)
-            if is_zero(c):
-                out.pop(key, None)
+                acc[key] = get(key, zero) - p * q
             else:
-                out[key] = c
+                acc[key] = get(key, zero) + p * q
+    add, is_zero = domain.add, domain.is_zero
+    out = {}
+    for key, s in acc.items():
+        s = add(zero, s)
+        if not is_zero(s):
+            out[key] = s
     return out
 
 

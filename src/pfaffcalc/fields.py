@@ -1,7 +1,12 @@
 """Coefficient fields: the rationals and prime fields GF(p), p < 2**31.
 
-Field elements are plain Python values: `Fraction` over QQ, ints in
-[0, p) over GF(p).  The field object just bundles the arithmetic, so
+Field elements are plain Python values.  Over GF(p) they are ints in
+[0, p).  Over QQ they are `int` when integral and `Fraction` otherwise:
+the constructors and `inv` return an `int` whenever the value is an
+integer, so integral inputs stay on Python's int arithmetic.  Arithmetic
+on a `Fraction` still returns one (`Fraction(1, 2) * 2` is
+`Fraction(2, 1)`); an `int` and a `Fraction` of equal value compare,
+hash and `str` alike.  The field object just bundles the arithmetic, so
 polynomial code can stay generic without wrapping every coefficient.
 A field is also the scalar coefficient domain of `exterior`.
 """
@@ -35,6 +40,11 @@ def _is_prime(n):
     return True
 
 
+def _rational(q):
+    """The Fraction q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class CoefficientField:
     """QQ (char == 0) or GF(p) (char == p prime)."""
 
@@ -50,13 +60,13 @@ class CoefficientField:
 
     # -- constructors ----------------------------------------------------
     def zero(self):
-        return 0 if self.char else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.char else Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return n % self.char if self.char else Fraction(n)
+        return n % self.char if self.char else n
 
     def from_fraction(self, num, den=1):
         if self.char:
@@ -64,7 +74,7 @@ class CoefficientField:
             if d == 0:
                 raise ZeroDivisionError("denominator %d vanishes in GF(%d)" % (den, self.char))
             return num * pow(d, self.char - 2, self.char) % self.char
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     # -- arithmetic -------------------------------------------------------
     def add(self, a, b):
@@ -86,7 +96,7 @@ class CoefficientField:
             return pow(a, self.char - 2, self.char)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def is_zero(self, a):
         return (a % self.char == 0) if self.char else a == 0

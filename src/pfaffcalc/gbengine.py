@@ -462,8 +462,9 @@ def schreyer_pairs(G, order):
     return out
 
 
-def schreyer_level(G, order, field):
-    """Syzygies of the GB G, as a GB under the induced Schreyer order.
+def schreyer_level(G, order, field, pairs):
+    """Syzygies of the GB G, as a GB under the induced Schreyer order;
+    pairs is schreyer_pairs(G, order).
 
     Returns (taus, next_order).  Each tau is a vec over next_order; its
     leading term is u_ij * eps_i by construction (asserted)."""
@@ -473,7 +474,7 @@ def schreyer_level(G, order, field):
     p = field.char
     nkey = nxt.key
     taus = []
-    for (i, j, ua, ub) in schreyer_pairs(G, order):
+    for (i, j, ua, ub) in pairs:
         sp, inv_i, inv_j = spair_vec(G[i], G[j], ua, ub, order, field)
         rem, quots = nf(sp, order, buckets, field, record=True)
         if rem:
@@ -513,11 +514,12 @@ def schreyer_resolution(vecs, order0, field, max_levels):
     levels = [(order0, G)]
     while True:
         order_k, Gk = levels[-1]
-        if not schreyer_pairs(Gk, order_k):
+        pairs = schreyer_pairs(Gk, order_k)
+        if not pairs:
             return levels, False
         if len(levels) >= max_levels:
             return levels, True
-        taus, nxt = schreyer_level(Gk, order_k, field)
+        taus, nxt = schreyer_level(Gk, order_k, field, pairs)
         taus = interreduce(taus, nxt, field)
         if not taus:
             return levels, False

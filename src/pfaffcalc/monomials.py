@@ -18,9 +18,11 @@ graded reverse lexicographic order for an ascending variable listing.
 
 Each 8-bit field has a guard bit, so a field holds exponents up to 127;
 `pack` caps them at MAX_EXP.  Divisibility is one subtract-and-mask, and
-quotients and lcms of legal monomials never leave a field.  A product is
-exact only while every exponent sum stays at most 127; an exponent sum
-past that sets its field's guard bit, and `mul` raises on it.
+quotients and lcms of legal monomials never leave a field.  `lcm` and
+`coprime` likewise act on every field at once, with the guard bits
+catching each field's comparison.  A product is exact only while every
+exponent sum stays at most 127; an exponent sum past that sets its
+field's guard bit, and `mul` raises on it.
 """
 
 MAX_EXP = 120  # per-variable exponent cap (fields are 8 bit with a guard bit)
@@ -38,7 +40,8 @@ class OrderCodec:
     nbits.
     """
 
-    __slots__ = ("nvars", "one", "nbits", "guards", "_shift", "_degshift")
+    __slots__ = ("nvars", "one", "nbits", "guards", "_shift", "_degshift",
+                 "_eguards")
 
     def __init__(self, nvars):
         self.nvars = nvars
@@ -48,6 +51,8 @@ class OrderCodec:
         self.guards = sum(0x80 << s for s in self._shift) | \
             (0x8000 << self._degshift)
         self.one = sum(_COMPL << s for s in self._shift)
+        # guard bits of the exponent fields only; `one` is 0x7F in each
+        self._eguards = self.one << 1 & ~self.one
 
     # -- packing ---------------------------------------------------------
     def pack(self, exps):
@@ -83,15 +88,23 @@ class OrderCodec:
         return (a - b + self.one) & self.guards == 0
 
     def lcm(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(x if x >= y else y for x, y in zip(ea, eb)))
+        # a field of (ca | 0x80) - cb keeps its guard bit iff ca >= cb,
+        # where the lcm takes the smaller complement cb
+        low = self.one
+        ca, cb = a & low, b & low
+        ge = ((ca | self._eguards) - cb) & self._eguards
+        c = ca ^ ((ca ^ cb) & (ge >> 7) * _COMPL)
+        n = self.nvars
+        return c + ((_COMPL * n - sum(c.to_bytes(n, "big"))) << self._degshift)
 
     def deg(self, m):
         return m >> self._degshift
 
     def coprime(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return all(x == 0 or y == 0 for x, y in zip(ea, eb))
+        # a field of 2*0x7F - c = 0x7F + e has its guard bit iff e > 0;
+        # the degree bits above the fields leave them alone
+        k = self.one << 1
+        return (k - a) & (k - b) & self._eguards == 0
 
     def __repr__(self):
         return "OrderCodec(%d vars)" % (self.nvars,)

@@ -58,7 +58,7 @@ def render(poly):
                 factors.append(ring.names[k])
             elif e > 1:
                 factors.append("%s^%d" % (ring.names[k], e))
-        neg = c < 0  # Fractions only; GF coefficients are canonical in [0, p)
+        neg = c < 0  # QQ only; GF coefficients are canonical in [0, p)
         mag = -c if neg else c
         if not factors:
             body = _coeff_str(mag)

@@ -20,7 +20,6 @@ carry the timings.
 import json
 import random
 import time
-from fractions import Fraction
 from math import comb
 
 from .constructions import (build_complex, build_ideal, map_matrix,
@@ -157,7 +156,7 @@ def _rng_for(seed, *tags):
 
 def _rand_const(field, rng):
     if field.char == 0:
-        return Fraction(rng.randrange(-9, 10))
+        return rng.randrange(-9, 10)
     return rng.randrange(field.char)
 
 
@@ -292,7 +291,7 @@ def _id_pfaffian_det(seed):
     ring = ring_for(6, QQ, vars="x")
     rng = _rng_for(seed, "pfdet")
     for t in range(20):
-        upper = {(i, j): ring.const(Fraction(rng.randrange(-99, 100)))
+        upper = {(i, j): ring.const(rng.randrange(-99, 100))
                  for i in range(1, 7) for j in range(i + 1, 7)}
         A = AlternatingMatrix(ring, 6, upper)
         pf = pfaffian_oracle(A)

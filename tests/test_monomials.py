@@ -101,6 +101,41 @@ def test_mul_div_divides_lcm_deg():
                                           for x, y in zip(ea, eb))
 
 
+@pytest.mark.parametrize("nvars", [1, 3, 21, 28, 36])
+def test_packed_lcm_and_coprime_match_their_definitions(nvars):
+    """lcm and coprime work on the packed fields at once; they must
+    agree with unpack, max / zero test, pack, over the whole legal range."""
+    codec = OrderCodec(nvars)
+    rng = random.Random("codec|swar|%d" % nvars)
+
+    def draw():
+        return tuple(rng.choice((0, MAX_EXP, rng.randrange(MAX_EXP + 1),
+                                 rng.randrange(3)))
+                     for _ in range(nvars))
+
+    # even / odd supports, so coprime pairs occur at every nvars
+    halves = [tuple(x if i % 2 == k else 0 for i, x in enumerate(draw()))
+              for k in (0, 1) for _ in range(4)]
+    pool = [(0,) * nvars, (MAX_EXP,) * nvars] + halves + \
+        [draw() for _ in range(60)]
+    for ea in pool:
+        a = codec.pack(ea)
+        for eb in pool[:20]:
+            b = codec.pack(eb)
+            for x, y, u, v in ((a, b, ea, eb), (b, a, eb, ea)):
+                assert codec.lcm(x, y) == \
+                    codec.pack(tuple(max(i, j) for i, j in zip(u, v)))
+                assert codec.coprime(x, y) == \
+                    all(i == 0 or j == 0 for i, j in zip(u, v))
+    for v in range(nvars):
+        e = [0] * nvars
+        e[v] = MAX_EXP
+        top = codec.pack(e)
+        assert codec.lcm(top, codec.var(v)) == top
+        assert not codec.coprime(top, codec.var(v))
+        assert codec.coprime(top, codec.one)
+
+
 def test_divides_is_componentwise():
     codec = OrderCodec(3)
     a = codec.pack((1, 0, 2))

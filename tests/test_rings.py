@@ -58,8 +58,10 @@ def test_rational_arithmetic_is_exact(qq):
     third = ring.const(Fraction(1, 3))
     p = (x + third) * (x - third)
     assert p == x * x - ring.const(Fraction(1, 9))
-    got = p.terms[0][1]
-    assert isinstance(got, Fraction)
+    codec = ring.codec
+    assert p.terms == ((codec.mul(x.lm(), x.lm()), 1),
+                       (codec.one, Fraction(-1, 9)))
+    assert type(p.terms[1][1]) is Fraction
 
 
 def test_prime_field_coefficients_canonical(gf32003):
@@ -118,3 +120,20 @@ def test_field_fraction_entry(gf32003):
     assert gf32003.mul(c, 2) == 1
     with pytest.raises(ZeroDivisionError):
         GF(2).from_fraction(1, 2)
+
+
+def test_rational_constructors_return_int_when_integral():
+    for c in (QQ.zero(), QQ.one(), QQ.from_int(-7), QQ.from_fraction(4, 2),
+              QQ.from_fraction(-6, -3), QQ.inv(1), QQ.inv(-1),
+              QQ.inv(Fraction(1, 2)), QQ.inv(Fraction(-1, 3))):
+        assert type(c) is int
+    assert (QQ.zero(), QQ.one(), QQ.from_int(-7)) == (0, 1, -7)
+    assert QQ.from_fraction(4, 2) == 2 and QQ.inv(-1) == -1
+    assert QQ.inv(Fraction(-1, 3)) == -3
+    for c, want in ((QQ.from_fraction(1, 2), Fraction(1, 2)),
+                    (QQ.from_fraction(6, -4), Fraction(-3, 2)),
+                    (QQ.inv(2), Fraction(1, 2)),
+                    (QQ.inv(Fraction(-2, 3)), Fraction(-3, 2))):
+        assert type(c) is Fraction and c == want
+    # GF(p) elements were ints already
+    assert GF(7).from_fraction(4, 2) == 2 and GF(7).inv(-1) == 6
