@@ -41,11 +41,22 @@ def _dec_coord(el, indices):
     return el.coeff(tuple(reversed(indices)))
 
 
+# Pfaffian generators by ring.  verify.run_suite empties the memo when
+# it starts and when it ends, so its checks share one build per ring and
+# no run reuses another's.
+_PFAFFIANS = {}
+
+
 def pfaffian_gens(ring):
     """Coefficients of xi^(2): the 4x4 Pfaffians of X, one per increasing
-    4-subset in lexicographic order."""
-    dp2 = generic_xi(ring).divided_power(2)
-    return [dp2.terms.get(I, ring.zero()) for I in all_subsets(ring.f, 4)]
+    4-subset in lexicographic order.  A fresh list on every call; the
+    polynomials are immutable and shared."""
+    gens = _PFAFFIANS.get(ring)
+    if gens is None:
+        dp2 = generic_xi(ring).divided_power(2)
+        gens = _PFAFFIANS[ring] = [dp2.terms.get(I, ring.zero())
+                                   for I in all_subsets(ring.f, 4)]
+    return list(gens)
 
 
 def tx_entries(ring):

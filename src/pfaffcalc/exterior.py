@@ -20,10 +20,18 @@ with explicit (-1)^j signs.
 
 from functools import lru_cache
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 # Entries kept by each basis table below.  Pairs of subsets of 1..f
 # number 4**f, so every pair fits up to f = 7.
 _BASIS_CACHE_SIZE = 1 << 14
+
+# Per-term rows of each basis table: table -> {A: {B: table(A, B)}},
+# filled on first use.  Rows hold facts about index subsets only, never
+# coefficients, so like the tables they hold at most 4**f pairs each.
+# Keyed weakly, so that a table swapped in for a test takes its rows
+# with it.
+_ROWS = WeakKeyDictionary()
 
 
 def merge_sign(S, T):
@@ -67,18 +75,28 @@ def _act_basis(T, S):
 
 def _accumulate(domain, table, left, right):
     """Sum over all term pairs of the basis product table(A, B) (None
-    when it vanishes) times the two coefficients.
+    when it vanishes) times the two coefficients.  Each pair is one
+    probe of A's row in `_ROWS`.
 
     Each sum is built unreduced with the coefficients' own + and * (- for
     a negative sign), then made canonical once by domain.add(zero, s),
     which reduces mod p over GF(p) and is the identity over QQ and a
     PolyRing, and dropped if zero."""
+    rows = _ROWS.get(table)
+    if rows is None:
+        rows = _ROWS[table] = {}
     zero = domain.zero()
     acc = {}
     get = acc.get
     for A, p in left.items():
+        row = rows.get(A)
+        if row is None:
+            row = rows[A] = {}
         for B, q in right.items():
-            hit = table(A, B)
+            try:
+                hit = row[B]
+            except KeyError:
+                hit = row[B] = table(A, B)
             if hit is None:
                 continue
             sign, key = hit

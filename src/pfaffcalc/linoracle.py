@@ -16,6 +16,17 @@ its Betti numbers, and so on until a level has no pieces under the cap.
 Minimal generators never admit same-degree syzygies, so levels climb in
 degree and the tower ends on its own.
 
+Each piece is inserted from columns that can enlarge its span only.  A
+basis element of a piece is kept as a label (g, m), the element m * g
+for a generator g, so v * (g, m) is the label (g, v * m) and each label
+is inserted once per bidegree.  Of the generators, only those of the
+piece's own bidegree are inserted: a multiple m * g with deg m > 0 is
+v * (m' * g), which lies in v times the piece one bidegree lower, and
+that piece, complete because bidegrees are visited by increasing total
+degree, has been inserted already.  The columns skipped are all
+dependent, so the pivots, the chosen generators and every null space are
+those of inserting every multiple.
+
 The elimination builds no `Fraction`.  Over QQ each presentation column
 is scaled once to integers (by the lcm of its denominators, which keeps
 the module it spans) and stays integral: a column is reduced by
@@ -36,23 +47,22 @@ MAX_TOTAL_DEGREE = 6  # the oracle's total-degree cap
 
 
 def monomials_of_bidegree(ring, a, b):
-    """All packed monomials of x-degree a and t-degree b, ascending."""
-    codec = ring.codec
+    """All packed monomials of x-degree a and t-degree b, ascending.
+
+    A packed monomial is `one` plus the offset var(v) - one of each of
+    its variables, counted with multiplicity, so the x part and the t
+    part are summed once each and combined by addition."""
     nx = ring.n_x
-    nt = len(ring.names) - nx
-    if a < 0 or b < 0 or (b and not nt):
-        return []
     nvars = len(ring.names)
-    out = []
-    for xpart in combinations_with_replacement(range(nx), a):
-        ex = [0] * nvars
-        for v in xpart:
-            ex[v] += 1
-        for tpart in combinations_with_replacement(range(nx, nvars), b):
-            et = ex[:]
-            for v in tpart:
-                et[v] += 1
-            out.append(codec.pack(et))
+    if a < 0 or b < 0 or (b and nvars == nx):
+        return []
+    one = ring.codec.one
+    steps = [v - one for v in ring._vcache]
+    xsums = [sum(steps[v] for v in part)
+             for part in combinations_with_replacement(range(nx), a)]
+    tsums = [one + sum(steps[v] for v in part)
+             for part in combinations_with_replacement(range(nx, nvars), b)]
+    out = [xs + ts for xs in xsums for ts in tsums]
     out.sort()
     return out
 
@@ -157,18 +167,16 @@ def _primitive(col, combo=None):
     return col, combo
 
 
-def _mul_vector(ring, vec, mono):
-    """Monomial times a module element {(comp, mono): coeff}."""
-    mul = ring.codec.mul
-    return {(c, mul(m, mono)): v for (c, m), v in vec.items()}
-
-
 def _multiple_coords(ring, vec, mono, index):
     """Coordinates {position: coeff} of mono * vec on an indexed strand
-    basis {(comp, mono): position}."""
-    mul = ring.codec.mul
+    basis {(comp, mono): position}.
+
+    A product of packed monomials is their sum less `one`; the strand
+    holds every monomial of its bidegree, so a product that leaves it
+    misses the index."""
+    shift = mono - ring.codec.one
     try:
-        return {index[(c, mul(m, mono))]: v for (c, m), v in vec.items()}
+        return {index[(c, m + shift)]: v for (c, m), v in vec.items()}
     except KeyError:
         raise AssertionError("element leaves its graded strand") from None
 
@@ -231,14 +239,18 @@ def oracle_betti(pres):
     prev_twists = list(pres.row_degs)
     gens = _poly_columns_to_vectors(pres)  # generating set of level 1
     level = 1
-    vars_all = [ring._vcache[i] for i in range(len(ring.names))]
+    one = ring.codec.one
+    var_steps = [(v - one, ring.bidegree_of_monomial(v))
+                 for v in ring._vcache]
 
     while True:
         # choose minimal generators of the module generated by `gens`
         # inside Free(prev_twists), bidegree by bidegree, and read off
         # their syzygies in each bidegree once its generators are known
         chosen = []  # (vector, bidegree)
-        pieces = {}  # bidegree -> list of basis vectors of the piece
+        # bidegree -> basis of the piece as labels (g, m), each the
+        # element m * gens[g]
+        pieces = {}
         next_gens = []
         for bd in degrees:
             index = _strand_index(monos, prev_twists, bd)
@@ -246,21 +258,27 @@ def oracle_betti(pres):
                 continue
             elim = _Eliminator(field)
             piece = []
-            # span of (variables * piece one bidegree lower)
-            for v in vars_all:
-                va, vb = ring.bidegree_of_monomial(v)
-                low = (bd[0] - va, bd[1] - vb)
-                for w in pieces.get(low, ()):
-                    if elim.insert(_multiple_coords(ring, w, v, index)):
-                        piece.append(_mul_vector(ring, w, v))
+            # span of (variables * piece one bidegree lower); v * (g, m)
+            # is the label (g, v * m), which many pairs (v, w) share
+            seen = set()
+            for step, (va, vb) in var_steps:
+                for g, m in pieces.get((bd[0] - va, bd[1] - vb), ()):
+                    label = (g, m + step)
+                    if label in seen:
+                        continue
+                    seen.add(label)
+                    if elim.insert(_multiple_coords(ring, gens[g][0],
+                                                    label[1], index)):
+                        piece.append(label)
             old_rank = elim.rank
-            # full piece of the module: monomial multiples of gens
-            for gvec, gd in gens:
-                for m in monos(bd[0] - gd[0], bd[1] - gd[1]):
-                    if elim.insert(_multiple_coords(ring, gvec, m, index)):
-                        wv = _mul_vector(ring, gvec, m)
-                        piece.append(wv)
-                        chosen.append((wv, bd))
+            # the rest of the piece comes from the generators of bidegree
+            # bd: m * g with deg m > 0 is v * (m' * g), and pieces[low]
+            # already spans m' * g
+            for g, (gvec, gd) in enumerate(gens):
+                if gd == bd and elim.insert(_multiple_coords(ring, gvec, one,
+                                                             index)):
+                    piece.append((g, one))
+                    chosen.append((gvec, bd))
             if piece:
                 pieces[bd] = piece
             new = elim.rank - old_rank

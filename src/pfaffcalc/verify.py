@@ -22,9 +22,9 @@ import random
 import time
 from math import comb
 
-from .constructions import (build_complex, build_ideal, map_matrix,
-                            mapping_cone_betti, module_presentation,
-                            s1_s2_sets, tx_entries)
+from .constructions import (_PFAFFIANS, build_complex, build_ideal,
+                            map_matrix, mapping_cone_betti,
+                            module_presentation, s1_s2_sets, tx_entries)
 from .exterior import (AlternatingMatrix, ExteriorElement, all_subsets,
                        determinant_oracle, pfaffian_oracle)
 from .fields import GF, QQ
@@ -790,6 +790,7 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
     start = time.monotonic()
     results = []
     _TABLES.clear()
+    _PFAFFIANS.clear()
     for chk in checks:
         if budget_seconds is not None and \
                 time.monotonic() - start > budget_seconds:
@@ -809,4 +810,5 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
         results.append(CheckResult(chk.name, chk.claim, verdict,
                                    detail or "", time.monotonic() - t0))
     _TABLES.clear()
+    _PFAFFIANS.clear()
     return SuiteReport(suite, grid_fs, grid_chars, seed, results)

@@ -371,3 +371,8 @@ def test_one_pass_accumulate_matches_the_per_term_loop(name):
             if p:
                 assert all(type(cc) is int and 0 < cc < p for cc in scalars)
     assert nonzero > len(cases) // 2
+    # the per-term rows hold basis facts only, each its table's value
+    for table in (exterior._wedge_basis, exterior._act_basis):
+        for A, row in exterior._ROWS[table].items():
+            assert all(hit == table.__wrapped__(A, B)
+                       for B, hit in row.items())

@@ -1,12 +1,14 @@
 """Degreewise linear-algebra Betti oracle (Buchberger-independent)."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
 
 from conftest import A4_BIGRADED, RJ4_BIGRADED
 from pfaffcalc import linoracle
+from pfaffcalc.betti import BettiTable
 from pfaffcalc.constructions import GradedMatrix, module_presentation
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.linoracle import monomials_of_bidegree, oracle_betti
@@ -20,6 +22,33 @@ def test_monomial_piece_dimensions():
         got = monomials_of_bidegree(ring, a, b)
         assert len(got) == comb(nx + a - 1, a) * comb(4 + b - 1, b)
         assert len(set(got)) == len(got)
+
+
+def monomials_of_bidegree_reference(ring, a, b):
+    """Reference: the piece's monomials packed from exponent lists."""
+    codec = ring.codec
+    nx = ring.n_x
+    nvars = len(ring.names)
+    if a < 0 or b < 0 or (b and nvars == nx):
+        return []
+    out = []
+    for xpart in combinations_with_replacement(range(nx), a):
+        for tpart in combinations_with_replacement(range(nx, nvars), b):
+            ex = [0] * nvars
+            for v in xpart + tpart:
+                ex[v] += 1
+            out.append(codec.pack(ex))
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("f,vars", [(4, "xt"), (4, "x"), (5, "xt")])
+def test_monomial_piece_matches_packing_reference(f, vars):
+    ring = ring_for(f, QQ, vars=vars)
+    for a in range(5):
+        for b in range(-1, 5 - a):
+            assert monomials_of_bidegree(ring, a, b) == \
+                monomials_of_bidegree_reference(ring, a, b)
 
 
 def test_monomial_piece_x_only_ring():
@@ -136,10 +165,78 @@ def _field_null_space(cols, field):
     return kernel
 
 
-def _oracle_with_log(pres, monkeypatch):
-    """Run oracle_betti and log every elimination it makes: the columns
+def oracle_betti_reference(pres):
+    """Reference: the oracle before pruning.  Each piece keeps its
+    elements as vectors, every variable multiple of the piece one
+    bidegree lower is inserted, and so is every monomial multiple of
+    every generator, with products taken by `codec.mul`.  It shares the
+    elimination with the oracle through the module's names, so the
+    loggers below see both."""
+    ring = pres.ring
+    field = ring.field
+    mul = ring.codec.mul
+
+    def mul_vector(vec, mono):
+        return {(c, mul(m, mono)): v for (c, m), v in vec.items()}
+
+    def multiple_coords(vec, mono, index):
+        return {index[(c, mul(m, mono))]: v for (c, m), v in vec.items()}
+
+    B = BettiTable()
+    for bd in pres.row_degs:
+        B.add(0, bd)
+    memo = {}
+
+    def monos(a, b):
+        if (a, b) not in memo:
+            memo[(a, b)] = monomials_of_bidegree_reference(ring, a, b)
+        return memo[(a, b)]
+
+    degrees = linoracle._bidegrees_upto(linoracle.MAX_TOTAL_DEGREE)
+    prev_twists = list(pres.row_degs)
+    gens = linoracle._poly_columns_to_vectors(pres)
+    level = 1
+    while True:
+        chosen, pieces, next_gens = [], {}, []
+        for bd in degrees:
+            index = linoracle._strand_index(monos, prev_twists, bd)
+            if not index:
+                continue
+            elim = linoracle._Eliminator(field)
+            piece = []
+            for v in ring._vcache:
+                va, vb = ring.bidegree_of_monomial(v)
+                for w in pieces.get((bd[0] - va, bd[1] - vb), ()):
+                    if elim.insert(multiple_coords(w, v, index)):
+                        piece.append(mul_vector(w, v))
+            old_rank = elim.rank
+            for gvec, gd in gens:
+                for m in monos(bd[0] - gd[0], bd[1] - gd[1]):
+                    if elim.insert(multiple_coords(gvec, m, index)):
+                        wv = mul_vector(gvec, m)
+                        piece.append(wv)
+                        chosen.append((wv, bd))
+            if piece:
+                pieces[bd] = piece
+            if elim.rank > old_rank:
+                B.add(level, bd, elim.rank - old_rank)
+            cols = [((gi, m), multiple_coords(gvec, m, index))
+                    for gi, (gvec, gd) in enumerate(chosen)
+                    for m in monos(bd[0] - gd[0], bd[1] - gd[1])]
+            for kvec in linoracle._null_space(cols, field):
+                next_gens.append((kvec, bd))
+        if not next_gens:
+            return B
+        prev_twists = [bd for _, bd in chosen]
+        gens = next_gens
+        level += 1
+
+
+def _oracle_with_log(pres, monkeypatch, oracle=oracle_betti):
+    """Run the oracle and log every elimination it makes: the columns
     fed to each piece's eliminator with the verdicts and the final
-    pivots, and the columns and kernel of each null space."""
+    pivots, and the columns and kernel of each null space.  Returns
+    (piece eliminators, null spaces, table)."""
     pieces, nulls = [], []
 
     class Logged(linoracle._Eliminator):
@@ -165,8 +262,8 @@ def _oracle_with_log(pres, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(linoracle, "_Eliminator", Logged)
         m.setattr(linoracle, "_null_space", logged_null_space)
-        oracle_betti(pres)
-    return [e for e in pieces if e.log], nulls
+        table = oracle(pres)
+    return [e for e in pieces if e.log], nulls, table
 
 
 _CASES = [("A", "x"), ("N", "x"), ("RJ", "xt")]
@@ -185,7 +282,7 @@ def test_elimination_matches_field_route(kind, vars, char, monkeypatch):
     p = field.char
     # Replays every bidegree's matrices through the reference: the same
     # verdict per column gives the same ranks, hence the same table.
-    pieces, nulls = _oracle_with_log(pres, monkeypatch)
+    pieces, nulls, _ = _oracle_with_log(pres, monkeypatch)
     assert pieces and nulls
     for elim in pieces:
         ref = _FieldEliminator(field)
@@ -212,6 +309,56 @@ def test_elimination_matches_field_route(kind, vars, char, monkeypatch):
                 for r, x in by_key[k].items():
                     image[r] = image.get(r, 0) + v * x
             assert all((s % p if p else s) == 0 for s in image.values())
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("kind,vars", _CASES)
+def test_pruned_oracle_matches_the_unpruned_reference(kind, vars, char,
+                                                      monkeypatch):
+    pres = _presentation(kind, vars, char)
+    pieces, nulls, table = _oracle_with_log(pres, monkeypatch)
+    ref_pieces, ref_nulls, ref_table = _oracle_with_log(
+        pres, monkeypatch, oracle_betti_reference)
+    assert table.data == ref_table.data
+    # Each null space's columns are the multiples of the generators
+    # chosen so far, keyed (generator, monomial), in (level, bidegree)
+    # order: equal columns mean the same generators were chosen.
+    assert nulls == ref_nulls
+
+    def independent(elims):
+        return [cols for cols in
+                ([col for col, got in e.log if got] for e in elims) if cols]
+    assert independent(pieces) == independent(ref_pieces)
+    inserts = sum(len(e.log) for e in pieces)
+    assert inserts < sum(len(e.log) for e in ref_pieces)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_redundant_columns_keep_the_table(char):
+    # column 0 again, and column 1 times a variable: both are in the
+    # span of the others, and the scaled one has a bidegree of its own
+    pres = _presentation("RJ", "xt", char)
+    x = pres.ring.x(1, 2)
+    entries = [list(row) + [row[0], row[1] * x] for row in pres.entries]
+    da, db = pres.col_degs[1]
+    col_degs = list(pres.col_degs) + [pres.col_degs[0], (da + 1, db)]
+    redundant = GradedMatrix(pres.ring, entries, pres.row_degs, col_degs)
+    assert oracle_betti(redundant).data == RJ4_BIGRADED
+    assert oracle_betti_reference(redundant).data == RJ4_BIGRADED
+
+
+def test_a_product_leaving_its_strand_raises(qq):
+    ring = ring_for(4, qq, vars="x")
+
+    def monos(a, b):
+        return monomials_of_bidegree(ring, a, b)
+    index = linoracle._strand_index(monos, [(0, 0)], (1, 0))
+    x12, x13 = ring.x(1, 2).lm(), ring.x(1, 3).lm()
+    vec = {(0, x12): 5}
+    assert linoracle._multiple_coords(ring, vec, ring.codec.one, index) == \
+        {index[(0, x12)]: 5}
+    with pytest.raises(AssertionError, match="leaves its graded strand"):
+        linoracle._multiple_coords(ring, vec, x13, index)
 
 
 def test_rational_column_scaling_keeps_the_table():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pfaffcalc import verify
+from pfaffcalc import constructions, verify
 from pfaffcalc.betti import BettiTable
 from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
                               CheckFailure, CheckResult, SuiteReport,
@@ -161,6 +161,37 @@ def test_a_table_whose_routes_disagree_is_not_kept(monkeypatch):
     # every check that asked for a table resolved it again
     assert len(calls) == 4
     assert verify._TABLES == {}
+
+
+def test_pfaffians_are_built_once_per_ring_per_run(monkeypatch):
+    calls = []  # (ring, list returned)
+    real = constructions.pfaffian_gens
+
+    def recorded(ring):
+        gens = real(ring)
+        calls.append((ring, gens))
+        return gens
+    monkeypatch.setattr(constructions, "pfaffian_gens", recorded)
+    runs = []
+    for _ in range(2):
+        start = len(calls)
+        assert run_suite("grades", fs=[4, 5], chars=[0, 32003]).status == \
+            "pass"
+        assert constructions._PFAFFIANS == {}
+        built = {}
+        for ring, gens in calls[start:]:
+            first = built.setdefault(ring, gens)
+            if gens is not first:  # a fresh list of the same polynomials
+                assert len(gens) == len(first) and all(
+                    a is b for a, b in zip(gens, first))
+        assert len(built) == 4 and len(calls) - start > len(built)
+        # every call got a list of its own
+        assert len({id(gens) for _, gens in calls[start:]}) == \
+            len(calls) - start
+        runs.append(built)
+    # the second run built every ring's generators again
+    assert all(runs[1][ring][0] is not gens[0]
+               for ring, gens in runs[0].items())
 
 
 def test_text_report_shape():
