@@ -18,19 +18,14 @@ pfaffian_oracle, instead expands submatrix Pfaffians along the first row
 with explicit (-1)^j signs.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
-# Entries kept by each basis table below.  Pairs of subsets of 1..f
-# number 4**f, so every pair fits up to f = 7.
-_BASIS_CACHE_SIZE = 1 << 14
-
 # Per-term rows of each basis table: table -> {A: {B: table(A, B)}},
-# filled on first use.  Rows hold facts about index subsets only, never
-# coefficients, so like the tables they hold at most 4**f pairs each.
-# Keyed weakly, so that a table swapped in for a test takes its rows
-# with it.
+# filled on first use, so a table runs once per pair of subsets.  Rows
+# hold facts about index subsets only, never coefficients, so they hold
+# at most 4**f pairs each.  Keyed weakly, so that a table swapped in for
+# a test takes its rows with it.
 _ROWS = WeakKeyDictionary()
 
 
@@ -45,7 +40,6 @@ def merge_sign(S, T):
     return -1 if inv & 1 else 1
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _wedge_basis(S, T):
     """Basis product e_S ^ e_T for increasing tuples: returns (sign,
     increasing tuple) or None if they share an index."""
@@ -54,7 +48,6 @@ def _wedge_basis(S, T):
     return merge_sign(S, T), tuple(sorted(S + T))
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _act_basis(T, S):
     """Basis action e_T(e_S) for increasing tuples: returns (sign,
     remaining tuple) or None if T is not contained in S.  The rightmost

@@ -10,7 +10,9 @@ level of a free resolution runs on the identical reduction code path.
 A module element ("vec") is a tuple of (key, coefficient) pairs sorted
 descending by key.  The engine works on vecs; `vec_of_entries` and
 `columns_of_vecs` are the one translation to and from Polynomial
-columns.  `nf` and `spair_vec` sum into a dict {key: coeff}, and `nf`
+columns: columns enter where a dense matrix comes in (`vecs_of_matrix`,
+`homology`'s spans and kernels) and leave only where a caller asks for
+polynomials.  `nf` and `spair_vec` sum into a dict {key: coeff}, and `nf`
 pops the largest key left from a heap, so a reduction step costs one
 dict probe per term of the reducer and never copies the rest of the vec.
 """

@@ -92,7 +92,8 @@ def ideal_quotient(gens, f):
     if not gens:
         return []
     M = GradedMatrix(f.ring, [[f]], [(0, 0)], [f.bidegree()])
-    return kernel_over_quotient(M, [[g] for g in gens]).entries[0]
+    vecs, order = kernel_over_quotient(M, [[g] for g in gens])
+    return [col[0] for col in columns_of_vecs(vecs, order)]
 
 
 def saturation_member(gens, f, g, bound):

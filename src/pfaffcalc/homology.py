@@ -5,7 +5,8 @@ Quotient-ring homology is decided without quotient-ring Groebner bases:
 "zero in the module" always means membership in the span of the map
 columns together with the term's own relation columns and the ambient
 quotient ideal times each cover generator, all over the polynomial
-ring.
+ring.  Spans are built from the construction matrices' columns, the dense
+edge; kernels and the elements tested for membership stay engine vecs.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from .constructions import (GradedMatrix, map_matrix, module_presentation,
 from .exterior import ExteriorElement, AlternatingMatrix, pfaffian_oracle
 from .gbengine import (FreeModuleOrder, buchberger, interreduce,
                        make_buckets, nf, vec_of_entries)
-from .resolutions import ladder_betti, matrix_of_vecs
+from .resolutions import ladder_betti
 
 
 def _quotient_columns(ring, quotient, rank):
@@ -42,10 +43,8 @@ class ModuleSpan:
         self._G = interreduce(G, self.order, self.field)
         self._buckets = make_buckets(self._G, self.order, self.field)
 
-    def contains_column(self, col):
-        v = vec_of_entries(enumerate(col), self.order)
-        if not v:
-            return True
+    def contains_column(self, v):
+        """Whether the vec v over self.order lies in the span."""
         rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
         return not rem
 
@@ -60,8 +59,9 @@ def relation_columns(C, k):
 
 
 def kernel_over_quotient(M, relations=()):
-    """Column generators of {v : M v = 0 in the target module}, where
-    the target is the cokernel of the given relation columns.
+    """Generators of {v : M v = 0 in the target module}, where the target
+    is the cokernel of the given relation columns, as (vecs, order): the
+    order is the free module of rank M.ncols twisted by M.col_degs.
 
     Elimination on the graph module: in R^nrows (+) R^ncols, the columns
     (M e_j, e_j) and (rel, 0) generate a submodule whose elements with
@@ -87,7 +87,7 @@ def kernel_over_quotient(M, relations=()):
             kernel.append(tuple((korder.key(order.comp(k) - nrows,
                                             order.mono(k)), c)
                                 for k, c in g))
-    return matrix_of_vecs(kernel, korder)
+    return kernel, korder
 
 
 def homology_is_zero(C, position):
@@ -97,7 +97,8 @@ def homology_is_zero(C, position):
     modulo the target's relations) lies in the incoming image plus this
     term's relations.  Rightmost (position 0): the incoming map is onto
     the presented module.  Leftmost: the outgoing map is injective on
-    the presented module."""
+    the presented module.  Kernel vecs are tested as they come: keys
+    ignore twists, and maps[k].ncols == terms[k + 1].rank."""
     L = len(C.maps)
     if not 0 <= position <= L:
         raise ValueError("position out of range")
@@ -109,15 +110,13 @@ def homology_is_zero(C, position):
     span_cols.extend(relation_columns(C, position))
     span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs)
     if position >= 1:
-        K = kernel_over_quotient(C.maps[position - 1],
-                                 relation_columns(C, position - 1))
-        tests = K.columns()
+        tests, _ = kernel_over_quotient(C.maps[position - 1],
+                                        relation_columns(C, position - 1))
     else:
-        zero = ring.zero()
-        one = ring.one()
-        tests = [[one if r == i else zero for r in range(term.rank)]
-                 for i in range(term.rank)]
-    return all(span.contains_column(col) for col in tests)
+        order = span.order
+        one = ring.field.one()
+        tests = [((order.key(i, order.one), one),) for i in range(term.rank)]
+    return all(span.contains_column(v) for v in tests)
 
 
 class PalindromeReport:
@@ -227,7 +226,8 @@ def char2_anomaly_check(ring_for_fn):
 
     d1_2 = map_matrix("d1", r2)
     d1_0 = map_matrix("d1", r0)
-    w2 = _witness_column(r2)
+    # keys ignore twists, so one vec serves both char-2 spans
+    w2 = vec_of_entries(enumerate(_witness_column(r2)), FreeModuleOrder(r2, 5))
     w0 = _witness_column(r0)
 
     span2 = ModuleSpan(r2, 5, [list(c) for c in d1_2.columns()],
@@ -241,7 +241,8 @@ def char2_anomaly_check(ring_for_fn):
 
     span0 = ModuleSpan(r0, 5, [list(c) for c in d1_0.columns()],
                        twists=d1_0.row_degs)
-    in_cols_0 = span0.contains_column(w0)
+    in_cols_0 = span0.contains_column(vec_of_entries(enumerate(w0),
+                                                     span0.order))
 
     # explicit half-coefficient preimage over the rationals
     xi = generic_xi(r0)

@@ -3,9 +3,9 @@
 A `FreeComplex` keeps each differential as engine vecs, the one
 representation the whole pipeline works on: levels[k] = (order_k,
 columns of d_{k+1} as vecs over order_k).  It checks itself when built
-(twist data, entry bidegrees, d o d = 0), and dense graded matrices
-exist only at the API edge: `FreeComplex.of_matrices` takes them in, and
-reading `diffs` builds them.
+(twist data, entry bidegrees, d o d = 0 by `composite`), and dense
+graded matrices exist only at the API edge: `FreeComplex.of_matrices`
+takes them in, and reading `diffs`, which only callers do, builds them.
 
 Two independent Betti routes are provided on purpose:
 
@@ -35,31 +35,21 @@ class ResolutionTruncated(Exception):
 
 # -- vec <-> GradedMatrix ----------------------------------------------------
 
-def _vecs_of_matrix(M):
+def vecs_of_matrix(M):
     """Columns of a GradedMatrix as engine vecs, plus the ambient order."""
     order = FreeModuleOrder(M.ring, M.nrows, twists=M.row_degs)
     return [vec_of_entries(enumerate(col), order)
             for col in M.columns()], order
 
 
-def matrix_of_vecs(vecs, order, col_degs=None):
-    """GradedMatrix with the given vecs as columns."""
-    ring = order.ring
-    if col_degs is None:
-        col_degs = vec_bidegs(vecs, order)
-    zero = ring.zero()
-    cols = columns_of_vecs(vecs, order)
-    ent = [[col.get(i, zero) for col in cols] for i in range(order.rank)]
-    return GradedMatrix(ring, ent, list(order.twists), list(col_degs))
-
-
 # -- invariants of a chain of vecs --------------------------------------------
 
-def _composes_to_zero(v, order_next, G, order, field):
-    """Does the vec v over order_next map to zero, where component i of
-    order_next stands for the vec G[i] over order?  Each term m*eps_i of
-    v contributes G[i] shifted by m; coefficients are summed unreduced
-    and tested once at the end."""
+def composite(v, order_next, G, order, field):
+    """The image of the vec v over order_next, as a vec over order, where
+    component i of order_next stands for the vec G[i] over order.  Each
+    term m*eps_i of v contributes G[i] shifted by m; coefficients are
+    summed unreduced and reduced once at the end, and zero sums are
+    dropped."""
     acc = {}
     get = acc.get
     ncomp = order_next.comp
@@ -71,7 +61,9 @@ def _composes_to_zero(v, order_next, G, order, field):
             kk = kg + off
             acc[kk] = get(kk, 0) + c * cg
     p = field.char
-    return not any(x % p if p else x for x in acc.values())
+    terms = [(k, x % p) for k, x in acc.items() if x % p] if p else \
+        [(k, x) for k, x in acc.items() if x]
+    return tuple(sorted(terms, reverse=True))
 
 
 def _check_chain(levels, twists, field):
@@ -97,7 +89,7 @@ def _check_chain(levels, twists, field):
         order, G = levels[k]
         order_next, H = levels[k + 1]
         for v in H:
-            if not _composes_to_zero(v, order_next, G, order, field):
+            if composite(v, order_next, G, order, field):
                 raise ValueError("composite d_%d o d_%d is nonzero"
                                  % (k + 1, k + 2))
 
@@ -134,15 +126,21 @@ class FreeComplex:
                     [list(tw) for tw in twists[k:k + 2]]:
                 raise ValueError("differential %d does not match the twist "
                                  "data" % (k + 1,))
-            vecs, order = _vecs_of_matrix(d)
+            vecs, order = vecs_of_matrix(d)
             levels.append((order, vecs))
         return cls(ring, twists, levels)
 
     @property
     def diffs(self):
         """The differentials as graded matrices, built on each read."""
-        return [matrix_of_vecs(vecs, order, self.twists[k + 1])
-                for k, (order, vecs) in enumerate(self.levels)]
+        zero = self.ring.zero()
+        mats = []
+        for (order, vecs), col_degs in zip(self.levels, self.twists[1:]):
+            cols = columns_of_vecs(vecs, order)
+            mats.append(GradedMatrix(self.ring, [[c.get(i, zero) for c in cols]
+                                                 for i in range(order.rank)],
+                                     order.twists, col_degs))
+        return mats
 
     @property
     def length(self):
@@ -179,7 +177,7 @@ def _ladder(pres):
     ResolutionTruncated if the ladder does not end naturally within
     len(ring.names) + 2 levels."""
     cap = len(pres.ring.names) + 2
-    vecs, order0 = _vecs_of_matrix(pres)
+    vecs, order0 = vecs_of_matrix(pres)
     levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
                                             pres.ring.field, max_levels=cap)
     if truncated:

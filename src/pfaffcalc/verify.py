@@ -34,7 +34,8 @@ from .homology import (ModuleSpan, betti_palindrome_check,
                        char2_anomaly_check, homology_is_zero,
                        relation_columns)
 from .linoracle import oracle_betti
-from .resolutions import complex_betti, free_resolution, ladder_betti
+from .resolutions import (complex_betti, composite, free_resolution,
+                          ladder_betti, vecs_of_matrix)
 from .rings import ring_for
 
 SUITE_NAMES = ("exterior-identities", "complex-closure", "grades",
@@ -364,14 +365,16 @@ def _closure_relation_maps(f, char):
 def _closure_complex(name, f, char):
     ring = ring_for(f, _field_of(char))
     C = build_complex(name, ring)
+    maps = [vecs_of_matrix(M) for M in C.maps]
     counted = 0
     for k in range(len(C.maps) - 1):
-        P = C.maps[k] @ C.maps[k + 1]
+        (G, order), (H, order_next) = maps[k:k + 2]
         term = C.terms[k]
         span = ModuleSpan(ring, term.rank, relation_columns(C, k),
                           twists=term.degs)
-        for col in P.columns():
-            if not span.contains_column(list(col)):
+        for v in H:
+            if not span.contains_column(
+                    composite(v, order_next, G, order, ring.field)):
                 raise CheckFailure(
                     "a composite column at position %d lies outside the "
                     "designated relations" % k)

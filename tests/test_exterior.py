@@ -273,13 +273,12 @@ def test_field_and_polynomial_coefficients_agree(f, char):
 
 def test_identity_suite_runs_through_the_shared_act_table(monkeypatch):
     # every module action with its sign flipped must break the identities
-    raw = exterior._act_basis.__wrapped__
+    raw = exterior._act_basis
 
     def flipped(T, S):
         hit = raw(T, S)
         return None if hit is None else (-hit[0], hit[1])
 
-    exterior._act_basis.cache_clear()
     monkeypatch.setattr(exterior, "_act_basis", flipped)
     rep = run_suite("exterior-identities", fs=[4], chars=[32003])
     assert rep.status == "fail"
@@ -374,5 +373,5 @@ def test_one_pass_accumulate_matches_the_per_term_loop(name):
     # the per-term rows hold basis facts only, each its table's value
     for table in (exterior._wedge_basis, exterior._act_basis):
         for A, row in exterior._ROWS[table].items():
-            assert all(hit == table.__wrapped__(A, B)
+            assert all(hit == table(A, B)
                        for B, hit in row.items())

@@ -12,7 +12,7 @@ from pfaffcalc.gbengine import (FreeModuleOrder, SchreyerOrder, buchberger,
                                 columns_of_vecs, interreduce, make_buckets,
                                 nf, schreyer_level, schreyer_pairs,
                                 spair_vec, vec_bidegs, vec_of_entries)
-from pfaffcalc.resolutions import _ladder, _vecs_of_matrix
+from pfaffcalc.resolutions import _ladder, vecs_of_matrix
 from pfaffcalc.rings import Polynomial, ring_for
 
 
@@ -202,7 +202,7 @@ def test_interreduce_matches_per_element_reference(f, name, char, monkeypatch):
     sequence of reductions against the same bucket contents."""
     field = GF(char) if char else QQ
     ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
-    vecs, order = _vecs_of_matrix(module_presentation(name, ring))
+    vecs, order = vecs_of_matrix(module_presentation(name, ring))
     G = buchberger([v for v in vecs if v], order, field)
     levels = 0
     while G:
@@ -369,7 +369,7 @@ def test_nf_matches_merge_reference(f, name, char, monkeypatch):
     quotients, the same coefficient types as the merge-based nf."""
     field = GF(char) if char else QQ
     ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
-    vecs, order = _vecs_of_matrix(module_presentation(name, ring))
+    vecs, order = vecs_of_matrix(module_presentation(name, ring))
     calls = {}
     checked_engine(monkeypatch, calls)
     G = buchberger([v for v in vecs if v], order, field)

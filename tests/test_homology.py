@@ -5,10 +5,11 @@ import pytest
 from pfaffcalc.constructions import (GradedMatrix, TermSpec, PresentedComplex,
                                      build_complex, module_presentation)
 from pfaffcalc.fields import GF, QQ
+from pfaffcalc.gbengine import columns_of_vecs, vec_bidegs, vec_of_entries
 from pfaffcalc.homology import (ModuleSpan, betti_palindrome_check,
                                 char2_anomaly_check, homology_is_zero,
                                 kernel_over_quotient)
-from pfaffcalc.resolutions import complex_betti, free_resolution
+from pfaffcalc.resolutions import complex_betti, composite, free_resolution
 from pfaffcalc.rings import ring_for
 
 
@@ -60,9 +61,13 @@ def test_module_span_membership(qq):
     x12, x13, x23 = ring.x(1, 2), ring.x(1, 3), ring.x(2, 3)
     zero = ring.zero()
     span = ModuleSpan(ring, 2, [[x12, zero], [zero, x13]])
-    assert span.contains_column([x12 * x23, zero])
-    assert span.contains_column([zero, zero])
-    assert not span.contains_column([x13, zero])
+
+    def vec(col):
+        return vec_of_entries(enumerate(col), span.order)
+
+    assert span.contains_column(vec([x12 * x23, zero]))
+    assert span.contains_column(vec([zero, zero]))
+    assert not span.contains_column(vec([x13, zero]))
 
 
 def test_kernel_over_quotient_principal(qq):
@@ -70,19 +75,26 @@ def test_kernel_over_quotient_principal(qq):
     ring = ring_for(3, qq)
     x12, x13 = ring.x(1, 2), ring.x(1, 3)
     M = GradedMatrix(ring, [[x12]], [(1, 0)], [(2, 0)])
-    K = kernel_over_quotient(M, [[x12 * x13]])
-    cols = [list(c) for c in K.columns()]
-    assert cols, "kernel must be nonzero"
+    K, order = kernel_over_quotient(M, [[x12 * x13]])
+    assert order.rank == 1 and order.twists == ((2, 0),)
+    assert K, "kernel must be nonzero"
     span = ModuleSpan(ring, 1, [[x13]])
-    for col in cols:
-        assert span.contains_column(col)
+    for v in K:
+        assert span.contains_column(v)
 
 
-def same_span(ring, rank, twists, cols_a, cols_b):
-    span_a = ModuleSpan(ring, rank, cols_a, twists=twists)
-    span_b = ModuleSpan(ring, rank, cols_b, twists=twists)
-    return (all(span_b.contains_column(c) for c in cols_a)
-            and all(span_a.contains_column(c) for c in cols_b))
+def same_span(order, vecs_a, vecs_b):
+    """Whether two lists of vecs over order span the same submodule."""
+    zero = order.ring.zero()
+
+    def span(vecs):
+        cols = [[col.get(i, zero) for i in range(order.rank)]
+                for col in columns_of_vecs(vecs, order)]
+        return ModuleSpan(order.ring, order.rank, cols, twists=order.twists)
+
+    span_a, span_b = span(vecs_a), span(vecs_b)
+    return (all(span_b.contains_column(v) for v in vecs_a)
+            and all(span_a.contains_column(v) for v in vecs_b))
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])
@@ -92,18 +104,19 @@ def test_kernel_of_each_differential_is_the_next_image(name, f, char):
     # the minimal resolution (Schreyer route) is exact, so the kernel of
     # d_k is generated by the columns of d_{k+1}, and is zero at the end
     ring = ring_for(f, field_of(char), vars="xt" if name == "RJ" else "x")
-    diffs = free_resolution(module_presentation(name, ring),
-                            len(ring.names)).diffs
-    for k, d in enumerate(diffs):
-        K = kernel_over_quotient(d)
-        assert list(K.row_degs) == list(d.col_degs)
-        assert (d @ K).is_zero(), (k, "d o K")
-        kcols = [list(c) for c in K.columns()]
-        if k + 1 == len(diffs):
-            assert not kcols, k
+    C = free_resolution(module_presentation(name, ring), len(ring.names))
+    for k, d in enumerate(C.diffs):
+        K, korder = kernel_over_quotient(d)
+        assert korder.twists == tuple(map(tuple, d.col_degs))
+        # every kernel vec is nonzero and bihomogeneous (else this raises)
+        assert None not in vec_bidegs(K, korder)
+        order, G = C.levels[k]
+        assert not any(composite(v, korder, G, order, ring.field)
+                       for v in K), (k, "d o K")
+        if k + 1 == C.length:
+            assert not K, k
         else:
-            nxt = [list(c) for c in diffs[k + 1].columns()]
-            assert same_span(ring, d.ncols, d.col_degs, kcols, nxt), k
+            assert same_span(korder, K, C.levels[k + 1][1]), k
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])
@@ -111,19 +124,22 @@ def test_kernel_modulo_relations_and_quotient(char):
     ring = ring_for(3, field_of(char), vars="x")
     x12, x13, x23 = ring.x(1, 2), ring.x(1, 3), ring.x(2, 3)
     zero = ring.zero()
+
+    def vecs(cols, order):
+        return [vec_of_entries(enumerate(c), order) for c in cols]
+
     # [x12 x13] into R / (x23, x12*x13): a*x12 + b*x13 vanishes there
     # exactly when a lies in (x13, x23) and b in (x12, x23)
     M = GradedMatrix(ring, [[x12, x13]], [(0, 0)], [(1, 0), (1, 0)])
-    K = kernel_over_quotient(M, [[x23], [x12 * x13]])
+    K, order = kernel_over_quotient(M, [[x23], [x12 * x13]])
     want = [[x13, zero], [x23, zero], [zero, x12], [zero, x23]]
-    assert same_span(ring, 2, M.col_degs,
-                     [list(c) for c in K.columns()], want)
+    assert same_span(order, K, vecs(want, order))
     # the quotient multiplies every cover vector: (x12, x13)^T into
     # R^2 / (x12*R^2 + R*(0, x23)) has kernel (x12, x23)
     M = GradedMatrix(ring, [[x12], [x13]], [(0, 0), (0, 0)], [(1, 0)])
-    K = kernel_over_quotient(M, [[zero, x23], [x12, zero], [zero, x12]])
-    assert same_span(ring, 1, M.col_degs,
-                     [list(c) for c in K.columns()], [[x12], [x23]])
+    K, order = kernel_over_quotient(M, [[zero, x23], [x12, zero],
+                                        [zero, x12]])
+    assert same_span(order, K, vecs([[x12], [x23]], order))
 
 
 def test_palindrome_check_on_tables(qq):

@@ -1,6 +1,7 @@
 """Free resolutions: minimality, frozen tables, dual-route agreement."""
 
 import hashlib
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,8 +14,8 @@ from pfaffcalc.constructions import (GradedMatrix, mapping_cone_betti,
                                      module_presentation)
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.resolutions import (FreeComplex, ResolutionTruncated,
-                                   complex_betti, free_resolution,
-                                   ladder_betti, minimalize)
+                                   complex_betti, composite, free_resolution,
+                                   ladder_betti, minimalize, vecs_of_matrix)
 from pfaffcalc.rings import ring_for
 
 
@@ -288,22 +289,45 @@ def test_check_rejects_a_nonzero_composite(char):
         FreeComplex.of_matrices(ring, twists, _koszul_maps(ring, 1))
 
 
-@pytest.mark.parametrize("char", [0, 32003])
-def test_check_sums_the_composite_in_the_field(char):
-    """d1 = [a a] and d2 = [16001, 16002]^T: the composite is 32003 * a,
-    zero in GF(32003) and nonzero over QQ."""
+@pytest.mark.parametrize("char,c1,c2,want", [
+    pytest.param(0, 16001, 16002, 32003, id="0"),
+    pytest.param(32003, 16001, 16002, 0, id="32003"),
+    pytest.param(32003, 16001, 16003, 1, id="32003-residue"),
+    pytest.param(0, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6),
+                 id="0-fraction"),
+])
+def test_check_sums_the_composite_in_the_field(char, c1, c2, want):
+    """d1 = [a a] and d2 = [c1, c2]^T: the composite is (c1 + c2) * a.
+    16001 + 16002 = 32003 vanishes in GF(32003) and not over QQ; with
+    16003 the sum leaves the residue 1; 1/2 - 1/3 is nonzero although
+    the numerators cancel."""
     ring = ring_for(4, GF(char) if char else QQ, vars="x")
     a = ring.x(1, 2)
     twists = [[(0, 0)], [(1, 0)] * 2, [(1, 0)]]
     diffs = [GradedMatrix(ring, [[a, a]], twists[0], twists[1]),
-             GradedMatrix(ring, [[ring.const(16001)], [ring.const(16002)]],
+             GradedMatrix(ring, [[ring.const(c1)], [ring.const(c2)]],
                           twists[1], twists[2])]
-    if char:
-        FreeComplex.of_matrices(ring, twists, diffs)
-    else:
+    (G, order), (H, order_next) = (vecs_of_matrix(d) for d in diffs)
+    got = composite(H[0], order_next, G, order, ring.field)
+    assert got == (((order.key(0, a.lm()), want),) if want else ())
+    if want:
         with pytest.raises(ValueError,
                            match="composite d_1 o d_2 is nonzero"):
             FreeComplex.of_matrices(ring, twists, diffs)
+    else:
+        FreeComplex.of_matrices(ring, twists, diffs)
+
+
+def test_composite_is_a_descending_vec(qq):
+    # the smaller term is summed first, and still comes out last
+    ring = ring_for(4, qq, vars="x")
+    small, large = sorted((ring.x(1, 2), ring.x(1, 3)), key=lambda p: p.lm())
+    d1 = GradedMatrix(ring, [[small, large]], [(0, 0)], [(1, 0)] * 2)
+    d2 = GradedMatrix(ring, [[ring.one()], [ring.const(-2)]], [(1, 0)] * 2,
+                      [(1, 0)])
+    (G, order), (H, order_next) = (vecs_of_matrix(d) for d in (d1, d2))
+    assert composite(H[0], order_next, G, order, QQ) == (
+        (order.key(0, large.lm()), -2), (order.key(0, small.lm()), 1))
 
 
 def test_check_rejects_a_twist_mismatch(qq):

@@ -218,6 +218,33 @@ def test_closure_suite_small_grid():
     assert all("composites-vanish" in c.name for c in rep.checks)
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name,f,k", [("precplx", 4, 0), ("precplx", 4, 1),
+                                      ("seq32", 3, 2)])
+def test_closure_rejects_a_perturbed_map(name, f, k, char, monkeypatch):
+    # doubling the first nonzero entry of maps[k + 1] moves a composite
+    # column at position k out of the designated relations
+    real = verify.build_complex
+
+    def perturbed(name, ring):
+        C = real(name, ring)
+        M = C.maps[k + 1]
+        ent = [list(row) for row in M.entries]
+        i, j = next((i, j) for j in range(M.ncols) for i in range(M.nrows)
+                    if not ent[i][j].is_zero())
+        ent[i][j] = ent[i][j].scale(ring.field.from_int(2))
+        C.maps[k + 1] = constructions.GradedMatrix(ring, ent, M.row_degs,
+                                                   M.col_degs)
+        return C
+
+    verify._closure_complex(name, f, char)
+    monkeypatch.setattr(verify, "build_complex", perturbed)
+    with pytest.raises(CheckFailure,
+                       match="a composite column at position %d lies "
+                             "outside the designated relations" % k):
+        verify._closure_complex(name, f, char)
+
+
 def test_all_runs_every_suite_in_order():
     rep = run_suite("all", fs=[4], chars=[0], budget_seconds=0)
     assert rep.suite == "all"
