@@ -13,7 +13,8 @@ degree) emerge from these two rules; none are hand-coded.
 
 Divided powers of a degree-2 element v are computed by the recursion
 e_i*(v^(l)) = e_i*(v) ^ v^(l-1), reading off the coefficient of each
-basis monomial from its smallest index.  The independent cross-check,
+basis monomial from its smallest index i, so only the factors' terms
+above i enter the product.  The independent cross-check,
 pfaffian_oracle, instead expands submatrix Pfaffians along the first row
 with explicit (-1)^j signs.
 """
@@ -221,12 +222,18 @@ class ExteriorElement:
         prev = self.divided_power(ell - 1)
         opp = "dual" if self.side == "primal" else "primal"
         out = {}
-        # e_i*(self) = 0 for an index i that occurs in no term
+        # e_i*(self) = 0 for an index i that occurs in no term.  Only the
+        # terms S with S[0] > i are kept, and those come only from terms
+        # j > i of e_i*(self) wedged with terms of prev above i, so both
+        # factors are cut to those first; the kept sums and their order
+        # are unchanged.
         for i in sorted({i for S in self.terms for i in S}):
-            w = ExteriorElement.basis(self.ring, opp, (i,)).act(self).wedge(prev)
-            for S, c in w.terms.items():
-                if S and S[0] > i:
-                    out[(i,) + S] = c
+            ei = ExteriorElement.basis(self.ring, opp, (i,)).act(self)
+            head = ei._new({S: c for S, c in ei.terms.items() if S[0] > i})
+            tail = prev._new({S: c for S, c in prev.terms.items()
+                              if S[0] > i})
+            for S, c in head.wedge(tail).terms.items():
+                out[(i,) + S] = c
         return ExteriorElement(self.ring, self.side, 2 * ell, out)
 
     # ------------------------------------------------------------------------------

@@ -298,64 +298,69 @@ def _divisibility_minimal(cand, divides):
     return kept
 
 
-def buchberger(vecs, order, field):
-    """Groebner basis of the submodule generated by `vecs`, as a list of
-    vecs (leading coefficients arbitrary).
+def buchberger(vecs, order, field, known=()):
+    """Groebner basis of the submodule generated by `known` and `vecs`,
+    as a list of vecs (leading coefficients arbitrary) that starts with
+    `known` as given.
 
-    Pairs are pruned by Gebauer-Moeller chain and multiple elimination,
-    plus the coprime criterion on rank-1 scalar input."""
+    `known` must be a Groebner basis of its own span, of nonzero vecs
+    (say, a reduced basis placed in each of several components).  Its
+    elements are installed unreduced and no pair of two of them is ever
+    formed: each such pair reduces to zero against `known` alone, so it
+    counts as treated, and the pruning below stays sound.
+
+    Pairs only ever join elements of one leading component.  A new
+    element is paired with the earlier elements of its own component,
+    pruned by Gebauer-Moeller multiple elimination (plus the coprime
+    criterion on rank-1 scalar input), and the chain criterion scans
+    only its component's pending pairs."""
     codec = order.codec
+    lcm, divides = codec.lcm, codec.divides
     scalar = isinstance(order, FreeModuleOrder) and order.rank == 1
 
     G = []
-    lts = []
+    comps = []      # leading component of each element
+    monos = []      # leading monomial of each element
+    members = {}    # component -> indices of its elements, ascending
+    pending = {}    # component -> {(i, j): lcm} of its live pairs
     buckets = {}
     heap = []
-    alive = set()
-    lcms = {}
 
-    def pair_degree(L, comp):
-        a, b = order.twists[comp]
-        return codec.deg(L) + a + b
+    def install(g):
+        s = len(G)
+        G.append(g)
+        k = g[0][0]
+        ct = order.comp(k)
+        comps.append(ct)
+        monos.append(order.mono(k))
+        bucket_insert(buckets, order, field, g, s)
+        return s, ct, members.setdefault(ct, [])
 
-    def add_pairs(t):
-        kt = lts[t]
-        ct = order.comp(kt)
-        mt = order.mono(kt)
+    def add_pairs(t, ct, mine):
+        mt = monos[t]
         cand = []
-        for i in range(t):
-            if order.comp(lts[i]) != ct:
-                continue
-            L = codec.lcm(order.mono(lts[i]), mt)
+        for i in mine:
+            L = lcm(monos[i], mt)
             cand.append((codec.deg(L), L, i))
-        kept = _divisibility_minimal(cand, codec.divides)
+        kept = _divisibility_minimal(cand, divides)
         if scalar:
-            kept = [(dL, L, i) for (dL, L, i) in kept
-                    if not codec.coprime(order.mono(lts[i]), mt)]
+            kept = [c for c in kept if not codec.coprime(monos[c[2]], mt)]
         # chain criterion on pending pairs: lt(t) divides their lcm
         # and both new lcms differ from the old one
-        for (i, j) in list(alive):
-            Lij = lcms[(i, j)]
-            if order.comp(lts[i]) != ct:
-                continue
-            if not codec.divides(mt, Lij):
-                continue
-            Lit = codec.lcm(order.mono(lts[i]), mt)
-            Ljt = codec.lcm(order.mono(lts[j]), mt)
-            if Lit != Lij and Ljt != Lij:
-                alive.discard((i, j))
-                del lcms[(i, j)]
+        live = pending.setdefault(ct, {})
+        for (i, j), Lij in list(live.items()):
+            if divides(mt, Lij) and lcm(monos[i], mt) != Lij and \
+                    lcm(monos[j], mt) != Lij:
+                del live[(i, j)]
+        a, b = order.twists[ct]
         for dL, L, i in kept:
-            alive.add((i, t))
-            lcms[(i, t)] = L
-            heappush(heap, (pair_degree(L, ct), t, i))
+            live[(i, t)] = L
+            heappush(heap, (dL + a + b, t, i))
+        mine.append(t)
 
-    def install(remainder):
-        s = len(G)
-        G.append(tuple(remainder))
-        lts.append(remainder[0][0])
-        bucket_insert(buckets, order, field, G[s], s)
-        add_pairs(s)
+    for g in known:
+        s, ct, mine = install(tuple(g))
+        mine.append(s)
 
     for v in vecs:
         v = tuple(v)
@@ -363,20 +368,19 @@ def buchberger(vecs, order, field):
             continue
         rem, _ = nf(v, order, buckets, field)
         if rem:
-            install(rem)
+            add_pairs(*install(rem))
 
     while heap:
         _, j, i = heappop(heap)
-        if (i, j) not in alive:
+        L = pending[comps[j]].pop((i, j), None)
+        if L is None:
             continue
-        alive.discard((i, j))
-        L = lcms.pop((i, j))
-        ua = codec.div(L, order.mono(lts[i]))
-        ub = codec.div(L, order.mono(lts[j]))
+        ua = codec.div(L, monos[i])
+        ub = codec.div(L, monos[j])
         sp, _, _ = spair_vec(G[i], G[j], ua, ub, order, field)
         rem, _ = nf(sp, order, buckets, field)
         if rem:
-            install(rem)
+            add_pairs(*install(rem))
     return G
 
 

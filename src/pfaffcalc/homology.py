@@ -5,8 +5,11 @@ Quotient-ring homology is decided without quotient-ring Groebner bases:
 "zero in the module" always means membership in the span of the map
 columns together with the term's own relation columns and the ambient
 quotient ideal times each cover generator, all over the polynomial
-ring.  Spans are built from the construction matrices' columns, the dense
-edge; kernels and the elements tested for membership stay engine vecs.
+ring.  The quotient ideal's reduced basis is computed once per complex
+check (`quotient_span`) and placed in every cover component as a basis
+known in advance, so its pairs are never formed again.  Spans are built
+from the construction matrices' columns, the dense edge; kernels and
+the elements tested for membership stay engine vecs.
 """
 
 from fractions import Fraction
@@ -20,26 +23,26 @@ from .gbengine import (FreeModuleOrder, buchberger, interreduce,
 from .resolutions import ladder_betti
 
 
-def _quotient_columns(ring, quotient, rank):
-    zero = ring.zero()
-    cols = []
-    for q in quotient:
-        for i in range(rank):
-            cols.append([q if r == i else zero for r in range(rank)])
-    return cols
-
-
 class ModuleSpan:
     """Membership oracle for the submodule of a free module generated by
-    the given columns, from its reduced Groebner basis.  GroebnerBasis is
-    the rank-1 case."""
+    the given columns, plus Q times every cover basis vector when a
+    quotient ideal Q is given, from its reduced Groebner basis.
+    GroebnerBasis is the rank-1 case.
 
-    def __init__(self, ring, rank, cols, twists=None):
+    `quotient` is the rank-1 span of Q (say, `quotient_span(C)`).  Its
+    reduced basis placed in every component is a Groebner basis of
+    Q*R^rank, since pairs never join two components, so buchberger takes
+    it as known and pairs none of its elements with each other."""
+
+    def __init__(self, ring, rank, cols, twists=None, quotient=None):
         self.ring = ring
         self.field = ring.field
         self.order = FreeModuleOrder(ring, rank, twists=twists)
         vecs = [vec_of_entries(enumerate(c), self.order) for c in cols]
-        G = buchberger([v for v in vecs if v], self.order, self.field)
+        known = () if quotient is None else \
+            quotient.placed(self.order, range(rank))
+        G = buchberger([v for v in vecs if v], self.order, self.field,
+                       known=known)
         self._G = interreduce(G, self.order, self.field)
         self._buckets = make_buckets(self._G, self.order, self.field)
 
@@ -48,29 +51,36 @@ class ModuleSpan:
         rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
         return not rem
 
-
-def relation_columns(C, k):
-    """The relations presenting term k of the presented complex C: its
-    own relation columns, then each quotient generator times each cover
-    basis vector."""
-    term = C.terms[k]
-    return term.extra_relations + _quotient_columns(C.ring, C.quotient,
-                                                    term.rank)
+    def placed(self, order, comps):
+        """The reduced basis of this rank-1 span placed in each listed
+        component of the free module order, as vecs over it."""
+        mono = self.order.mono
+        return [tuple((order.key(i, mono(k)), c) for k, c in g)
+                for i in comps for g in self._G]
 
 
-def kernel_over_quotient(M, relations=()):
+def quotient_span(C):
+    """The rank-1 span of the quotient ideal of the presented complex C,
+    the `quotient` of the spans and kernels over its terms."""
+    return ModuleSpan(C.ring, 1, [[q] for q in C.quotient])
+
+
+def kernel_over_quotient(M, relations=(), quotient=None):
     """Generators of {v : M v = 0 in the target module}, where the target
-    is the cokernel of the given relation columns, as (vecs, order): the
-    order is the free module of rank M.ncols twisted by M.col_degs.
+    is the cokernel of the given relation columns and, when `quotient`
+    (a rank-1 span of an ideal Q) is given, of Q times every target row,
+    as (vecs, order): the order is the free module of rank M.ncols
+    twisted by M.col_degs.
 
     Elimination on the graph module: in R^nrows (+) R^ncols, the columns
-    (M e_j, e_j) and (rel, 0) generate a submodule whose elements with
-    zero first block are exactly (0, v) with M v in the span of the
-    relations.  Under a position-over-term order that ranks the target
-    rows above the tag block, a Groebner basis element whose leading
-    term lies in the tag block has no target part at all, and these
-    elements form a Groebner basis of that intersection, so they generate
-    the kernel."""
+    (M e_j, e_j), (rel, 0) and (q e_i, 0) generate a submodule whose
+    elements with zero first block are exactly (0, v) with M v in the
+    span of the relations.  Under a position-over-term order that ranks
+    the target rows above the tag block, a Groebner basis element whose
+    leading term lies in the tag block has no target part at all, and
+    these elements form a Groebner basis of that intersection, so they
+    generate the kernel.  The reduced basis of Q placed in every target
+    row enters buchberger as known."""
     ring = M.ring
     nrows, ncols = M.nrows, M.ncols
     order = FreeModuleOrder(ring, nrows + ncols,
@@ -79,9 +89,10 @@ def kernel_over_quotient(M, relations=()):
     vecs = [vec_of_entries(list(enumerate(col)) + [(nrows + j, one)], order)
             for j, col in enumerate(M.columns())]
     vecs.extend(vec_of_entries(enumerate(c), order) for c in relations)
+    known = () if quotient is None else quotient.placed(order, range(nrows))
     korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
     kernel = []
-    for g in buchberger(vecs, order, ring.field):
+    for g in buchberger(vecs, order, ring.field, known=known):
         if order.comp(g[0][0]) >= nrows:
             # shifting every component down by nrows keeps the key order
             kernel.append(tuple((korder.key(order.comp(k) - nrows,
@@ -104,14 +115,17 @@ def homology_is_zero(C, position):
         raise ValueError("position out of range")
     ring = C.ring
     term = C.terms[position]
+    quotient = quotient_span(C)
     span_cols = []
     if position < L:
         span_cols.extend(C.maps[position].columns())
-    span_cols.extend(relation_columns(C, position))
-    span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs)
+    span_cols.extend(term.extra_relations)
+    span = ModuleSpan(ring, term.rank, span_cols, twists=term.degs,
+                      quotient=quotient)
     if position >= 1:
         tests, _ = kernel_over_quotient(C.maps[position - 1],
-                                        relation_columns(C, position - 1))
+                                        C.terms[position - 1].extra_relations,
+                                        quotient)
     else:
         order = span.order
         one = ring.field.one()

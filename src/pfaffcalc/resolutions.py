@@ -7,16 +7,20 @@ columns of d_{k+1} as vecs over order_k).  It checks itself when built
 graded matrices exist only at the API edge: `FreeComplex.of_matrices`
 takes them in, and reading `diffs`, which only callers do, builds them.
 
-Two independent Betti routes are provided on purpose:
+Two independent Betti routes are provided on purpose.  Both read one
+Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
+`schreyer_frame` builds, which a caller that wants both tables builds
+once and hands to each:
 
-* ``free_resolution`` wraps the iterated-syzygy ladder under Schreyer
-  orders as a (checked) FreeComplex and returns ``minimalize`` of it:
-  unit entries are contracted on packed terms (deterministic pivot
-  order) and the minimal complex is checked again;
-* ``ladder_betti`` never minimalizes: it reads the minimal Betti numbers
-  off the non-minimal ladder as dimensions of constant-strand homology
+* ``minimal_resolution`` wraps the frame as a (checked) FreeComplex and
+  returns ``minimalize`` of it: unit entries are contracted on packed
+  terms (deterministic pivot order) and the minimal complex is checked
+  again; ``free_resolution`` is this route on a presentation;
+* ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
+  off the non-minimal frame as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
-  and outgoing constant blocks).
+  and outgoing constant blocks); ``ladder_betti`` is this route on a
+  presentation.
 
 Both must agree; tests compare them.
 """
@@ -170,12 +174,12 @@ class FreeComplex:
         return "<FreeComplex ranks %r>" % ([len(t) for t in self.twists],)
 
 
-def _ladder(pres):
-    """The Schreyer ladder of coker(pres) as (levels, twists), the data
-    of a FreeComplex: F_0 from the rows of pres, F_k from the Schreyer
-    order of level k, the last module from its columns.  Raises
-    ResolutionTruncated if the ladder does not end naturally within
-    len(ring.names) + 2 levels."""
+def schreyer_frame(pres):
+    """The Schreyer frame of coker(pres) as (levels, twists), the data of
+    a FreeComplex: F_0 from the rows of pres, F_k from the Schreyer order
+    of level k, the last module from its columns.  Both Betti routes
+    read it and neither changes it.  Raises ResolutionTruncated if the
+    ladder does not end naturally within len(ring.names) + 2 levels."""
     cap = len(pres.ring.names) + 2
     vecs, order0 = vecs_of_matrix(pres)
     levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
@@ -192,17 +196,19 @@ def _ladder(pres):
 
 def free_resolution(pres, max_len):
     """The minimal graded free resolution of coker(pres), of length at
-    most max_len.
+    most max_len: `minimal_resolution` of its `schreyer_frame`."""
+    return minimal_resolution(schreyer_frame(pres), pres.ring, max_len)
 
-    The iterated Schreyer syzygies of the column module form a checked
-    FreeComplex, which `minimalize` contracts.  If the ladder does not
-    end naturally within len(ring.names) + 2 levels, or the minimal
-    resolution turns out longer than max_len, a ResolutionTruncated error
-    is raised — never a silently shortened complex."""
+
+def minimal_resolution(frame, ring, max_len):
+    """The minimalizing route: the frame as a checked FreeComplex, which
+    `minimalize` contracts.  If the minimal resolution turns out longer
+    than max_len, a ResolutionTruncated error is raised — never a
+    silently shortened complex."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    levels, twists = _ladder(pres)
-    minC, _ = minimalize(FreeComplex(pres.ring, twists, levels))
+    levels, twists = frame
+    minC, _ = minimalize(FreeComplex(ring, twists, levels))
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
@@ -399,15 +405,19 @@ def _constant_strands(order, els, row_twists, col_twists, field):
 
 
 def ladder_betti(pres):
-    """Minimal bigraded Betti numbers of coker(pres), read directly off
-    the non-minimal Schreyer ladder.
+    """Minimal bigraded Betti numbers of coker(pres): `strand_betti` of
+    its `schreyer_frame`."""
+    return strand_betti(schreyer_frame(pres), pres.ring.field)
 
-    In each bidegree, beta_{k} = (generators of the ladder's F_k there)
+
+def strand_betti(frame, field):
+    """The constant-strand route: minimal bigraded Betti numbers read
+    directly off the non-minimal frame.
+
+    In each bidegree, beta_{k} = (generators of the frame's F_k there)
     minus the ranks of the incoming and outgoing constant strands; no
-    minimalization is performed.  Raises ResolutionTruncated if the
-    ladder does not end naturally within len(ring.names) + 2 levels."""
-    field = pres.ring.field
-    levels, twists = _ladder(pres)
+    minimalization is performed."""
+    levels, twists = frame
     ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
     for k, (order_k, els) in enumerate(levels):
         strands = _constant_strands(order_k, els, twists[k], twists[k + 1],

@@ -1,18 +1,19 @@
 """Buchberger/Schreyer engine: S-pair closure, module orders."""
 
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from pfaffcalc import gbengine
+from pfaffcalc import gbengine, homology, verify
 from pfaffcalc.constructions import build_ideal, module_presentation
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.gbengine import (FreeModuleOrder, SchreyerOrder, buchberger,
                                 columns_of_vecs, interreduce, make_buckets,
                                 nf, schreyer_level, schreyer_pairs,
                                 spair_vec, vec_bidegs, vec_of_entries)
-from pfaffcalc.resolutions import _ladder, vecs_of_matrix
+from pfaffcalc.resolutions import schreyer_frame, vecs_of_matrix
 from pfaffcalc.rings import Polynomial, ring_for
 
 
@@ -468,7 +469,7 @@ def test_schreyer_keys_of_the_n_ladder_at_f6():
     divisibility between same-component terms agrees with the codec."""
     ring = ring_for(6, GF(32003), vars="x")
     codec = ring.codec
-    levels, _ = _ladder(module_presentation("N", ring))
+    levels, _ = schreyer_frame(module_presentation("N", ring))
     assert len(levels) == 10
     for order, els in levels:
         leads = {}
@@ -487,3 +488,183 @@ def test_schreyer_keys_of_the_n_ladder_at_f6():
                     assert order.divides(b, key) == codec.divides(mb, ma)
                     if codec.divides(mb, ma):
                         assert order.quot(key, b) == codec.div(ma, mb)
+
+
+# -- buchberger against the pair scan over every component --------------------
+
+def buchberger_reference(vecs, order, field):
+    """buchberger as it was when a new element scanned every earlier
+    element, and the chain criterion every live pair, of all components,
+    and no basis could be installed as known."""
+    codec = order.codec
+    scalar = isinstance(order, FreeModuleOrder) and order.rank == 1
+    G, lts, buckets, heap, alive, lcms = [], [], {}, [], set(), {}
+
+    def add_pairs(t):
+        kt = lts[t]
+        ct = order.comp(kt)
+        mt = order.mono(kt)
+        cand = []
+        for i in range(t):
+            if order.comp(lts[i]) != ct:
+                continue
+            L = codec.lcm(order.mono(lts[i]), mt)
+            cand.append((codec.deg(L), L, i))
+        kept = gbengine._divisibility_minimal(cand, codec.divides)
+        if scalar:
+            kept = [(dL, L, i) for (dL, L, i) in kept
+                    if not codec.coprime(order.mono(lts[i]), mt)]
+        for (i, j) in list(alive):
+            Lij = lcms[(i, j)]
+            if order.comp(lts[i]) != ct or not codec.divides(mt, Lij):
+                continue
+            if codec.lcm(order.mono(lts[i]), mt) != Lij and \
+                    codec.lcm(order.mono(lts[j]), mt) != Lij:
+                alive.discard((i, j))
+                del lcms[(i, j)]
+        a, b = order.twists[ct]
+        for dL, L, i in kept:
+            alive.add((i, t))
+            lcms[(i, t)] = L
+            heapq.heappush(heap, (dL + a + b, t, i))
+
+    def install(remainder):
+        s = len(G)
+        G.append(tuple(remainder))
+        lts.append(remainder[0][0])
+        gbengine.bucket_insert(buckets, order, field, G[s], s)
+        add_pairs(s)
+
+    for v in vecs:
+        v = tuple(v)
+        if v:
+            rem, _ = gbengine.nf(v, order, buckets, field)
+            if rem:
+                install(rem)
+    while heap:
+        _, j, i = heapq.heappop(heap)
+        if (i, j) not in alive:
+            continue
+        alive.discard((i, j))
+        L = lcms.pop((i, j))
+        ua = codec.div(L, order.mono(lts[i]))
+        ub = codec.div(L, order.mono(lts[j]))
+        sp, _, _ = gbengine.spair_vec(G[i], G[j], ua, ub, order, field)
+        rem, _ = gbengine.nf(sp, order, buckets, field)
+        if rem:
+            install(rem)
+    return G
+
+
+def existing_inputs(char):
+    """The buchberger inputs of the other tests here: J at f = 3, 4 and
+    the A, N and RJ presentations at f = 4, 5."""
+    field = GF(char) if char else QQ
+    for f in (3, 4):
+        _, order, vecs = scalar_setup(f, field)
+        yield vecs, order
+    for f in (4, 5):
+        for name in ("A", "N", "RJ"):
+            ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
+            vecs, order = vecs_of_matrix(module_presentation(name, ring))
+            yield [v for v in vecs if v], order
+
+
+def suite_inputs(name, f, char, monkeypatch):
+    """Every (vecs, order, field, known) that the complex-closure and
+    exactness checks of one complex hand to buchberger."""
+    calls = []
+    real = homology.buchberger
+
+    def recording(vecs, order, field, known=()):
+        calls.append((list(vecs), order, field, list(known)))
+        return real(vecs, order, field, known=known)
+    with monkeypatch.context() as m:
+        m.setattr(homology, "buchberger", recording)
+        verify._closure_complex(name, f, char)
+        verify._exactness_check(name, f, char)
+    return calls
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_buchberger_matches_reference_on_the_existing_inputs(char):
+    for vecs, order in existing_inputs(char):
+        field = order.ring.field
+        assert buchberger(vecs, order, field) == \
+            buchberger_reference(vecs, order, field)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", ["precplx", "seq32", "seq43"])
+@pytest.mark.parametrize("f", [4, 5])
+def test_buchberger_with_a_known_basis_matches_reference(f, name, char,
+                                                         monkeypatch):
+    """Each span and kernel input of the closure and exactness checks,
+    as the flat list known + vecs: the same list as the reference.  With
+    the quotient's basis installed as known: no pair of two known
+    elements, and the same reduced basis as the reference."""
+    calls = suite_inputs(name, f, char, monkeypatch)
+    assert sum(1 for *_, known in calls if known) >= 2
+    real_spair = gbengine.spair_vec
+    for vecs, order, field, known in calls:
+        flat = known + vecs
+        want = buchberger_reference(flat, order, field)
+        assert buchberger(flat, order, field) == want
+        pairs = []
+
+        def spying(gi, gj, *args):
+            pairs.append((gi, gj))
+            return real_spair(gi, gj, *args)
+        with monkeypatch.context() as m:
+            m.setattr(gbengine, "spair_vec", spying)
+            got = buchberger(vecs, order, field, known=known)
+        assert got[:len(known)] == known
+        seen = set(known)
+        assert not any(gi in seen and gj in seen for gi, gj in pairs)
+        assert interreduce(got, order, field) == \
+            interreduce(want, order, field)
+
+
+def _old_span_basis(C, rank, cols, twists):
+    """ModuleSpan._G as it was: the quotient generators times each cover
+    vector flattened into the columns, through the reference."""
+    ring = C.ring
+    zero = ring.zero()
+    qcols = [[q if r == i else zero for r in range(rank)]
+             for q in C.quotient for i in range(rank)]
+    order = FreeModuleOrder(ring, rank, twists=twists)
+    vecs = [vec_of_entries(enumerate(c), order) for c in list(cols) + qcols]
+    G = buchberger_reference([v for v in vecs if v], order, ring.field)
+    return interreduce(G, order, ring.field)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", ["precplx", "seq32", "seq43"])
+@pytest.mark.parametrize("f", [4, 5])
+def test_module_spans_of_the_suites_keep_their_reduced_basis(f, name, char,
+                                                             monkeypatch):
+    """Every term span the closure and exactness checks build has the
+    reduced basis the flattened quotient columns gave it."""
+    built = []
+    real_complex = verify.build_complex
+    real_init = homology.ModuleSpan.__init__
+
+    def init(self, ring, rank, cols, twists=None, quotient=None):
+        real_init(self, ring, rank, cols, twists=twists, quotient=quotient)
+        if quotient is not None:
+            built.append((self, cols, twists))
+
+    complexes = []
+
+    def building(name, ring):
+        complexes.append(real_complex(name, ring))
+        return complexes[-1]
+    monkeypatch.setattr(verify, "build_complex", building)
+    monkeypatch.setattr(homology.ModuleSpan, "__init__", init)
+    verify._closure_complex(name, f, char)
+    verify._exactness_check(name, f, char)
+    C = complexes[0]
+    spans = len(C.maps) - 1 + len(C.exact_positions)
+    assert len(built) == spans
+    for span, cols, twists in built:
+        assert span._G == _old_span_basis(C, span.order.rank, cols, twists)

@@ -5,10 +5,11 @@ import pytest
 from pfaffcalc.constructions import (GradedMatrix, TermSpec, PresentedComplex,
                                      build_complex, module_presentation)
 from pfaffcalc.fields import GF, QQ
-from pfaffcalc.gbengine import columns_of_vecs, vec_bidegs, vec_of_entries
+from pfaffcalc.gbengine import (columns_of_vecs, interreduce, vec_bidegs,
+                                vec_of_entries)
 from pfaffcalc.homology import (ModuleSpan, betti_palindrome_check,
                                 char2_anomaly_check, homology_is_zero,
-                                kernel_over_quotient)
+                                kernel_over_quotient, quotient_span)
 from pfaffcalc.resolutions import complex_betti, composite, free_resolution
 from pfaffcalc.rings import ring_for
 
@@ -140,6 +141,35 @@ def test_kernel_modulo_relations_and_quotient(char):
     K, order = kernel_over_quotient(M, [[zero, x23], [x12, zero],
                                         [zero, x12]])
     assert same_span(order, K, vecs([[x12], [x23]], order))
+    # the same quotient given as an ideal, placed in every target row
+    K, order = kernel_over_quotient(M, [[zero, x23]],
+                                    ModuleSpan(ring, 1, [[x12]]))
+    assert same_span(order, K, vecs([[x12], [x23]], order))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", ["precplx", "seq32", "seq43"])
+@pytest.mark.parametrize("f", [4, 5])
+def test_kernels_over_the_known_quotient_match_the_flattened_one(f, name,
+                                                                 char):
+    """Every kernel the exactness check takes has the reduced basis it
+    had when the quotient generators times each target row were passed
+    as relation columns."""
+    ring = ring_for(f, field_of(char))
+    C = build_complex(name, ring)
+    quotient = quotient_span(C)
+    zero = ring.zero()
+    for pos in C.exact_positions:
+        if pos == 0:
+            continue
+        M, term = C.maps[pos - 1], C.terms[pos - 1]
+        flat = [[q if r == i else zero for r in range(term.rank)]
+                for q in C.quotient for i in range(term.rank)]
+        K, korder = kernel_over_quotient(M, term.extra_relations, quotient)
+        K0, _ = kernel_over_quotient(M, term.extra_relations + flat)
+        assert K
+        assert interreduce(K, korder, ring.field) == \
+            interreduce(K0, korder, ring.field)
 
 
 def test_palindrome_check_on_tables(qq):

@@ -144,7 +144,7 @@ def test_public_minimalize_of_the_frame_is_frozen(name, f, char):
     # the dense entry point contracts the whole non-minimal frame
     ring = ring_for(f, GF(char) if char else QQ,
                     vars="xt" if name == "RJ" else "x")
-    levels, twists = resolutions._ladder(module_presentation(name, ring))
+    levels, twists = resolutions.schreyer_frame(module_presentation(name, ring))
     vec_frame = FreeComplex(ring, twists, levels)
     frame = FreeComplex.of_matrices(ring, twists, vec_frame.diffs)
     assert not frame.is_minimal()
@@ -165,7 +165,7 @@ def test_dense_round_trip_keeps_the_frozen_complex(name, f, char):
 
 def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
     ring = ring_for(5, qq, vars="x")
-    levels, twists = resolutions._ladder(module_presentation("N", ring))
+    levels, twists = resolutions.schreyer_frame(module_presentation("N", ring))
     frame = FreeComplex(ring, twists, levels)
     minC, _ = minimalize(frame)
     one = ring.codec.one

@@ -111,24 +111,42 @@ def test_crashed_check_is_an_error_not_a_fail(monkeypatch):
     assert rep.status == "fail"
 
 
-def _counting(monkeypatch, name, calls):
-    real = getattr(verify, name)
+def _counting(monkeypatch, calls, routes=("minimal_resolution",
+                                          "strand_betti")):
+    """Record each Schreyer frame verify builds, and each call of the
+    named route functions, as (function, variables, presentation
+    columns); a route call is matched to the frame object it received."""
+    frames = []  # (frame, shape), kept alive so identities stay unique
+    real_frame = verify.schreyer_frame
 
-    def counted(pres, *args, **kw):
-        calls.append((name, len(pres.ring.names), pres.ncols))
-        return real(pres, *args, **kw)
-    monkeypatch.setattr(verify, name, counted)
+    def frame(pres):
+        out = real_frame(pres)
+        shape = (len(pres.ring.names), pres.ncols)
+        frames.append((out, shape))
+        calls.append(("schreyer_frame",) + shape)
+        return out
+    monkeypatch.setattr(verify, "schreyer_frame", frame)
+
+    def counting(name):
+        real = getattr(verify, name)
+
+        def counted(fr, *args):
+            calls.append((name,) + next(s for f, s in frames if f is fr))
+            return real(fr, *args)
+        return counted
+    for name in routes:
+        monkeypatch.setattr(verify, name, counting(name))
 
 
 def test_resolution_tables_are_computed_once_per_run(monkeypatch):
     """Six checks of the f = 4 resolutions suite over QQ ask for the
-    tables of RJ (three times), N (twice) and A (once); each table is
-    resolved by both routes once per run, and again in the next run.
-    The rank-oracle check reads the RJ presentation from the same cache,
-    so each module is presented once per run."""
+    tables of RJ (three times), N (twice) and A (once); each table's
+    frame is built once per run and read by both routes, and all of it
+    happens again in the next run.  The rank-oracle check reads the RJ
+    presentation from the same cache, so each module is presented once
+    per run."""
     calls = []
-    _counting(monkeypatch, "free_resolution", calls)
-    _counting(monkeypatch, "ladder_betti", calls)
+    _counting(monkeypatch, calls)
     presented = []
     real_presentation = verify.module_presentation
 
@@ -140,26 +158,33 @@ def test_resolution_tables_are_computed_once_per_run(monkeypatch):
     assert first.status == "pass" and len(first.checks) == 4
     assert sorted(presented) == ["A", "N", "RJ"]
     # (variables, presentation columns): RJ 10 and 5, N 6 and 8, A 6 and 1
+    shapes = ((10, 5), (6, 8), (6, 1))
+    assert sorted(c for c in calls if c[0] == "schreyer_frame") == \
+        sorted(("schreyer_frame",) + shape for shape in shapes)
     assert sorted(calls) == sorted(
-        (name,) + shape for name in ("free_resolution", "ladder_betti")
-        for shape in ((10, 5), (6, 8), (6, 1)))
+        (name,) + shape for name in ("schreyer_frame", "minimal_resolution",
+                                     "strand_betti")
+        for shape in shapes)
     assert verify._TABLES == {}
     second = run_suite("resolutions", fs=[4], chars=[0])
-    assert len(calls) == 12
+    assert len(calls) == 18
     assert second.to_json() == first.to_json()
     assert verify._TABLES == {}
 
 
 def test_a_table_whose_routes_disagree_is_not_kept(monkeypatch):
     calls = []
-    _counting(monkeypatch, "free_resolution", calls)
-    monkeypatch.setattr(verify, "ladder_betti", lambda pres: BettiTable())
+    _counting(monkeypatch, calls, routes=("minimal_resolution",))
+    monkeypatch.setattr(verify, "strand_betti",
+                        lambda frame, field: BettiTable())
     rep = run_suite("resolutions", fs=[4], chars=[0])
     assert [c.verdict for c in rep.checks] == [FAIL] * 4
     assert all(c.detail.startswith("matrix-route and rank-route Betti tables "
                                    "disagree") for c in rep.checks)
-    # every check that asked for a table resolved it again
-    assert len(calls) == 4
+    # every check that asked for a table built its frame and resolved it
+    # again
+    assert [c[0] for c in calls] == ["schreyer_frame",
+                                     "minimal_resolution"] * 4
     assert verify._TABLES == {}
 
 
@@ -243,6 +268,31 @@ def test_closure_rejects_a_perturbed_map(name, f, k, char, monkeypatch):
                        match="a composite column at position %d lies "
                              "outside the designated relations" % k):
         verify._closure_complex(name, f, char)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_relation_maps_reject_a_perturbed_entry(char, monkeypatch):
+    # doubling an entry of D2 that meets a nonzero entry of D1's row
+    # leaves a nonzero composite
+    real = verify.map_matrix
+
+    def perturbed(name, ring):
+        M = real(name, ring)
+        if name != "D2":
+            return M
+        row = real("D1", ring).entries[0]
+        ent = [list(r) for r in M.entries]
+        i, j = next((i, j) for j in range(M.ncols) for i in range(M.nrows)
+                    if not (row[i].is_zero() or ent[i][j].is_zero()))
+        ent[i][j] = ent[i][j].scale(ring.field.from_int(2))
+        return constructions.GradedMatrix(ring, ent, M.row_degs, M.col_degs)
+
+    assert verify._closure_relation_maps(4, char) == \
+        "composite is the zero 1x20 matrix"
+    monkeypatch.setattr(verify, "map_matrix", perturbed)
+    with pytest.raises(CheckFailure, match="the composite of the two "
+                                           "relation maps is a nonzero"):
+        verify._closure_relation_maps(4, char)
 
 
 def test_all_runs_every_suite_in_order():
