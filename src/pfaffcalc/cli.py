@@ -137,9 +137,10 @@ class Config:
             parser.error("this command needs exactly one --f value")
         return self.fs[0]
 
-    def single_char(self, parser, default=0):
+    def single_char(self, parser):
+        """The one --char value, 0 (the rationals) when none is given."""
         if self.chars is None:
-            return default
+            return 0
         if len(self.chars) != 1:
             parser.error("this command needs exactly one --char value")
         return self.chars[0]
@@ -148,10 +149,10 @@ class Config:
 def _ring_and_gens(kind, f, char, lam, parser):
     ring = ring_for(f, CoefficientField(char))
     try:
-        spec = build_ideal(kind, ring, lam=lam)
+        gens = build_ideal(kind, ring, lam=lam)
     except ValueError as e:
         parser.error(str(e))
-    return ring, spec.gens
+    return ring, gens
 
 
 def _normalized_gens(gens, ring):

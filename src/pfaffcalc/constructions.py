@@ -13,7 +13,8 @@ wedges e_i^e_j^e_k are used.
 """
 
 from .betti import BettiTable
-from .exterior import ExteriorElement, AlternatingMatrix, contract, all_subsets
+from .exterior import (ExteriorElement, AlternatingMatrix, all_subsets,
+                       contract, pfaffian_oracle)
 
 
 def generic_xi(ring):
@@ -65,42 +66,29 @@ def tx_entries(ring):
     return [v.coeff((k,)) for k in range(1, ring.f + 1)]
 
 
-class IdealSpec:
-    __slots__ = ("kind", "ring", "gens", "lam")
-
-    def __init__(self, kind, ring, gens, lam=None):
-        self.kind = kind
-        self.ring = ring
-        self.gens = list(gens)
-        self.lam = lam
-
-    def __repr__(self):
-        extra = " lambda=%d" % self.lam if self.lam is not None else ""
-        return "<IdealSpec %s f=%s, %d gens%s>" % (self.kind, self.ring.f, len(self.gens), extra)
-
-
 _LAMBDA_ONLY = "lambda applies only to Ilambda, not %r"
 
 
 def build_ideal(kind, ring, lam=None):
-    """kinds: 'I' (4x4 Pfaffians of X), 'K' (entries of t*X), 'J' (I + K),
-    'Ilambda' (I + x-variables with column index <= lam).  lam is
-    required for 'Ilambda' and rejected for every other kind."""
+    """The generator list of an ideal.  kinds: 'I' (4x4 Pfaffians of X),
+    'K' (entries of t*X), 'J' (I + K), 'Ilambda' (I + x-variables with
+    column index <= lam).  lam is required for 'Ilambda' and rejected for
+    every other kind."""
     f = ring.f
     if kind == "Ilambda":
         if lam is None or not 1 <= lam <= f - 1:
             raise ValueError("Ilambda needs 1 <= lambda <= f-1")
         extra = [ring.x(i, j)
                  for i in range(1, f + 1) for j in range(i + 1, f + 1) if j <= lam]
-        return IdealSpec(kind, ring, pfaffian_gens(ring) + extra, lam)
+        return pfaffian_gens(ring) + extra
     if lam is not None:
         raise ValueError(_LAMBDA_ONLY % (kind,))
     if kind == "I":
-        return IdealSpec(kind, ring, pfaffian_gens(ring))
+        return pfaffian_gens(ring)
     if kind == "K":
-        return IdealSpec(kind, ring, tx_entries(ring))
+        return tx_entries(ring)
     if kind == "J":
-        return IdealSpec(kind, ring, pfaffian_gens(ring) + tx_entries(ring))
+        return pfaffian_gens(ring) + tx_entries(ring)
     raise ValueError("unknown ideal kind %r" % (kind,))
 
 
@@ -392,34 +380,19 @@ def build_complex(name, ring):
     raise ValueError("unknown complex %r" % (name,))
 
 
-def s1_s2_sets(ring, pivot=(1, 2)):
-    """The localization generator sets attached to a pivot entry
-    x_(i0,j0): S1 = the 3(f-2) variables {x_(i,j): i <= 2 < j} u {t_j:
-    j >= 3} relabeled, S2 = the C(f-2,2) pivot-row Pfaffians plus two
+def s1_s2_sets(ring):
+    """The localization generator sets attached to the pivot entry
+    x_(1,2): S1 = the 3(f-2) variables {x_(i,j): i <= 2 < j} u {t_j:
+    j >= 3}, S2 = the C(f-2,2) pivot-row Pfaffians Pf(1,2,i,j) plus two
     t-linear elements (the pivot-indexed entries of t*X up to sign)."""
     f = ring.f
-    i0, j0 = pivot
-    if not (1 <= i0 < j0 <= f):
-        raise ValueError("pivot must be 1 <= i0 < j0 <= f")
-    # bijection sending 1 -> i0, 2 -> j0, rest ascending
-    rest = [k for k in range(1, f + 1) if k not in (i0, j0)]
-    perm = {1: i0, 2: j0}
-    for src, dst in zip(range(3, f + 1), rest):
-        perm[src] = dst
-
-    def xv(a, b):
-        a, b = perm[a], perm[b]
-        return ring.x(min(a, b), max(a, b))
-
-    s1 = [xv(i, j) for i in (1, 2) for j in range(3, f + 1)]
-    s1 += [ring.t(perm[j]) for j in range(3, f + 1)]
-
+    s1 = [ring.x(i, j) for i in (1, 2) for j in range(3, f + 1)]
+    s1 += [ring.t(j) for j in range(3, f + 1)]
     A = AlternatingMatrix.generic(ring)
-    from .exterior import pfaffian_oracle
-    s2 = [pfaffian_oracle(A, (i0, j0, perm[i], perm[j]))
+    s2 = [pfaffian_oracle(A, (1, 2, i, j))
           for i in range(3, f + 1) for j in range(i + 1, f + 1)]
     tx = tx_entries(ring)
-    s2 += [-tx[i0 - 1], tx[j0 - 1]]
+    s2 += [-tx[0], tx[1]]
     return s1, s2
 
 
@@ -434,7 +407,7 @@ def module_presentation(name, ring, lam=None):
     each basis vector."""
     if name in ("RJ", "A", "Ilambda"):
         kind = {"RJ": "J", "A": "I", "Ilambda": "Ilambda"}[name]
-        gens = build_ideal(kind, ring, lam=lam).gens
+        gens = build_ideal(kind, ring, lam=lam)
         return GradedMatrix(ring, [list(gens)], [(0, 0)],
                             [g.bidegree() for g in gens])
     if name == "N":

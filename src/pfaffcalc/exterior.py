@@ -120,13 +120,13 @@ def _sort_sign(idx):
 class ExteriorElement:
     __slots__ = ("ring", "side", "k", "terms")
 
-    def __init__(self, ring, side, k, terms=None):
+    def __init__(self, ring, side, k, terms):
         if side not in ("primal", "dual"):
             raise ValueError("side must be 'primal' or 'dual'")
         self.ring = ring  # the coefficient domain
         self.side = side
         self.k = k
-        self.terms = {} if terms is None else terms  # tuple -> coefficient
+        self.terms = terms  # tuple -> coefficient
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -134,17 +134,15 @@ class ExteriorElement:
         return cls(ring, side, k, {})
 
     @classmethod
-    def basis(cls, ring, side, indices, coeff=None):
+    def basis(cls, ring, side, indices):
         """Wedge of basis vectors in the listed order (sign-normalized to
         the increasing tuple)."""
         idx = tuple(indices)
         if len(set(idx)) != len(idx):
             return cls.zero(ring, side, len(idx))
-        c = ring.one() if coeff is None else coeff
+        c = ring.one()
         if _sort_sign(idx) < 0:
             c = ring.neg(c)
-        if ring.is_zero(c):
-            return cls.zero(ring, side, len(idx))
         return cls(ring, side, len(idx), {tuple(sorted(idx)): c})
 
     def _new(self, terms):

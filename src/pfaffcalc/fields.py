@@ -68,7 +68,7 @@ class CoefficientField:
     def from_int(self, n):
         return n % self.char if self.char else n
 
-    def from_fraction(self, num, den=1):
+    def from_fraction(self, num, den):
         if self.char:
             d = den % self.char
             if d == 0:

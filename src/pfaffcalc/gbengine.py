@@ -193,8 +193,11 @@ def make_buckets(G, order, field):
 
 
 def bucket_insert(buckets, order, field, g, idx):
+    """Index g under its leading component with the inverse of its lead
+    coefficient; a monic g needs no inversion (field.inv(1) is 1)."""
     k, c = g[0]
-    buckets.setdefault(order.comp(k), []).append((k, field.inv(c), g, idx))
+    buckets.setdefault(order.comp(k), []).append(
+        (k, 1 if c == 1 else field.inv(c), g, idx))
 
 
 def nf(f, order, buckets, field, record=False, zero_only=False):

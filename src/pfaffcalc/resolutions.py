@@ -15,7 +15,9 @@ once and hands to each:
 * ``minimal_resolution`` wraps the frame as a (checked) FreeComplex and
   returns ``minimalize`` of it: unit entries are contracted on packed
   terms (deterministic pivot order) and the minimal complex is checked
-  again; ``free_resolution`` is this route on a presentation;
+  again; ``free_resolution`` is this route on a presentation, and the
+  one place that caps the length (ResolutionTruncated beyond max_len);
+  every other caller reads the length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal frame as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -195,25 +197,25 @@ def schreyer_frame(pres):
 
 
 def free_resolution(pres, max_len):
-    """The minimal graded free resolution of coker(pres), of length at
-    most max_len: `minimal_resolution` of its `schreyer_frame`."""
-    return minimal_resolution(schreyer_frame(pres), pres.ring, max_len)
-
-
-def minimal_resolution(frame, ring, max_len):
-    """The minimalizing route: the frame as a checked FreeComplex, which
-    `minimalize` contracts.  If the minimal resolution turns out longer
-    than max_len, a ResolutionTruncated error is raised — never a
-    silently shortened complex."""
+    """The minimal graded free resolution of coker(pres): `minimal_resolution`
+    of its `schreyer_frame`.  If it is longer than max_len, a
+    ResolutionTruncated error is raised — never a silently shortened
+    complex."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    levels, twists = frame
-    minC, _ = minimalize(FreeComplex(ring, twists, levels))
+    minC = minimal_resolution(schreyer_frame(pres), pres.ring)
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
             % (minC.length, max_len))
     return minC
+
+
+def minimal_resolution(frame, ring):
+    """The minimalizing route: the frame as a checked FreeComplex, which
+    `minimalize` contracts, whatever its length."""
+    levels, twists = frame
+    return minimalize(FreeComplex(ring, twists, levels))[0]
 
 
 def minimalize(C):

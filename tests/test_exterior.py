@@ -20,7 +20,7 @@ def rand_form(ring, rng, side, k, span=4):
     for _ in range(span):
         idx = rng.sample(range(1, ring.f + 1), k)
         c = ring.const(ring.field.from_int(rng.randrange(-9, 10)))
-        el = el + ExteriorElement.basis(ring, side, idx, coeff=c)
+        el = el + ExteriorElement.basis(ring, side, idx).scale(c)
     return el
 
 
@@ -253,7 +253,7 @@ def _ring_rand_form(ring, rng, side, k):
             c = ring.const(Fraction(rng.randrange(-9, 10)))
         else:
             c = ring.const(rng.randrange(ring.field.char))
-        el = el + ExteriorElement.basis(ring, side, S, coeff=c)
+        el = el + ExteriorElement.basis(ring, side, S).scale(c)
     return el
 
 

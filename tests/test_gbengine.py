@@ -20,7 +20,7 @@ from pfaffcalc.rings import Polynomial, ring_for
 def scalar_setup(f, field, kind="J"):
     ring = ring_for(f, field)
     order = FreeModuleOrder(ring, 1)
-    gens = build_ideal(kind, ring).gens
+    gens = build_ideal(kind, ring)
     vecs = [vec_of_entries(((0, g),), order) for g in gens]
     return ring, order, vecs
 
@@ -69,11 +69,33 @@ def test_every_s_pair_reduces_to_zero(char):
             assert not rem
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_buckets_invert_only_leads_that_are_not_one(char):
+    field = GF(char) if char else QQ
+    inverted = []
+
+    class Counting(type(field)):
+        __slots__ = ()
+
+        def inv(self, a):
+            inverted.append(a)
+            return super().inv(a)
+    ring, order, vecs = scalar_setup(4, field)
+    G = interreduce(buchberger(vecs, order, field), order, field)
+    G += [tuple((k, field.mul(c, 3)) for k, c in g) for g in G[:2]]
+    buckets = make_buckets(G, order, Counting(char))
+    assert sorted(inverted) == [3, 3]
+    for ltkey, inv, g, idx in (e for b in buckets.values() for e in b):
+        assert g is G[idx] and ltkey == g[0][0]
+        want = field.inv(g[0][1])
+        assert inv == want and type(inv) is type(want)
+
+
 def test_membership_via_normal_form():
     ring, order, vecs = scalar_setup(4, QQ)
     G = buchberger(vecs, order, QQ)
     buckets = make_buckets(G, order, QQ)
-    gens = build_ideal("J", ring).gens
+    gens = build_ideal("J", ring)
     member = gens[0] * ring.x(1, 3) + gens[2].scale(QQ.from_int(-3))
     rem, _ = nf(vec_of_entries(((0, member),), order), order, buckets, QQ)
     assert not rem
@@ -85,7 +107,7 @@ def test_membership_via_normal_form():
 def test_schreyer_level_produces_syzygies():
     ring = ring_for(4, QQ)
     order = FreeModuleOrder(ring, 1)
-    gens = build_ideal("J", ring).gens
+    gens = build_ideal("J", ring)
     vecs = [vec_of_entries(((0, g),), order) for g in gens]
     G = buchberger(vecs, order, QQ)
     G = interreduce(G, order, QQ)

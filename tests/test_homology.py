@@ -2,6 +2,7 @@
 
 import pytest
 
+from pfaffcalc.betti import BettiTable
 from pfaffcalc.constructions import (GradedMatrix, TermSpec, PresentedComplex,
                                      build_complex, module_presentation)
 from pfaffcalc.fields import GF, QQ
@@ -10,7 +11,8 @@ from pfaffcalc.gbengine import (columns_of_vecs, interreduce, vec_bidegs,
 from pfaffcalc.homology import (ModuleSpan, betti_palindrome_check,
                                 char2_anomaly_check, homology_is_zero,
                                 kernel_over_quotient, quotient_span)
-from pfaffcalc.resolutions import complex_betti, composite, free_resolution
+from pfaffcalc.resolutions import (complex_betti, composite, free_resolution,
+                                   ladder_betti)
 from pfaffcalc.rings import ring_for
 
 
@@ -182,8 +184,6 @@ def test_palindrome_check_on_tables(qq):
 
 
 def test_palindrome_check_rejects_lopsided():
-    from pfaffcalc.betti import BettiTable
-
     B = BettiTable()
     B.add(0, (0, 0), 1)
     B.add(1, (2, 0), 3)
@@ -191,8 +191,14 @@ def test_palindrome_check_rejects_lopsided():
     assert not betti_palindrome_check(B, codim=2).ok
 
 
+def _n5(field):
+    pres = module_presentation("N", ring_for(5, field, vars="x"))
+    return pres, ladder_betti(pres)
+
+
 def test_char2_anomaly_report():
-    rep = char2_anomaly_check(lambda F: ring_for(5, F, vars="x"))
+    n2, n0 = _n5(GF(2)), _n5(QQ)
+    rep = char2_anomaly_check(n2, n0)
     assert rep.ok
     assert not rep.witness_in_columns_char2
     assert rep.witness_in_relations_char2
@@ -201,3 +207,20 @@ def test_char2_anomaly_report():
     assert rep.beta1_char2 == 11 and rep.beta1_char0 == 10
     assert rep.pd_char2 == rep.pd_char0 == 3
     assert len(rep.lines()) == 6
+    # the Betti data are read from the tables it is given
+    longer = BettiTable(dict(n0[1].data))
+    longer.add(4, (6, 0))
+    rep = char2_anomaly_check(n2, (n0[0], longer))
+    assert rep.pd_char0 == 4 and not rep.ok
+
+
+def test_char2_certificate_recomposition_rejects_wrong_coordinates(
+        monkeypatch):
+    # doubled coordinates still satisfy the exterior identity, which reads
+    # the certificate itself, but push through d1 to twice the witness
+    from pfaffcalc import homology
+    real = homology._dec_coord
+    monkeypatch.setattr(homology, "_dec_coord",
+                        lambda el, S: real(el, S).scale(2))
+    rep = char2_anomaly_check(_n5(GF(2)), _n5(QQ))
+    assert not rep.certificate_matches and not rep.ok

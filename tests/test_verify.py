@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pfaffcalc import constructions, verify
+from pfaffcalc import constructions, resolutions, verify
 from pfaffcalc.betti import BettiTable
 from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
                               CheckFailure, CheckResult, SuiteReport,
@@ -115,13 +115,14 @@ def _counting(monkeypatch, calls, routes=("minimal_resolution",
                                           "strand_betti")):
     """Record each Schreyer frame verify builds, and each call of the
     named route functions, as (function, variables, presentation
-    columns); a route call is matched to the frame object it received."""
+    columns, characteristic); a route call is matched to the frame
+    object it received."""
     frames = []  # (frame, shape), kept alive so identities stay unique
     real_frame = verify.schreyer_frame
 
     def frame(pres):
         out = real_frame(pres)
-        shape = (len(pres.ring.names), pres.ncols)
+        shape = (len(pres.ring.names), pres.ncols, pres.ring.field.char)
         frames.append((out, shape))
         calls.append(("schreyer_frame",) + shape)
         return out
@@ -157,8 +158,9 @@ def test_resolution_tables_are_computed_once_per_run(monkeypatch):
     first = run_suite("resolutions", fs=[4], chars=[0])
     assert first.status == "pass" and len(first.checks) == 4
     assert sorted(presented) == ["A", "N", "RJ"]
-    # (variables, presentation columns): RJ 10 and 5, N 6 and 8, A 6 and 1
-    shapes = ((10, 5), (6, 8), (6, 1))
+    # (variables, presentation columns, characteristic): RJ 10 and 5,
+    # N 6 and 8, A 6 and 1, all over QQ
+    shapes = ((10, 5, 0), (6, 8, 0), (6, 1, 0))
     assert sorted(c for c in calls if c[0] == "schreyer_frame") == \
         sorted(("schreyer_frame",) + shape for shape in shapes)
     assert sorted(calls) == sorted(
@@ -186,6 +188,65 @@ def test_a_table_whose_routes_disagree_is_not_kept(monkeypatch):
     assert [c[0] for c in calls] == ["schreyer_frame",
                                      "minimal_resolution"] * 4
     assert verify._TABLES == {}
+
+
+def test_a_resolution_longer_than_claimed_is_a_fail(monkeypatch):
+    # with every claimed length one short, the true resolutions are one
+    # longer than claimed: a certified fail, not an error
+    real = verify.comb
+    monkeypatch.setattr(verify, "comb", lambda n, k: real(n, k) - 1)
+    rep = run_suite("resolutions", fs=[5], chars=[32003])
+    assert [(c.name, c.verdict, c.detail) for c in rep.checks] == [
+        ("bigraded-quotient-resolution[f=5,GF(32003)]", FAIL,
+         "length 5, expected 4"),
+        ("cokernel-projective-dimension[f=5,GF(32003)]", FAIL,
+         "projective dimension 3, expected 2")]
+
+
+# N at f = 5: 10 variables, 10 differential columns and 5 * 5 Pfaffian ones
+_N5 = [(10, 35, 2), (10, 35, 0)]
+
+
+def test_char_anomaly_resolves_each_table_once_by_both_routes(monkeypatch):
+    calls = []
+    _counting(monkeypatch, calls)
+    rep = run_suite("char-anomaly")
+    assert rep.status == "pass"
+    assert sorted(calls) == sorted(
+        (name,) + shape for name in ("schreyer_frame", "minimal_resolution",
+                                     "strand_betti")
+        for shape in _N5)
+    assert verify._TABLES == {}
+
+
+def test_char_anomaly_reads_the_tables_of_the_resolutions_suite(monkeypatch):
+    """Run together, the projective-dimension checks at f = 5 build the
+    two N tables and the char-anomaly check builds no frame of its own;
+    its report is the one it makes alone."""
+    alone = run_suite("char-anomaly").to_json_obj()["checks"]
+    calls = []
+    _counting(monkeypatch, calls)
+    built = []  # the rank of F_0 of every ladder, whoever asks for it
+    real_ladder = resolutions.schreyer_resolution
+
+    def ladder(*args, **kw):
+        built.append(args[1].rank)
+        return real_ladder(*args, **kw)
+    monkeypatch.setattr(resolutions, "schreyer_resolution", ladder)
+    monkeypatch.setattr(verify, "SUITE_NAMES", ("resolutions",
+                                                "char-anomaly"))
+    rep = run_suite("all", fs=[5], chars=[2, 0])
+    assert [c.name for c in rep.checks] == [
+        "cokernel-projective-dimension[f=5,GF(2)]",
+        "bigraded-quotient-resolution[f=5,QQ]",
+        "cokernel-projective-dimension[f=5,QQ]",
+        "presentation-depends-on-characteristic[f=5]"]
+    assert rep.status == "pass"
+    assert rep.to_json_obj()["checks"][-1:] == alone
+    frames = [c[1:] for c in calls if c[0] == "schreyer_frame"]
+    # RJ at f = 5: 15 variables, 5 Pfaffians and 5 entries of t*X
+    assert sorted(frames) == sorted(_N5 + [(15, 10, 0)])
+    assert sorted(built) == [1, 5, 5]  # RJ once, N twice: nothing more
 
 
 def test_pfaffians_are_built_once_per_ring_per_run(monkeypatch):
