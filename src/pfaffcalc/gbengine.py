@@ -33,10 +33,13 @@ class FreeModuleOrder:
 
     mshift is the bit position of the scalar monomial inside a key (0
     here; Schreyer levels accumulate SBITS per level), so that
-    multiplying a key by a monomial m is key + ((m - one) << mshift)."""
+    multiplying a key by a monomial m is key + ((m - one) << mshift).
+    comp_bits = (mask, shift, top) gives the component in one integer
+    expression, comp(key) == top - ((key & mask) >> shift); a
+    `SchreyerOrder` has its own."""
 
     __slots__ = ("ring", "rank", "twists", "codec", "one", "guards",
-                 "shift", "_mask", "mshift")
+                 "shift", "_mask", "mshift", "comp_bits")
 
     def __init__(self, ring, rank, twists=None):
         if rank >= MAXC:
@@ -55,6 +58,7 @@ class FreeModuleOrder:
         self.shift = self.codec.nbits
         self._mask = (1 << self.shift) - 1
         self.mshift = 0
+        self.comp_bits = (-1 << self.shift, self.shift, MAXC)
 
     def key(self, comp, mono):
         return ((MAXC - comp) << self.shift) | mono
@@ -90,10 +94,12 @@ class SchreyerOrder:
     Keys: (parent key of lt(m*g_i)) << SBITS | (SMASK - i).  The scalar
     monomial m therefore sits mshift = parent.mshift + SBITS bits up, and
     multiplying a key by m adds (m - one) << mshift -- at every nesting
-    depth, since parent keys place their own monomial at parent.mshift."""
+    depth, since parent keys place their own monomial at parent.mshift.
+    comp_bits is as in `FreeModuleOrder`: the component sits in the low
+    SBITS bits."""
 
     __slots__ = ("parent", "ring", "rank", "anchors", "twists", "codec",
-                 "one", "guards", "mshift", "bases")
+                 "one", "guards", "mshift", "bases", "comp_bits")
 
     def __init__(self, parent, anchors, twists):
         if len(anchors) > SMASK:
@@ -109,6 +115,7 @@ class SchreyerOrder:
         self.one = parent.one
         self.guards = parent.guards
         self.mshift = parent.mshift + SBITS
+        self.comp_bits = (SMASK, 0, SMASK)
         self.bases = tuple((a << SBITS) | (SMASK - i)
                            for i, a in enumerate(self.anchors))
 

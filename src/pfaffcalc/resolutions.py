@@ -13,11 +13,12 @@ Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
 once and hands to each:
 
 * ``minimal_resolution`` wraps the frame as a (checked) FreeComplex and
-  returns ``minimalize`` of it: unit entries are contracted on packed
-  terms (deterministic pivot order) and the minimal complex is checked
-  again; ``free_resolution`` is this route on a presentation, and the
-  one place that caps the length (ResolutionTruncated beyond max_len);
-  every other caller reads the length off the result;
+  returns ``minimalize`` of it: unit entries are contracted on one
+  {key: coeff} dict per column in the frame's own keys (deterministic
+  pivot order, the frame left unchanged) and the minimal complex is
+  checked again; ``free_resolution`` is this route on a presentation,
+  and the one place that caps the length (ResolutionTruncated beyond
+  max_len); every other caller reads the length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal frame as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -226,29 +227,45 @@ def minimalize(C):
     c there, column r of d_{k-1} and row c of d_{k+1} (basis changes
     touch only the deleted row and column).  Pivot choice is the lowest
     (i, j) unit of the lowest k, so tables are reproducible.  The work
-    runs on the vecs' own terms; the result is a checked FreeComplex."""
+    runs on one {key: coeff} dict per column, `dict(vec)` of the frame's
+    vec, in the frame's own keys; C itself is never changed.  Each
+    surviving term is re-keyed once into the minimal complex's
+    FreeModuleOrder, and a level's dicts are dropped as soon as its
+    output is built.  The result is a checked FreeComplex."""
     ring = C.ring
-    mats = []
-    for order, vecs in C.levels:
-        cols = [{} for _ in vecs]
-        for col, v in zip(cols, vecs):
-            for key, c in v:
-                col.setdefault(order.comp(key), {})[order.mono(key)] = c
-        mats.append(cols)
-    alive = _contract_units(mats, C.twists, ring.field, ring.codec.one)
+    orders = [order for order, _ in C.levels]
+    mats = [[dict(v) for v in vecs] for _, vecs in C.levels]
+    alive = _contract_units(mats, orders, C.twists, ring.field)
     keep = [[i for i, a in enumerate(al) if a] for al in alive]
     twists = [[tw[i] for i in kp] for tw, kp in zip(C.twists, keep)]
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
     levels = []
     for k in range(len(twists) - 1):
-        pos = {i: p for p, i in enumerate(keep[k])}
-        order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
-        levels.append((order, [
-            tuple(sorted(((order.key(pos[i], m), c) for i, e in
-                          mats[k][j].items() for m, c in e.items()),
-                         reverse=True))
-            for j in keep[k + 1]]))
+        order = orders[k]
+        new_order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
+        # a term of row i, key(i, one) + ((m - one) << mshift), goes to
+        # new_order.key(pos, m) = outbase[i] + (m - one), pos its
+        # surviving row
+        mask, shift, top = order.comp_bits
+        mshift = order.mshift
+        one = order.one
+        ukey = [order.key(i, one) for i in range(order.rank)]
+        outbase = [None] * order.rank
+        for p, i in enumerate(keep[k]):
+            outbase[i] = new_order.key(p, one)
+        vecs = []
+        for j in keep[k + 1]:
+            terms = []
+            for key, c in mats[k][j].items():
+                i = top - ((key & mask) >> shift)
+                base = outbase[i]
+                if base is not None:
+                    terms.append((base + ((key - ukey[i]) >> mshift), c))
+            terms.sort(reverse=True)
+            vecs.append(tuple(terms))
+        levels.append((new_order, vecs))
+        mats[k] = None
     out = FreeComplex(ring, twists, levels)
     if not out.is_minimal():
         raise AssertionError("unit entry survived minimalization")
@@ -262,87 +279,105 @@ def complex_betti(C):
     return C.betti()
 
 
-# -- minimalization on engine terms ------------------------------------------
+# -- minimalization on the frame's keys ---------------------------------------
 
-def _contract_units(mats, twists, field, one):
+def _contract_units(mats, orders, twists, field):
     """Contract every unit entry of a chain of sparse differentials in
     place; returns alive[k], the surviving generators of F_k.  mats[k][j]
-    maps the rows of column j of d_{k+1} to its nonzero entries, each a
-    {packed monomial: coefficient} dict.  A unit is an entry holding the
-    constant monomial `one`; bihomogeneity makes that its only term.
+    is column j of d_{k+1} as one {key: coefficient} dict in the keys of
+    orders[k].  Every key of row i is ukey[i] + moff(m), ukey[i] being
+    key(i, one), so a term ka of row i times a term kq of row r has the
+    key ka + kq - ukey[r]: no monomial is decoded.  A unit is an entry
+    holding ukey[i]; bihomogeneity makes that its only term.
 
     Pivots come off a heap keyed by the original (row, column) labels.
     Deleting rows and columns keeps the relative order of the survivors,
     so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
-    pivot, and those are pushed as they appear."""
+    pivot, and those are pushed as they appear.  When a level's turn
+    comes, one pass over its columns builds the heap and the entry index
+    entries[i][j], the keys of entry (i, j) in their column's order.  The
+    pivot row's terms are popped from their columns as they are read.
+    Row c of d_{k+2}, which dies with the pivot column c of d_{k+1}, is
+    left in place: its level skips it by `alive`, and so does the
+    caller."""
     p = field.char
+    inv = field.inv
     alive = [[True] * len(tw) for tw in twists]
-    rows = []   # rows[k][i]: columns of mats[k] with an entry in row i
     for k, cols in enumerate(mats):
-        idx = [set() for _ in twists[k]]
+        order = orders[k]
+        mask, shift, top = order.comp_bits
+        one = order.one
+        ukey = [order.key(i, one) for i in range(order.rank)]
+        alive_k, alive_next = alive[k], alive[k + 1]
+        entries = [{} for _ in ukey]
+        heap = []
         for j, col in enumerate(cols):
-            for i in col:
-                idx[i].add(j)
-        rows.append(idx)
-
-    for k, cols in enumerate(mats):
-        rowidx = rows[k]
-        heap = [(i, j) for j, col in enumerate(cols)
-                for i, e in col.items() if one in e]
+            for key in col:
+                i = top - ((key & mask) >> shift)
+                if alive_k[i]:
+                    e = entries[i].get(j)
+                    if e is None:
+                        entries[i][j] = [key]
+                    else:
+                        e.append(key)
+                    if key == ukey[i]:
+                        heap.append((i, j))
         heapify(heap)
         while heap:
             r, c = heappop(heap)
-            if not (alive[k][r] and alive[k + 1][c]):
+            if not (alive_k[r] and alive_next[c]):
                 continue
             pivcol = cols[c]
-            u = pivcol.get(r)
-            if u is None or one not in u:
+            rone = ukey[r]
+            u = pivcol.get(rone)
+            if u is None:
                 continue
-            uinv = field.inv(u[one])
-            pivrow = [(j, cols[j][r]) for j in rowidx[r] if j != c]
-            for i, a in pivcol.items():
-                if i == r:
-                    continue
-                # entry (i, j) -= a * u^-1 * q for q = entry (r, j)
-                facs = [(ma - one, -ca * uinv) for ma, ca in a.items()]
-                rowi = rowidx[i]
+            uinv = inv(u)
+            # entry (i, j) -= a * u^-1 * q for a = entry (i, c) and
+            # q = entry (r, j)
+            facs = {}
+            for ka, ca in pivcol.items():
+                i = top - ((ka & mask) >> shift)
+                if i != r and alive_k[i]:
+                    facs.setdefault(i, []).append((ka - rone, -ca * uinv))
+            pivrow = []
+            for j, ks in entries[r].items():
+                if j != c and ks:
+                    pop = cols[j].pop
+                    pivrow.append((j, [(kq, pop(kq)) for kq in ks]))
+            for i, fi in facs.items():
+                ent = entries[i]
+                del ent[c]
+                ui = ukey[i]
                 for j, q in pivrow:
                     col = cols[j]
-                    e = col.setdefault(i, {})
-                    rowi.add(j)
-                    for base, nfac in facs:
-                        for mq, cq in q.items():
-                            m = base + mq
-                            y = e.get(m, 0) + nfac * cq
+                    get = col.get
+                    e = ent.get(j)
+                    if e is None:
+                        e = ent[j] = []
+                    for base, nfac in fi:
+                        for kq, cq in q:
+                            m = base + kq
+                            x = get(m)
+                            y = nfac * cq if x is None else x + nfac * cq
                             if p:
                                 y %= p
                             if y:
-                                e[m] = y
-                            else:
-                                del e[m]
-                    if not e:
-                        del col[i]
-                        rowi.discard(j)
-                    elif one in e:
+                                if x is None:
+                                    e.append(m)
+                                col[m] = y
+                            else:   # x is there: nfac * cq alone is nonzero
+                                del col[m]
+                                e.remove(m)
+                    if ui in col:
                         heappush(heap, (i, j))
-            # delete row r and column c of d_{k+1}
-            for j in rowidx[r]:
-                del cols[j][r]
-            rowidx[r] = set()
-            for i in pivcol:
-                rowidx[i].discard(c)
+            # delete row r and column c of d_{k+1}, and column r of d_k
+            entries[r] = None
             cols[c] = {}
-            alive[k][r] = alive[k + 1][c] = False
-            # column r of d_k and row c of d_{k+2}
+            alive_k[r] = alive_next[c] = False
             if k > 0:
-                for i in mats[k - 1][r]:
-                    rows[k - 1][i].discard(r)
                 mats[k - 1][r] = {}
-            if k + 1 < len(mats):
-                for j in rows[k + 1][c]:
-                    del mats[k + 1][j][c]
-                rows[k + 1][c] = set()
     return alive
 
 

@@ -1,7 +1,11 @@
 """Free resolutions: minimality, frozen tables, dual-route agreement."""
 
 import hashlib
+import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb
 
 import pytest
@@ -13,9 +17,11 @@ from pfaffcalc import resolutions
 from pfaffcalc.constructions import (GradedMatrix, mapping_cone_betti,
                                      module_presentation)
 from pfaffcalc.fields import GF, QQ
+from pfaffcalc.gbengine import FreeModuleOrder
 from pfaffcalc.resolutions import (FreeComplex, ResolutionTruncated,
                                    complex_betti, composite, free_resolution,
-                                   ladder_betti, minimalize, vecs_of_matrix)
+                                   ladder_betti, minimalize, schreyer_frame,
+                                   strand_betti, vecs_of_matrix)
 from pfaffcalc.rings import ring_for
 
 
@@ -233,7 +239,7 @@ def test_zero_module_resolves_to_the_zero_complex(qq):
 def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
     # contract nothing: the unit relation of the presentation survives
     monkeypatch.setattr(resolutions, "_contract_units",
-                        lambda mats, twists, field, one:
+                        lambda mats, orders, twists, field:
                         [[True] * len(tw) for tw in twists])
     ring = ring_for(4, qq, vars="x")
     pres = GradedMatrix(ring, [[ring.one(), ring.x(1, 2)]], [(0, 0)],
@@ -361,3 +367,174 @@ def test_free_resolution_rejects_a_corrupted_ladder(char, monkeypatch):
     monkeypatch.setattr(resolutions, "schreyer_resolution", corrupted)
     with pytest.raises(ValueError, match="composite d_1 o d_2 is nonzero"):
         resolve("RJ", 4, GF(char) if char else QQ, vars="xt")
+
+
+# -- the nested minimalization, kept as a reference ---------------------------
+
+def minimalize_reference(C):
+    """Reference: `minimalize` on a nested copy of the frame, each column
+    a {row: {packed monomial: coeff}} dict with every key decoded.  Same
+    pivot order and per-entry arithmetic as `minimalize`."""
+    ring = C.ring
+    mats = []
+    for order, vecs in C.levels:
+        cols = [{} for _ in vecs]
+        for col, v in zip(cols, vecs):
+            for key, c in v:
+                col.setdefault(order.comp(key), {})[order.mono(key)] = c
+        mats.append(cols)
+    alive = _contract_units_reference(mats, C.twists, ring.field,
+                                      ring.codec.one)
+    keep = [[i for i, a in enumerate(al) if a] for al in alive]
+    twists = [[tw[i] for i in kp] for tw, kp in zip(C.twists, keep)]
+    while len(twists) > 1 and not twists[-1]:
+        twists.pop()
+    levels = []
+    for k in range(len(twists) - 1):
+        pos = {i: p for p, i in enumerate(keep[k])}
+        order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
+        levels.append((order, [
+            tuple(sorted(((order.key(pos[i], m), c) for i, e in
+                          mats[k][j].items() for m, c in e.items()),
+                         reverse=True))
+            for j in keep[k + 1]]))
+    out = FreeComplex(ring, twists, levels)
+    if not out.is_minimal():
+        raise AssertionError("unit entry survived minimalization")
+    return out, out.betti()
+
+
+def _contract_units_reference(mats, twists, field, one):
+    p = field.char
+    alive = [[True] * len(tw) for tw in twists]
+    rows = []   # rows[k][i]: columns of mats[k] with an entry in row i
+    for k, cols in enumerate(mats):
+        idx = [set() for _ in twists[k]]
+        for j, col in enumerate(cols):
+            for i in col:
+                idx[i].add(j)
+        rows.append(idx)
+
+    for k, cols in enumerate(mats):
+        rowidx = rows[k]
+        heap = [(i, j) for j, col in enumerate(cols)
+                for i, e in col.items() if one in e]
+        heapify(heap)
+        while heap:
+            r, c = heappop(heap)
+            if not (alive[k][r] and alive[k + 1][c]):
+                continue
+            pivcol = cols[c]
+            u = pivcol.get(r)
+            if u is None or one not in u:
+                continue
+            uinv = field.inv(u[one])
+            pivrow = [(j, cols[j][r]) for j in rowidx[r] if j != c]
+            for i, a in pivcol.items():
+                if i == r:
+                    continue
+                facs = [(ma - one, -ca * uinv) for ma, ca in a.items()]
+                rowi = rowidx[i]
+                for j, q in pivrow:
+                    col = cols[j]
+                    e = col.setdefault(i, {})
+                    rowi.add(j)
+                    for base, nfac in facs:
+                        for mq, cq in q.items():
+                            m = base + mq
+                            y = e.get(m, 0) + nfac * cq
+                            if p:
+                                y %= p
+                            if y:
+                                e[m] = y
+                            else:
+                                del e[m]
+                    if not e:
+                        del col[i]
+                        rowi.discard(j)
+                    elif one in e:
+                        heappush(heap, (i, j))
+            for j in rowidx[r]:
+                del cols[j][r]
+            rowidx[r] = set()
+            for i in pivcol:
+                rowidx[i].discard(c)
+            cols[c] = {}
+            alive[k][r] = alive[k + 1][c] = False
+            if k > 0:
+                for i in mats[k - 1][r]:
+                    rows[k - 1][i].discard(r)
+                mats[k - 1][r] = {}
+            if k + 1 < len(mats):
+                for j in rows[k + 1][c]:
+                    del mats[k + 1][j][c]
+                rows[k + 1][c] = set()
+    return alive
+
+
+@lru_cache(maxsize=None)
+def _frame_complex(name, f, char, seed):
+    """The Schreyer frame of the module's presentation, as a FreeComplex,
+    with the presentation's columns shuffled by `seed` (0 keeps the
+    order the command line uses).  RJ lives over the full ring, A and N
+    over the x-variable ring."""
+    ring = ring_for(f, GF(char) if char else QQ,
+                    vars="xt" if name == "RJ" else "x")
+    pres = module_presentation(name, ring)
+    cols = list(range(pres.ncols))
+    if seed:
+        random.Random(seed).shuffle(cols)
+    pres = GradedMatrix(ring, [[row[j] for j in cols] for row in pres.entries],
+                        pres.row_degs, [pres.col_degs[j] for j in cols])
+    levels, twists = schreyer_frame(pres)
+    return FreeComplex(ring, twists, levels)
+
+
+def _terms_with_types(C):
+    return [[[(key, c, type(c)) for key, c in v] for v in vecs]
+            for _, vecs in C.levels]
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name,f", [(name, f) for name in ("A", "N", "RJ")
+                                    for f in (4, 5)])
+def test_minimalize_matches_the_nested_reference(name, f, char):
+    for seed in (0, 1, 7):
+        frame = _frame_complex(name, f, char, seed)
+        before = [(order, list(vecs)) for order, vecs in frame.levels]
+        table = strand_betti((frame.levels, frame.twists), frame.ring.field)
+        want, want_B = minimalize_reference(frame)
+        got, got_B = minimalize(frame)
+        assert got.twists == want.twists
+        assert [order.twists for order, _ in got.levels] == \
+            [order.twists for order, _ in want.levels]
+        assert _terms_with_types(got) == _terms_with_types(want)
+        assert got_B == want_B == table
+        # the frame is read, never changed, and the other route still
+        # reads the same table from it
+        assert [(order, list(vecs)) for order, vecs in frame.levels] == before
+        assert all(a is b for (_, va), (_, vb) in zip(frame.levels, before)
+                   for a, b in zip(va, vb))
+        assert strand_betti((frame.levels, frame.twists),
+                            frame.ring.field) == table
+
+
+def _traced_peak(fn, arg):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak
+
+
+@pytest.mark.parametrize("name,char", [("RJ", 32003), ("N", 32003),
+                                       ("RJ", 0)])
+def test_minimalize_working_set_is_smaller_than_the_nested_copy(name, char):
+    frame = _frame_complex(name, 5, char, 0)
+    reference = _traced_peak(minimalize_reference, frame)
+    peak = _traced_peak(minimalize, frame)
+    assert peak <= 0.75 * reference, (peak, reference)
