@@ -406,8 +406,13 @@ def interreduce(G, order, field):
     only against the survivors of its own component.  To reduce a
     survivor, its entry is taken out of its bucket, the vec is reduced
     against everything left, and the entry goes back at the same position
-    holding the reduced vec, so later reductions in the same pass use it.
-    Passes repeat until one changes nothing."""
+    holding the reduced vec, so later reductions use it.
+
+    One pass suffices.  Leading terms never change, and `nf` leaves a
+    remainder no tail term of which is divisible by another survivor's
+    leading term; a vec's own leading term is larger than its tail, so
+    divides no tail term either.  A second pass would return every vec
+    unchanged."""
     ocomp = order.comp
     odiv = order.divides
     buckets = {}
@@ -419,19 +424,15 @@ def interreduce(G, order, field):
             continue
         bucket_insert(buckets, order, field, g, len(slots))
         slots.append((buckets[comp], len(buckets[comp]) - 1))
-    changed = True
-    while changed:
-        changed = False
-        for bucket, pos in slots:
-            ent = bucket.pop(pos)
-            g = ent[2]
-            rem, _ = nf(g, order, buckets, field)
-            if rem != g:
-                if not rem or rem[0][0] != ent[0]:
-                    raise AssertionError("interreduction destroyed a leading term")
-                ent = (ent[0], ent[1], rem, ent[3])
-                changed = True
-            bucket.insert(pos, ent)
+    for bucket, pos in slots:
+        ent = bucket.pop(pos)
+        g = ent[2]
+        rem, _ = nf(g, order, buckets, field)
+        if rem != g:
+            if not rem or rem[0][0] != ent[0]:
+                raise AssertionError("interreduction destroyed a leading term")
+            ent = (ent[0], ent[1], rem, ent[3])
+        bucket.insert(pos, ent)
     one = field.one()
     fmul = field.mul
     out = []

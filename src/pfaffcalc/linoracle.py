@@ -286,12 +286,11 @@ def oracle_betti(pres):
                 B.add(level, bd, new)
             # next level: syzygies of the chosen generators, as the null
             # space of the evaluation matrix; generators chosen in later
-            # bidegrees have no multiples here
-            cols = []  # (syzygy-coordinate key, strand coords)
-            for gi, (gvec, gd) in enumerate(chosen):
-                for m in monos(bd[0] - gd[0], bd[1] - gd[1]):
-                    cols.append(((gi, m),
-                                 _multiple_coords(ring, gvec, m, index)))
+            # bidegrees have no multiples here.  Columns are made one at
+            # a time, (syzygy-coordinate key, strand coords)
+            cols = (((gi, m), _multiple_coords(ring, gvec, m, index))
+                    for gi, (gvec, gd) in enumerate(chosen)
+                    for m in monos(bd[0] - gd[0], bd[1] - gd[1]))
             for kvec in _null_space(cols, field):
                 next_gens.append((kvec, bd))
         if not next_gens:
@@ -305,13 +304,14 @@ def oracle_betti(pres):
 
 
 def _null_space(cols, field):
-    """Null-space basis of the matrix whose columns are given as
-    (key, {row: coeff}); vectors come back as {key: coeff}.
+    """Null-space basis of the matrix whose columns are given, by any
+    iterable, as (key, {row: coeff}); vectors come back as {key: coeff}.
 
     Augmented elimination: every pivot remembers how it was combined
     from the original columns, so a column that reduces to zero hands
     over its combination as a kernel vector.  The coordinate dicts are
-    reduced in place."""
+    reduced in place, and a column read from a generator is freed as
+    soon as it reduces to zero."""
     elim = _Eliminator(field)
     kernel = []
     for key, coords in cols:

@@ -10,15 +10,21 @@ takes them in, and reading `diffs`, which only callers do, builds them.
 Two independent Betti routes are provided on purpose.  Both read one
 Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
 `schreyer_frame` builds, which a caller that wants both tables builds
-once and hands to each:
+once and hands to each.  Ownership: `strand_betti` reads a frame and
+leaves it as it was; `minimalize` and `minimal_resolution` consume it,
+emptying each level's vec list as they take it over, so a caller that
+wants both tables calls `strand_betti` first.  A consumed frame or
+complex raises ValueError wherever it is read again.
 
 * ``minimal_resolution`` wraps the frame as a (checked) FreeComplex and
   returns ``minimalize`` of it: unit entries are contracted on one
   {key: coeff} dict per column in the frame's own keys (deterministic
-  pivot order, the frame left unchanged) and the minimal complex is
-  checked again; ``free_resolution`` is this route on a presentation,
-  and the one place that caps the length (ResolutionTruncated beyond
-  max_len); every other caller reads the length off the result;
+  pivot order), level by level, each level of the frame freed once
+  copied and each level of the minimal complex built once final; the
+  minimal complex is checked again; ``free_resolution`` is this route
+  on a presentation, and the one place that caps the length
+  (ResolutionTruncated beyond max_len); every other caller reads the
+  length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal frame as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -38,6 +44,19 @@ from .gbengine import (FreeModuleOrder, columns_of_vecs, vec_bidegs,
 
 class ResolutionTruncated(Exception):
     """A resolution did not finish within the requested length."""
+
+
+_CONSUMED = "the frame was consumed by minimalize"
+
+
+def _check_frame_unconsumed(levels, twists):
+    """Raise ValueError unless every level of a (levels, twists) frame
+    holds one vec per generator of the next module, as it does until
+    `minimalize` empties it."""
+    for k, (_, vecs) in enumerate(levels):
+        if len(vecs) != len(twists[k + 1]):
+            raise ValueError("%s: level %d holds %d of its %d columns"
+                             % (_CONSUMED, k, len(vecs), len(twists[k + 1])))
 
 
 # -- vec <-> GradedMatrix ----------------------------------------------------
@@ -107,13 +126,16 @@ class FreeComplex:
     """A chain F_0 <- F_1 <- ... of graded free modules.
 
     twists[i] lists the generator bidegrees of F_i; levels[i] = (order_i,
-    columns of d_{i+1}: F_{i+1} -> F_i as vecs over order_i).
+    list of the columns of d_{i+1}: F_{i+1} -> F_i as vecs over order_i).
     Invariants, checked on construction: the differentials match the
     twist data, and consecutive composites are identically zero.  A chain
     is never cut short: a resolution that would be raises
-    ResolutionTruncated instead."""
+    ResolutionTruncated instead.  `minimalize` consumes a complex: it
+    empties the vec lists and sets `consumed`, after which `check`,
+    `is_minimal` and `diffs` raise ValueError; so do `is_minimal` and
+    `diffs` of another complex built on the same vec lists."""
 
-    __slots__ = ("ring", "twists", "levels")
+    __slots__ = ("ring", "twists", "levels", "consumed")
 
     def __init__(self, ring, twists, levels):
         self.ring = ring
@@ -121,6 +143,7 @@ class FreeComplex:
         self.levels = list(levels)
         if len(self.twists) != len(self.levels) + 1:
             raise ValueError("need exactly one twist list per module")
+        self.consumed = False
         self.check()
 
     @classmethod
@@ -140,6 +163,7 @@ class FreeComplex:
     @property
     def diffs(self):
         """The differentials as graded matrices, built on each read."""
+        self._check_unconsumed()
         zero = self.ring.zero()
         mats = []
         for (order, vecs), col_degs in zip(self.levels, self.twists[1:]):
@@ -153,7 +177,16 @@ class FreeComplex:
     def length(self):
         return len(self.twists) - 1
 
+    def _check_unconsumed(self):
+        """Raise ValueError if `minimalize` consumed this complex, or
+        emptied vec lists it shares with another complex."""
+        if self.consumed:
+            raise ValueError(_CONSUMED)
+        _check_frame_unconsumed(self.levels, self.twists)
+
     def check(self):
+        if self.consumed:
+            raise ValueError(_CONSUMED)
         _check_chain(self.levels, self.twists, self.ring.field)
 
     def betti(self):
@@ -169,6 +202,7 @@ class FreeComplex:
         """No differential has a term with a constant monomial; every
         entry of a checked complex is bihomogeneous, so such a term is a
         whole unit entry."""
+        self._check_unconsumed()
         return not any(order.mono(key) == order.one
                        for order, vecs in self.levels
                        for v in vecs for key, _ in v)
@@ -180,9 +214,11 @@ class FreeComplex:
 def schreyer_frame(pres):
     """The Schreyer frame of coker(pres) as (levels, twists), the data of
     a FreeComplex: F_0 from the rows of pres, F_k from the Schreyer order
-    of level k, the last module from its columns.  Both Betti routes
-    read it and neither changes it.  Raises ResolutionTruncated if the
-    ladder does not end naturally within len(ring.names) + 2 levels."""
+    of level k, the last module from its columns; each level's columns
+    are a list, which `minimal_resolution` empties as it takes the level
+    over, while `strand_betti` only reads them.  Raises
+    ResolutionTruncated if the ladder does not end naturally within
+    len(ring.names) + 2 levels."""
     cap = len(pres.ring.names) + 2
     vecs, order0 = vecs_of_matrix(pres)
     levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
@@ -214,59 +250,58 @@ def free_resolution(pres, max_len):
 
 def minimal_resolution(frame, ring):
     """The minimalizing route: the frame as a checked FreeComplex, which
-    `minimalize` contracts, whatever its length."""
+    `minimalize` contracts, whatever its length.  The frame is consumed:
+    read it with `strand_betti` first."""
     levels, twists = frame
+    _check_frame_unconsumed(levels, twists)
     return minimalize(FreeComplex(ring, twists, levels))[0]
 
 
 def minimalize(C):
-    """(homotopy-equivalent minimal complex, its Betti table).
+    """(homotopy-equivalent minimal complex, its Betti table); C is
+    consumed.
 
     Contracts unit entries one at a time: a constant entry u at (r, c)
     of d_k is removed by a Schur update of d_k, deleting row r / column
     c there, column r of d_{k-1} and row c of d_{k+1} (basis changes
     touch only the deleted row and column).  Pivot choice is the lowest
     (i, j) unit of the lowest k, so tables are reproducible.  The work
-    runs on one {key: coeff} dict per column, `dict(vec)` of the frame's
-    vec, in the frame's own keys; C itself is never changed.  Each
+    runs on one {key: coeff} dict per column in the frame's own keys.
+
+    Levels are taken over one at a time.  When level k's turn comes, its
+    vecs are copied into the dicts (`dict(vec)`, sharing the frame's key
+    and coefficient objects) and its vec list is emptied in place, so the
+    frame's tuples are freed even if the caller still holds the frame.
+    Once level k is contracted, level k-1 of the minimal complex is final
+    (only the contraction of level k can still delete its columns): each
     surviving term is re-keyed once into the minimal complex's
-    FreeModuleOrder, and a level's dicts are dropped as soon as its
-    output is built.  The result is a checked FreeComplex."""
+    FreeModuleOrder and the level's dicts are dropped.  C is marked
+    consumed, so its `check`, `is_minimal` and `diffs` raise ValueError
+    from then on; C.twists stays readable.  The result is a checked
+    FreeComplex."""
+    C._check_unconsumed()
+    C.consumed = True
     ring = C.ring
-    orders = [order for order, _ in C.levels]
-    mats = [[dict(v) for v in vecs] for _, vecs in C.levels]
-    alive = _contract_units(mats, orders, C.twists, ring.field)
-    keep = [[i for i, a in enumerate(al) if a] for al in alive]
-    twists = [[tw[i] for i in kp] for tw, kp in zip(C.twists, keep)]
+    n = len(C.levels)
+    alive = [[True] * len(tw) for tw in C.twists]
+    mats = [None] * n
+    levels = []
+    for k in range(n + 1):
+        if k < n:
+            order, vecs = C.levels[k]
+            mats[k] = [dict(v) for v in vecs]
+            vecs.clear()
+            _contract_units(mats, k, order, alive, ring.field)
+        if k:
+            levels.append(_minimal_level(mats[k - 1], C.levels[k - 1][0],
+                                         C.twists[k - 1], alive[k - 1],
+                                         alive[k], ring))
+            mats[k - 1] = None
+    twists = [[tw[i] for i, a in enumerate(al) if a]
+              for tw, al in zip(C.twists, alive)]
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
-    levels = []
-    for k in range(len(twists) - 1):
-        order = orders[k]
-        new_order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
-        # a term of row i, key(i, one) + ((m - one) << mshift), goes to
-        # new_order.key(pos, m) = outbase[i] + (m - one), pos its
-        # surviving row
-        mask, shift, top = order.comp_bits
-        mshift = order.mshift
-        one = order.one
-        ukey = [order.key(i, one) for i in range(order.rank)]
-        outbase = [None] * order.rank
-        for p, i in enumerate(keep[k]):
-            outbase[i] = new_order.key(p, one)
-        vecs = []
-        for j in keep[k + 1]:
-            terms = []
-            for key, c in mats[k][j].items():
-                i = top - ((key & mask) >> shift)
-                base = outbase[i]
-                if base is not None:
-                    terms.append((base + ((key - ukey[i]) >> mshift), c))
-            terms.sort(reverse=True)
-            vecs.append(tuple(terms))
-        levels.append((new_order, vecs))
-        mats[k] = None
-    out = FreeComplex(ring, twists, levels)
+    out = FreeComplex(ring, twists, levels[:len(twists) - 1])
     if not out.is_minimal():
         raise AssertionError("unit entry survived minimalization")
     return out, out.betti()
@@ -281,11 +316,12 @@ def complex_betti(C):
 
 # -- minimalization on the frame's keys ---------------------------------------
 
-def _contract_units(mats, orders, twists, field):
-    """Contract every unit entry of a chain of sparse differentials in
-    place; returns alive[k], the surviving generators of F_k.  mats[k][j]
-    is column j of d_{k+1} as one {key: coefficient} dict in the keys of
-    orders[k].  Every key of row i is ukey[i] + moff(m), ukey[i] being
+def _contract_units(mats, k, order, alive, field):
+    """Contract every unit entry of d_{k+1} in place.  mats[k][j] is
+    column j of d_{k+1} as one {key: coefficient} dict in the keys of
+    `order`; alive[k] and alive[k+1], the surviving generators of F_k and
+    F_{k+1}, are updated, and each pivot row r empties column r of d_k,
+    mats[k-1][r].  Every key of row i is ukey[i] + moff(m), ukey[i] being
     key(i, one), so a term ka of row i times a term kq of row r has the
     key ka + kq - ukey[r]: no monomial is decoded.  A unit is an entry
     holding ukey[i]; bihomogeneity makes that its only term.
@@ -294,91 +330,118 @@ def _contract_units(mats, orders, twists, field):
     Deleting rows and columns keeps the relative order of the survivors,
     so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
-    pivot, and those are pushed as they appear.  When a level's turn
-    comes, one pass over its columns builds the heap and the entry index
-    entries[i][j], the keys of entry (i, j) in their column's order.  The
-    pivot row's terms are popped from their columns as they are read.
-    Row c of d_{k+2}, which dies with the pivot column c of d_{k+1}, is
-    left in place: its level skips it by `alive`, and so does the
-    caller."""
+    pivot, and those are pushed as they appear.  One pass over the
+    columns builds the heap and the entry index entries[i][j], the keys
+    of entry (i, j) in their column's order.  The pivot row's terms are
+    popped from their columns as they are read.  Row c of d_{k+2}, which
+    dies with the pivot column c of d_{k+1}, is skipped by `alive` when
+    its level's turn comes, and so is it when the level is re-keyed."""
     p = field.char
     inv = field.inv
-    alive = [[True] * len(tw) for tw in twists]
-    for k, cols in enumerate(mats):
-        order = orders[k]
-        mask, shift, top = order.comp_bits
-        one = order.one
-        ukey = [order.key(i, one) for i in range(order.rank)]
-        alive_k, alive_next = alive[k], alive[k + 1]
-        entries = [{} for _ in ukey]
-        heap = []
-        for j, col in enumerate(cols):
-            for key in col:
-                i = top - ((key & mask) >> shift)
-                if alive_k[i]:
-                    e = entries[i].get(j)
-                    if e is None:
-                        entries[i][j] = [key]
-                    else:
-                        e.append(key)
-                    if key == ukey[i]:
-                        heap.append((i, j))
-        heapify(heap)
-        while heap:
-            r, c = heappop(heap)
-            if not (alive_k[r] and alive_next[c]):
-                continue
-            pivcol = cols[c]
-            rone = ukey[r]
-            u = pivcol.get(rone)
-            if u is None:
-                continue
-            uinv = inv(u)
-            # entry (i, j) -= a * u^-1 * q for a = entry (i, c) and
-            # q = entry (r, j)
-            facs = {}
-            for ka, ca in pivcol.items():
-                i = top - ((ka & mask) >> shift)
-                if i != r and alive_k[i]:
-                    facs.setdefault(i, []).append((ka - rone, -ca * uinv))
-            pivrow = []
-            for j, ks in entries[r].items():
-                if j != c and ks:
-                    pop = cols[j].pop
-                    pivrow.append((j, [(kq, pop(kq)) for kq in ks]))
-            for i, fi in facs.items():
-                ent = entries[i]
-                del ent[c]
-                ui = ukey[i]
-                for j, q in pivrow:
-                    col = cols[j]
-                    get = col.get
-                    e = ent.get(j)
-                    if e is None:
-                        e = ent[j] = []
-                    for base, nfac in fi:
-                        for kq, cq in q:
-                            m = base + kq
-                            x = get(m)
-                            y = nfac * cq if x is None else x + nfac * cq
-                            if p:
-                                y %= p
-                            if y:
-                                if x is None:
-                                    e.append(m)
-                                col[m] = y
-                            else:   # x is there: nfac * cq alone is nonzero
-                                del col[m]
-                                e.remove(m)
-                    if ui in col:
-                        heappush(heap, (i, j))
-            # delete row r and column c of d_{k+1}, and column r of d_k
-            entries[r] = None
-            cols[c] = {}
-            alive_k[r] = alive_next[c] = False
-            if k > 0:
-                mats[k - 1][r] = {}
-    return alive
+    cols = mats[k]
+    mask, shift, top = order.comp_bits
+    one = order.one
+    ukey = [order.key(i, one) for i in range(order.rank)]
+    alive_k, alive_next = alive[k], alive[k + 1]
+    entries = [{} for _ in ukey]
+    heap = []
+    for j, col in enumerate(cols):
+        for key in col:
+            i = top - ((key & mask) >> shift)
+            if alive_k[i]:
+                e = entries[i].get(j)
+                if e is None:
+                    entries[i][j] = [key]
+                else:
+                    e.append(key)
+                if key == ukey[i]:
+                    heap.append((i, j))
+    heapify(heap)
+    while heap:
+        r, c = heappop(heap)
+        if not (alive_k[r] and alive_next[c]):
+            continue
+        pivcol = cols[c]
+        rone = ukey[r]
+        u = pivcol.get(rone)
+        if u is None:
+            continue
+        uinv = inv(u)
+        # entry (i, j) -= a * u^-1 * q for a = entry (i, c) and
+        # q = entry (r, j)
+        facs = {}
+        for ka, ca in pivcol.items():
+            i = top - ((ka & mask) >> shift)
+            if i != r and alive_k[i]:
+                facs.setdefault(i, []).append((ka - rone, -ca * uinv))
+        pivrow = []
+        for j, ks in entries[r].items():
+            if j != c and ks:
+                pop = cols[j].pop
+                pivrow.append((j, [(kq, pop(kq)) for kq in ks]))
+        for i, fi in facs.items():
+            ent = entries[i]
+            del ent[c]
+            ui = ukey[i]
+            for j, q in pivrow:
+                col = cols[j]
+                get = col.get
+                e = ent.get(j)
+                if e is None:
+                    e = ent[j] = []
+                for base, nfac in fi:
+                    for kq, cq in q:
+                        m = base + kq
+                        x = get(m)
+                        y = nfac * cq if x is None else x + nfac * cq
+                        if p:
+                            y %= p
+                        if y:
+                            if x is None:
+                                e.append(m)
+                            col[m] = y
+                        else:   # x is there: nfac * cq alone is nonzero
+                            del col[m]
+                            e.remove(m)
+                if ui in col:
+                    heappush(heap, (i, j))
+        # delete row r and column c of d_{k+1}, and column r of d_k
+        entries[r] = None
+        cols[c] = {}
+        alive_k[r] = alive_next[c] = False
+        if k > 0:
+            mats[k - 1][r] = {}
+
+
+def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
+    """Level k of the minimal complex from the contracted columns of
+    d_{k+1} over `order`: (FreeModuleOrder of the surviving rows, the
+    surviving columns as vecs over it).  A term of row i, key(i, one) +
+    ((m - one) << mshift), goes to new_order.key(pos, m) = outbase[i] +
+    (m - one), pos its surviving row."""
+    keep = [i for i, a in enumerate(alive_rows) if a]
+    new_order = FreeModuleOrder(ring, len(keep),
+                                twists=[row_twists[i] for i in keep])
+    mask, shift, top = order.comp_bits
+    mshift = order.mshift
+    one = order.one
+    ukey = [order.key(i, one) for i in range(order.rank)]
+    outbase = [None] * order.rank
+    for pos, i in enumerate(keep):
+        outbase[i] = new_order.key(pos, one)
+    vecs = []
+    for col, a in zip(cols, alive_cols):
+        if not a:
+            continue
+        terms = []
+        for key, c in col.items():
+            i = top - ((key & mask) >> shift)
+            base = outbase[i]
+            if base is not None:
+                terms.append((base + ((key - ukey[i]) >> mshift), c))
+        terms.sort(reverse=True)
+        vecs.append(tuple(terms))
+    return new_order, vecs
 
 
 # -- Betti numbers straight from the ladder ----------------------------------
@@ -453,8 +516,10 @@ def strand_betti(frame, field):
 
     In each bidegree, beta_{k} = (generators of the frame's F_k there)
     minus the ranks of the incoming and outgoing constant strands; no
-    minimalization is performed."""
+    minimalization is performed, and the frame is left as it was.  A
+    frame that `minimalize` consumed raises ValueError."""
     levels, twists = frame
+    _check_frame_unconsumed(levels, twists)
     ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
     for k, (order_k, els) in enumerate(levels):
         strands = _constant_strands(order_k, els, twists[k], twists[k + 1],

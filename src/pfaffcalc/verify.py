@@ -501,15 +501,18 @@ _TABLES = {}
 def _resolve_both_routes(module, ring):
     """The module's presentation and its Betti table, computed by the
     matrix route and the rank route, which must agree.  The Schreyer
-    frame is built once and read by both routes.  No length is capped
-    here: each check compares the table's length with its claim, so a
-    resolution longer than claimed is a certified fail."""
+    frame is built once and read by both routes: first by the rank
+    route, which leaves it as it was, then by the matrix route, which
+    consumes it (a consumed frame raises ValueError, an error verdict).
+    No length is capped here: each check compares the table's length
+    with its claim, so a resolution longer than claimed is a certified
+    fail."""
     key = (module, ring)
     if key not in _TABLES:
         pres = module_presentation(module, ring)
         frame = schreyer_frame(pres)
-        B = complex_betti(minimal_resolution(frame, ring))
         B2 = strand_betti(frame, ring.field)
+        B = complex_betti(minimal_resolution(frame, ring))
         if B.data != B2.data:
             raise CheckFailure("matrix-route and rank-route Betti tables "
                                "disagree: %s vs %s"

@@ -206,14 +206,19 @@ def recorded_interreduce(fn, G, order, field, monkeypatch):
 
 
 def assert_same_interreduce(G, order, field, monkeypatch):
+    """interreduce makes one pass: its nf calls are the reference's first
+    pass, one per survivor, and every later call of the reference
+    returns its input unchanged."""
     got, got_log = recorded_interreduce(interreduce, G, order, field,
                                         monkeypatch)
     want, want_log = recorded_interreduce(interreduce_reference, G, order,
                                           field, monkeypatch)
     assert got == want
-    assert len(got_log) == len(want_log)
+    assert len(got_log) == len(want)
     for step, (a, b) in enumerate(zip(got_log, want_log)):
         assert a == b, "nf call %d differs" % step
+    for step, (f, rem, _) in enumerate(want_log[len(got_log):]):
+        assert rem == f, "later nf call %d changed its input" % step
     return got
 
 

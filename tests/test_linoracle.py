@@ -254,6 +254,7 @@ def _oracle_with_log(pres, monkeypatch, oracle=oracle_betti):
     real_null_space = linoracle._null_space
 
     def logged_null_space(cols, field):
+        cols = list(cols)  # the oracle passes a generator
         before = [(key, dict(coords)) for key, coords in cols]
         kernel = real_null_space(cols, field)
         nulls.append((before, kernel))

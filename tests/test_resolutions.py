@@ -20,8 +20,9 @@ from pfaffcalc.fields import GF, QQ
 from pfaffcalc.gbengine import FreeModuleOrder
 from pfaffcalc.resolutions import (FreeComplex, ResolutionTruncated,
                                    complex_betti, composite, free_resolution,
-                                   ladder_betti, minimalize, schreyer_frame,
-                                   strand_betti, vecs_of_matrix)
+                                   ladder_betti, minimal_resolution,
+                                   minimalize, schreyer_frame, strand_betti,
+                                   vecs_of_matrix)
 from pfaffcalc.rings import ring_for
 
 
@@ -109,8 +110,9 @@ def test_minimalize_keeps_betti(qq):
     ring = ring_for(4, qq, vars="x")
     pres = module_presentation("N", ring)
     C = free_resolution(pres, max_len=6)
+    before = complex_betti(C)  # minimalize consumes C
     minC, B = minimalize(C)
-    assert complex_betti(minC) == B == complex_betti(C)
+    assert complex_betti(minC) == B == before
     assert minC.is_minimal()
 
 
@@ -173,12 +175,57 @@ def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
     ring = ring_for(5, qq, vars="x")
     levels, twists = resolutions.schreyer_frame(module_presentation("N", ring))
     frame = FreeComplex(ring, twists, levels)
-    minC, _ = minimalize(frame)
     one = ring.codec.one
-    for C, minimal in ((frame, False), (minC, True)):
+
+    def scans(C):
         dense = not any(len(e.terms) == 1 and e.terms[0][0] == one
                         for d in C.diffs for row in d.entries for e in row)
-        assert C.is_minimal() == dense == minimal
+        return C.is_minimal(), dense
+    # the frame is scanned before minimalize consumes it
+    assert scans(frame) == (False, False)
+    minC, _ = minimalize(frame)
+    assert scans(minC) == (True, True)
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda ring, frame, C: C.check(), id="check"),
+    pytest.param(lambda ring, frame, C: C.is_minimal(), id="is_minimal"),
+    pytest.param(lambda ring, frame, C: C.diffs, id="diffs"),
+    pytest.param(lambda ring, frame, C: complex_betti(C), id="complex_betti"),
+    pytest.param(lambda ring, frame, C: minimalize(C), id="minimalize"),
+    pytest.param(lambda ring, frame, C: strand_betti(frame, ring.field),
+                 id="strand_betti"),
+    pytest.param(lambda ring, frame, C: minimal_resolution(frame, ring),
+                 id="minimal_resolution"),
+])
+def test_a_consumed_frame_fails_loudly(read, qq):
+    # emptied vec lists would otherwise read as a minimal complex, the
+    # frame's generator counts as its Betti table, or an IndexError
+    ring = ring_for(4, qq, vars="x")
+    frame = schreyer_frame(module_presentation("N", ring))
+    levels, twists = frame
+    C = FreeComplex(ring, twists, levels)
+    minimalize(C)
+    assert C.consumed and all(vecs == [] for _, vecs in levels)
+    assert C.twists == [list(tw) for tw in twists]
+    with pytest.raises(ValueError, match="consumed by minimalize"):
+        read(ring, frame, C)
+
+
+def test_a_complex_on_a_consumed_frame_fails_loudly(qq):
+    # a second complex on the same vec lists is not marked consumed, but
+    # its emptied lists would read as a minimal complex
+    ring = ring_for(4, qq, vars="x")
+    levels, twists = schreyer_frame(module_presentation("N", ring))
+    C, other = (FreeComplex(ring, twists, levels) for _ in range(2))
+    minimalize(C)
+    assert not other.consumed
+    for read in (other.is_minimal, lambda: other.diffs,
+                 lambda: complex_betti(other), lambda: minimalize(other)):
+        with pytest.raises(ValueError, match="consumed by minimalize"):
+            read()
+    with pytest.raises(ValueError, match="does not match the twist data"):
+        other.check()
 
 
 def test_free_resolution_checks_the_frame_and_its_minimal_complex(
@@ -239,8 +286,7 @@ def test_zero_module_resolves_to_the_zero_complex(qq):
 def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
     # contract nothing: the unit relation of the presentation survives
     monkeypatch.setattr(resolutions, "_contract_units",
-                        lambda mats, orders, twists, field:
-                        [[True] * len(tw) for tw in twists])
+                        lambda mats, k, order, alive, field: None)
     ring = ring_for(4, qq, vars="x")
     pres = GradedMatrix(ring, [[ring.one(), ring.x(1, 2)]], [(0, 0)],
                         [(0, 0), (1, 0)])
@@ -472,12 +518,20 @@ def _contract_units_reference(mats, twists, field, one):
     return alive
 
 
-@lru_cache(maxsize=None)
 def _frame_complex(name, f, char, seed):
-    """The Schreyer frame of the module's presentation, as a FreeComplex,
-    with the presentation's columns shuffled by `seed` (0 keeps the
-    order the command line uses).  RJ lives over the full ring, A and N
-    over the x-variable ring."""
+    """The Schreyer frame of the module's presentation, as a new
+    FreeComplex on each call (minimalize consumes it), with the
+    presentation's columns shuffled by `seed` (0 keeps the order the
+    command line uses)."""
+    ring, twists, levels = _frame_data(name, f, char, seed)
+    return FreeComplex(ring, twists, [(order, list(vecs))
+                                      for order, vecs in levels])
+
+
+@lru_cache(maxsize=None)
+def _frame_data(name, f, char, seed):
+    """(ring, twists, levels) of the frame `_frame_complex` wraps.  RJ
+    lives over the full ring, A and N over the x-variable ring."""
     ring = ring_for(f, GF(char) if char else QQ,
                     vars="xt" if name == "RJ" else "x")
     pres = module_presentation(name, ring)
@@ -487,7 +541,7 @@ def _frame_complex(name, f, char, seed):
     pres = GradedMatrix(ring, [[row[j] for j in cols] for row in pres.entries],
                         pres.row_degs, [pres.col_degs[j] for j in cols])
     levels, twists = schreyer_frame(pres)
-    return FreeComplex(ring, twists, levels)
+    return ring, twists, tuple((order, tuple(vecs)) for order, vecs in levels)
 
 
 def _terms_with_types(C):
@@ -501,7 +555,7 @@ def _terms_with_types(C):
 def test_minimalize_matches_the_nested_reference(name, f, char):
     for seed in (0, 1, 7):
         frame = _frame_complex(name, f, char, seed)
-        before = [(order, list(vecs)) for order, vecs in frame.levels]
+        # both readers first: minimalize consumes the frame
         table = strand_betti((frame.levels, frame.twists), frame.ring.field)
         want, want_B = minimalize_reference(frame)
         got, got_B = minimalize(frame)
@@ -510,13 +564,11 @@ def test_minimalize_matches_the_nested_reference(name, f, char):
             [order.twists for order, _ in want.levels]
         assert _terms_with_types(got) == _terms_with_types(want)
         assert got_B == want_B == table
-        # the frame is read, never changed, and the other route still
-        # reads the same table from it
-        assert [(order, list(vecs)) for order, vecs in frame.levels] == before
-        assert all(a is b for (_, va), (_, vb) in zip(frame.levels, before)
-                   for a, b in zip(va, vb))
-        assert strand_betti((frame.levels, frame.twists),
-                            frame.ring.field) == table
+        # every level's vec list was emptied in place, and the other
+        # route refuses the consumed frame
+        assert frame.levels and all(vecs == [] for _, vecs in frame.levels)
+        with pytest.raises(ValueError, match="consumed by minimalize"):
+            strand_betti((frame.levels, frame.twists), frame.ring.field)
 
 
 def _traced_peak(fn, arg):

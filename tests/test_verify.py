@@ -219,6 +219,58 @@ def test_char_anomaly_resolves_each_table_once_by_both_routes(monkeypatch):
     assert verify._TABLES == {}
 
 
+def test_the_rank_route_reads_each_frame_before_the_matrix_route(
+        monkeypatch):
+    """minimal_resolution consumes its frame, so on every table of a
+    resolutions and char-anomaly run, strand_betti reads the frame
+    first."""
+    calls = []
+    _counting(monkeypatch, calls)
+    monkeypatch.setattr(verify, "SUITE_NAMES", ("resolutions",
+                                                "char-anomaly"))
+    rep = run_suite("all")
+    assert rep.status == "pass"
+    # one frame per shape, so a shape names one frame object
+    shapes = [c[1:] for c in calls if c[0] == "schreyer_frame"]
+    assert len(shapes) == len(set(shapes)) >= 4
+    for shape in shapes:
+        assert [c[0] for c in calls if c[1:] == shape] == [
+            "schreyer_frame", "strand_betti", "minimal_resolution"]
+
+
+def _consume_first(monkeypatch):
+    real = verify.schreyer_frame
+
+    def consumed(pres):
+        frame = real(pres)
+        resolutions.minimal_resolution(frame, pres.ring)
+        return frame
+    monkeypatch.setattr(verify, "schreyer_frame", consumed)
+
+
+def _consume_between(monkeypatch):
+    real = verify.strand_betti
+
+    def read_then_consume(frame, field):
+        table = real(frame, field)
+        levels, twists = frame
+        resolutions.minimalize(resolutions.FreeComplex(
+            levels[0][0].ring, twists, levels))
+        return table
+    monkeypatch.setattr(verify, "strand_betti", read_then_consume)
+
+
+@pytest.mark.parametrize("consume", [_consume_first, _consume_between],
+                         ids=["before-the-rank-route",
+                              "before-the-matrix-route"])
+def test_a_consumed_frame_is_an_error_not_a_table(consume, monkeypatch):
+    consume(monkeypatch)
+    rep = run_suite("resolutions", fs=[4], chars=[0])
+    assert [c.verdict for c in rep.checks] == [ERROR] * 4
+    assert all("consumed by minimalize" in c.detail for c in rep.checks)
+    assert verify._TABLES == {}
+
+
 def test_char_anomaly_reads_the_tables_of_the_resolutions_suite(monkeypatch):
     """Run together, the projective-dimension checks at f = 5 build the
     two N tables and the char-anomaly check builds no frame of its own;
