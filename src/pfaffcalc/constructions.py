@@ -54,7 +54,7 @@ def pfaffian_gens(ring):
     polynomials are immutable and shared."""
     gens = _PFAFFIANS.get(ring)
     if gens is None:
-        dp2 = generic_xi(ring).divided_power(2)
+        dp2 = generic_xi(ring).divided_power()
         gens = _PFAFFIANS[ring] = [dp2.terms.get(I, ring.zero())
                                    for I in all_subsets(ring.f, 4)]
     return list(gens)
@@ -98,7 +98,7 @@ class GradedMatrix:
 
     __slots__ = ("ring", "entries", "row_degs", "col_degs")
 
-    def __init__(self, ring, entries, row_degs, col_degs, check=True):
+    def __init__(self, ring, entries, row_degs, col_degs):
         self.ring = ring
         self.entries = [list(r) for r in entries]
         self.row_degs = list(row_degs)
@@ -108,8 +108,7 @@ class GradedMatrix:
         for r in self.entries:
             if len(r) != len(self.col_degs):
                 raise ValueError("column count / column degree mismatch")
-        if check:
-            self.check_degrees()
+        self.check_degrees()
 
     @property
     def nrows(self):
@@ -142,7 +141,7 @@ class GradedMatrix:
 
     def transpose(self, row_degs, col_degs):
         ent = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return GradedMatrix(self.ring, ent, row_degs, col_degs, check=False)
+        return GradedMatrix(self.ring, ent, row_degs, col_degs)
 
     def __matmul__(self, other):
         """Composition self o other (apply `other` first)."""
@@ -161,14 +160,14 @@ class GradedMatrix:
                         s = s + a * b
                 row.append(s)
             out.append(row)
-        return GradedMatrix(self.ring, out, self.row_degs, other.col_degs, check=False)
+        return GradedMatrix(self.ring, out, self.row_degs, other.col_degs)
 
     @classmethod
     def identity(cls, ring, n):
         degs = [(0, 0)] * n
         one, zero = ring.one(), ring.zero()
         ent = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(ring, ent, degs, degs, check=False)
+        return cls(ring, ent, degs, degs)
 
     def retwisted(self, row_degs, col_degs):
         return GradedMatrix(self.ring, self.entries, row_degs, col_degs)
@@ -182,7 +181,6 @@ def map_matrix(name, ring):
     conventions."""
     f = ring.f
     xi = generic_xi(ring)
-    z = ring.zero()
 
     if name == "d0":
         # transcribed as -X; the contraction route phi_1 |-> phi_1(xi) is
@@ -239,12 +237,9 @@ def map_matrix(name, ring):
         return GradedMatrix(ring, [tx_entries(ring)], [(0, 0)], [(1, 1)] * f)
 
     if name == "D1":
-        subs4 = all_subsets(f, 4)
-        dp2 = xi.divided_power(2)
-        row = tx_entries(ring) + [contract(_dec_basis(ring, S), dp2).terms.get((), z)
-                                  for S in subs4]
-        return GradedMatrix(ring, [row], [(0, 0)],
-                            [(1, 1)] * f + [(2, 0)] * len(subs4))
+        pfs = pfaffian_gens(ring)
+        return GradedMatrix(ring, [tx_entries(ring) + pfs], [(0, 0)],
+                            [(1, 1)] * f + [(2, 0)] * len(pfs))
 
     if name == "D2":
         tau = generic_tau(ring)
@@ -288,16 +283,20 @@ def map_matrix(name, ring):
 
 
 class TermSpec:
-    """One spot of a presented complex: a free cover of rank `rank` with
-    generator bidegrees `degs`, presented modulo `extra_relations`
-    (columns over the cover) plus the complex-wide quotient ideal."""
+    """One spot of a presented complex: a free cover with generator
+    bidegrees `degs`, presented modulo `extra_relations` (columns over
+    the cover) plus the complex-wide quotient ideal."""
 
-    __slots__ = ("rank", "degs", "extra_relations")
+    __slots__ = ("degs", "extra_relations")
 
-    def __init__(self, rank, degs, extra_relations=None):
-        self.rank = rank
+    def __init__(self, degs, extra_relations=None):
         self.degs = list(degs)
         self.extra_relations = [list(c) for c in (extra_relations or [])]
+
+    @property
+    def rank(self):
+        """The rank of the free cover, one per generator bidegree."""
+        return len(self.degs)
 
 
 class PresentedComplex:
@@ -325,7 +324,6 @@ class PresentedComplex:
 
 def build_complex(name, ring):
     f = ring.f
-    z = ring.zero()
 
     if name == "precplx":
         if f < 3:
@@ -335,10 +333,10 @@ def build_complex(name, ring):
         delta1 = map_matrix("delta1", ring)
         n3 = len(all_subsets(f, 3))
         # spots, rightmost first: wedge3 F, F, F*, wedge3 F*
-        terms = [TermSpec(n3, [(-1, 0)] * n3),
-                 TermSpec(f, [(0, 0)] * f),
-                 TermSpec(f, [(1, 0)] * f),
-                 TermSpec(n3, [(2, 0)] * n3)]
+        terms = [TermSpec([(-1, 0)] * n3),
+                 TermSpec([(0, 0)] * f),
+                 TermSpec([(1, 0)] * f),
+                 TermSpec([(2, 0)] * n3)]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [delta1, d0, d1], (1, 2))
 
@@ -353,11 +351,11 @@ def build_complex(name, ring):
         n3 = len(all_subsets(f, 3))
         small = [[ring.x(1, 2)], [ring.x(1, 3)], [ring.x(2, 3)]]
         # spots, rightmost first: R/I_3, A, A^3, F*, wedge3 F*
-        terms = [TermSpec(1, [(0, 0)], extra_relations=small),
-                 TermSpec(1, [(0, 0)]),
-                 TermSpec(3, [(1, 0)] * 3),
-                 TermSpec(f, [(2, 0)] * f),
-                 TermSpec(n3, [(3, 0)] * n3)]
+        terms = [TermSpec([(0, 0)], extra_relations=small),
+                 TermSpec([(0, 0)]),
+                 TermSpec([(1, 0)] * 3),
+                 TermSpec([(2, 0)] * f),
+                 TermSpec([(3, 0)] * n3)]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [ident, rho, d0p, d1], (0, 1, 2, 3))
 
@@ -370,10 +368,10 @@ def build_complex(name, ring):
         ident = GradedMatrix.identity(ring, 1)
         d1cols = map_matrix("d1", ring).retwisted([(1, 1)] * f, [(2, 1)] * len(all_subsets(f, 3))).columns()
         # spots, rightmost first: R/J, A, N, A
-        terms = [TermSpec(1, [(0, 0)], extra_relations=[[g] for g in tx_entries(ring)]),
-                 TermSpec(1, [(0, 0)]),
-                 TermSpec(f, [(1, 1)] * f, extra_relations=d1cols),
-                 TermSpec(1, [(1, 2)])]
+        terms = [TermSpec([(0, 0)], extra_relations=[[g] for g in tx_entries(ring)]),
+                 TermSpec([(0, 0)]),
+                 TermSpec([(1, 1)] * f, extra_relations=d1cols),
+                 TermSpec([(1, 2)])]
         return PresentedComplex(name, ring, pfaffian_gens(ring), terms,
                                 [ident, tXi, tau_col], (0, 1, 2, 3))
 

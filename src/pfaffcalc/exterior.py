@@ -11,12 +11,11 @@ and a wedge of actors applies right factor first, i.e. (u ^ v)(w) =
 u(v(w)).  All other signs (wedge reordering, interior products of higher
 degree) emerge from these two rules; none are hand-coded.
 
-Divided powers of a degree-2 element v are computed by the recursion
-e_i*(v^(l)) = e_i*(v) ^ v^(l-1), reading off the coefficient of each
-basis monomial from its smallest index i, so only the factors' terms
-above i enter the product.  The independent cross-check,
-pfaffian_oracle, instead expands submatrix Pfaffians along the first row
-with explicit (-1)^j signs.
+The divided square of a degree-2 element v = sum_S c_S e_S is computed
+by its definition, v^(2) = sum_{S<T} c_S c_T e_S ^ e_T over pairs of
+distinct terms, which is v ^ v / 2 without dividing by 2.  The
+independent cross-check, pfaffian_oracle, instead expands submatrix
+Pfaffians along the first row with explicit (-1)^j signs.
 """
 
 from itertools import combinations
@@ -30,23 +29,18 @@ from weakref import WeakKeyDictionary
 _ROWS = WeakKeyDictionary()
 
 
-def merge_sign(S, T):
-    """Sign of sorting the concatenation of two disjoint increasing
-    tuples: (-1)^#{(s,t) in S x T : s > t}."""
-    inv = 0
-    for t in T:
-        for s in S:
-            if s > t:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def _wedge_basis(S, T):
     """Basis product e_S ^ e_T for increasing tuples: returns (sign,
     increasing tuple) or None if they share an index."""
     if set(S) & set(T):
         return None
-    return merge_sign(S, T), tuple(sorted(S + T))
+    return _sort_sign(S + T), tuple(sorted(S + T))
+
+
+def _ordered_wedge(S, T):
+    """_wedge_basis(S, T) for S < T, else None: the basis table of the
+    divided square, which takes each unordered pair of terms once."""
+    return _wedge_basis(S, T) if S < T else None
 
 
 def _act_basis(T, S):
@@ -208,31 +202,12 @@ class ExteriorElement:
         return ExteriorElement(self.ring, other.side, other.k - self.k, out)
 
     # -- divided powers -----------------------------------------------------------
-    def divided_power(self, ell):
+    def divided_power(self):
+        """The divided square self^(2) of a degree-2 element."""
         if self.k != 2:
             raise ValueError("divided powers are defined here for degree-2 elements")
-        if ell < 0:
-            raise ValueError("negative divided power")
-        if ell == 0:
-            return ExteriorElement(self.ring, self.side, 0, {(): self.ring.one()})
-        if ell == 1:
-            return self
-        prev = self.divided_power(ell - 1)
-        opp = "dual" if self.side == "primal" else "primal"
-        out = {}
-        # e_i*(self) = 0 for an index i that occurs in no term.  Only the
-        # terms S with S[0] > i are kept, and those come only from terms
-        # j > i of e_i*(self) wedged with terms of prev above i, so both
-        # factors are cut to those first; the kept sums and their order
-        # are unchanged.
-        for i in sorted({i for S in self.terms for i in S}):
-            ei = ExteriorElement.basis(self.ring, opp, (i,)).act(self)
-            head = ei._new({S: c for S, c in ei.terms.items() if S[0] > i})
-            tail = prev._new({S: c for S, c in prev.terms.items()
-                              if S[0] > i})
-            for S, c in head.wedge(tail).terms.items():
-                out[(i,) + S] = c
-        return ExteriorElement(self.ring, self.side, 2 * ell, out)
+        out = _accumulate(self.ring, _ordered_wedge, self.terms, self.terms)
+        return ExteriorElement(self.ring, self.side, 4, out)
 
     # ------------------------------------------------------------------------------
     def __eq__(self, other):

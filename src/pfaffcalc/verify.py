@@ -215,7 +215,7 @@ def _id_double_contraction(f, char, seed):
         f2 = _rand_form(field, f, rng, "primal", 2)
         phi3 = _rand_form(field, f, rng, "dual", 3)
         lhs = f2.act(phi3).act(f2)
-        rhs = phi3.act(f2.divided_power(2))
+        rhs = phi3.act(f2.divided_power())
         if lhs != rhs:
             raise CheckFailure("trial %d violates the divided-square "
                                "pairing" % t)
@@ -247,7 +247,7 @@ def _id_divided_leibniz(f, char, seed):
         tau = _rand_form(field, f, rng, "dual", 1)
         v = _rand_form(field, f, rng, "primal", 2)
         w = _rand_form(field, f, rng, "primal", 2)
-        if tau.act(v.divided_power(2)) != tau.act(v).wedge(v):
+        if tau.act(v.divided_power()) != tau.act(v).wedge(v):
             raise CheckFailure("trial %d: tau(v^(2)) != tau(v) ^ v" % t)
         lhs = tau.act(v.wedge(w))
         rhs = tau.act(v).wedge(w) + tau.act(w).wedge(v)
@@ -283,7 +283,7 @@ def _id_half_factorization(f, char, seed):
         xi = _rand_form(field, f, rng, "primal", 2)
         phi1 = _rand_form(field, f, rng, "dual", 1)
         phi4 = _rand_form(field, f, rng, "dual", 4)
-        lhs = phi1.scale(xi.divided_power(2).act(phi4).coeff(()))
+        lhs = phi1.scale(xi.divided_power().act(phi4).coeff(()))
         inner = phi1.act(xi).act(phi4) + xi.act(phi1.wedge(phi4)).scale(half)
         if lhs != xi.act(inner):
             raise CheckFailure("trial %d violates the factorization" % t)

@@ -5,12 +5,13 @@ from math import comb
 import pytest
 
 from pfaffcalc.betti import BettiTable
-from pfaffcalc.constructions import (GradedMatrix, build_complex, build_ideal,
-                                     generic_tau, generic_xi,
+from pfaffcalc.constructions import (GradedMatrix, _dec_basis, build_complex,
+                                     build_ideal, generic_tau, generic_xi,
                                      mapping_cone_betti, map_matrix,
                                      module_presentation, pfaffian_gens,
                                      s1_s2_sets, tx_entries)
-from pfaffcalc.exterior import all_subsets
+from pfaffcalc.exterior import (AlternatingMatrix, all_subsets, contract,
+                                pfaffian_oracle)
 from pfaffcalc.fields import GF, QQ
 from pfaffcalc.groebner import groebner_basis
 from pfaffcalc.rings import ring_for
@@ -64,12 +65,26 @@ def test_pfaffian_generators_match_divided_square():
     # each Pfaffian generator is a coefficient of the generic divided square
     ring = ring_for(5, QQ)
     xi = generic_xi(ring)
-    sq = xi.divided_power(2)
+    sq = xi.divided_power()
     gens = pfaffian_gens(ring)
     subsets = all_subsets(5, 4)
     assert len(gens) == len(subsets)
     for S, g in zip(subsets, gens):
         assert sq.coeff(S) == g
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("f", [4, 5, 6, 7, 8])
+def test_pfaffian_generators_match_the_oracle(f, char):
+    # the divided square against first-row expansion, which shares no
+    # code with the exterior products
+    ring = ring_for(f, GF(char) if char else QQ, vars="x")
+    A = AlternatingMatrix.generic(ring)
+    subsets = all_subsets(f, 4)
+    gens = pfaffian_gens(ring)
+    assert len(gens) == len(subsets)
+    for S, g in zip(subsets, gens):
+        assert g == pfaffian_oracle(A, S), S
 
 
 def test_generic_tau_is_the_t_row():
@@ -101,6 +116,20 @@ def test_d0_matches_contraction_route(f, char):
     d0c = map_matrix("d0_contracted", ring)
     assert d0c.entries == d0.entries
     assert (d0c.row_degs, d0c.col_degs) == (d0.row_degs, d0.col_degs)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("f", [4, 5, 6])
+def test_D1_pfaffians_match_the_contraction_route(f, char):
+    # D1 reads its Pfaffian entries from pfaffian_gens; each decreasing
+    # basis 4-coform contracted with xi^(2) must give the same entry
+    ring = ring_for(f, GF(char) if char else QQ)
+    sq = generic_xi(ring).divided_power()
+    want = [contract(_dec_basis(ring, S), sq).terms.get((), ring.zero())
+            for S in all_subsets(f, 4)]
+    D1 = map_matrix("D1", ring)
+    assert D1.entries[0][f:] == want
+    assert D1.col_degs[f:] == [(2, 0)] * len(want)
 
 
 @pytest.mark.parametrize("f", [3, 4, 5])
@@ -181,9 +210,14 @@ def test_module_presentations_shapes():
 def test_graded_matrix_transpose_and_identity():
     ring = ring_for(3, QQ)
     M = map_matrix("d0", ring)
-    T = M.transpose(M.col_degs, M.row_degs)
+    # the dual map: degrees negated, so every entry keeps its bidegree
+    rows, cols = ([(-a, -b) for a, b in degs]
+                  for degs in (M.col_degs, M.row_degs))
+    T = M.transpose(rows, cols)
     assert (T.nrows, T.ncols) == (M.ncols, M.nrows)
-    assert (T.row_degs, T.col_degs) == (M.col_degs, M.row_degs)
+    assert (T.row_degs, T.col_degs) == (rows, cols)
+    with pytest.raises(ValueError, match="has bidegree"):
+        M.transpose(M.col_degs, M.row_degs)
     assert all(T.entries[j][i] == M.entries[i][j]
                for i in range(M.nrows) for j in range(M.ncols))
     E = GradedMatrix.identity(ring, 3)

@@ -51,8 +51,8 @@ def test_nonexact_complex_detected(qq):
     # R <-0- R has nonzero homology at both spots
     ring = ring_for(2, qq)
     Z = GradedMatrix(ring, [[ring.zero()]], [(0, 0)], [(0, 0)])
-    C = PresentedComplex("toy", ring, [], [TermSpec(1, [(0, 0)]),
-                                           TermSpec(1, [(0, 0)])], [Z], ())
+    C = PresentedComplex("toy", ring, [], [TermSpec([(0, 0)]),
+                                           TermSpec([(0, 0)])], [Z], ())
     assert not homology_is_zero(C, 0)
     assert not homology_is_zero(C, 1)
     with pytest.raises(ValueError):

@@ -385,14 +385,15 @@ def test_composite_is_a_descending_vec(qq):
 def test_check_rejects_a_twist_mismatch(qq):
     ring = ring_for(4, qq, vars="x")
     d1, d2 = _koszul_maps(ring, -1)
+    twists = [[(0, 0)], [(1, 0)] * 2, [(3, 0)]]
     with pytest.raises(ValueError,
                        match="differential 2 does not match the twist data"):
-        FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
-                                [d1, d2])
-    bad = GradedMatrix(ring, d2.entries, d2.row_degs, [(3, 0)], check=False)
+        FreeComplex.of_matrices(ring, twists, [d1, d2])
+    with pytest.raises(ValueError, match=r"entry \(0,0\) has bidegree"):
+        GradedMatrix(ring, d2.entries, d2.row_degs, [(3, 0)])
+    levels = [(order, vecs) for vecs, order in map(vecs_of_matrix, (d1, d2))]
     with pytest.raises(ValueError, match="column 0 of differential 2 has bidegree"):
-        FreeComplex.of_matrices(ring, [[(0, 0)], [(1, 0)] * 2, [(3, 0)]],
-                                [d1, bad])
+        FreeComplex(ring, twists, levels)
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])
