@@ -5,9 +5,10 @@ Quotient-ring homology is decided without quotient-ring Groebner bases:
 "zero in the module" always means membership in the span of the map
 columns together with the term's own relation columns and the ambient
 quotient ideal times each cover generator, all over the polynomial
-ring.  The quotient ideal's reduced basis is computed once per complex
-check (`quotient_span`) and placed in every cover component as a basis
-known in advance, so its pairs are never formed again.  Spans are built
+ring.  The quotient ideal's reduced basis (`quotient_span`) is computed
+once per closure check and once per position of an exactness check,
+and placed in every cover component as a basis known in advance, so its
+pairs are never formed again.  Spans are built
 from the construction matrices' columns, the dense edge; kernels and
 the elements tested for membership stay engine vecs.
 

@@ -9,22 +9,20 @@ takes them in, and reading `diffs`, which only callers do, builds them.
 
 Two independent Betti routes are provided on purpose.  Both read one
 Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
-`schreyer_frame` builds, which a caller that wants both tables builds
-once and hands to each.  Ownership: `strand_betti` reads a frame and
-leaves it as it was; `minimalize` and `minimal_resolution` consume it,
-emptying each level's vec list as they take it over, so a caller that
-wants both tables calls `strand_betti` first.  A consumed frame or
-complex raises ValueError wherever it is read again.
+`schreyer_frame` builds as a checked FreeComplex, which a caller that
+wants both tables builds once and hands to each.  Ownership:
+`strand_betti` reads a frame, `minimalize` consumes it, emptying each
+level's vec list as it takes it over, so a caller that wants both
+tables calls `strand_betti` first.  A consumed frame raises ValueError
+wherever it is read again.
 
-* ``minimal_resolution`` wraps the frame as a (checked) FreeComplex and
-  returns ``minimalize`` of it: unit entries are contracted on one
-  {key: coeff} dict per column in the frame's own keys (deterministic
-  pivot order), level by level, each level of the frame freed once
-  copied and each level of the minimal complex built once final; the
-  minimal complex is checked again; ``free_resolution`` is this route
-  on a presentation, and the one place that caps the length
-  (ResolutionTruncated beyond max_len); every other caller reads the
-  length off the result;
+* ``minimalize`` contracts unit entries on one {key: coeff} dict per
+  column in the frame's own keys (deterministic pivot order), level by
+  level, each level of the frame freed once copied and each level of
+  the minimal complex built once final; the minimal complex is checked
+  again; ``free_resolution`` is this route on a presentation, and the
+  one place that caps the length (ResolutionTruncated beyond max_len);
+  every other caller reads the length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal frame as dimensions of constant-strand homology
   (number of generators in a bidegree minus the ranks of the incoming
@@ -47,16 +45,6 @@ class ResolutionTruncated(Exception):
 
 
 _CONSUMED = "the frame was consumed by minimalize"
-
-
-def _check_frame_unconsumed(levels, twists):
-    """Raise ValueError unless every level of a (levels, twists) frame
-    holds one vec per generator of the next module, as it does until
-    `minimalize` empties it."""
-    for k, (_, vecs) in enumerate(levels):
-        if len(vecs) != len(twists[k + 1]):
-            raise ValueError("%s: level %d holds %d of its %d columns"
-                             % (_CONSUMED, k, len(vecs), len(twists[k + 1])))
 
 
 # -- vec <-> GradedMatrix ----------------------------------------------------
@@ -130,10 +118,11 @@ class FreeComplex:
     Invariants, checked on construction: the differentials match the
     twist data, and consecutive composites are identically zero.  A chain
     is never cut short: a resolution that would be raises
-    ResolutionTruncated instead.  `minimalize` consumes a complex: it
-    empties the vec lists and sets `consumed`, after which `check`,
-    `is_minimal` and `diffs` raise ValueError; so do `is_minimal` and
-    `diffs` of another complex built on the same vec lists."""
+    ResolutionTruncated instead.  `strand_betti` reads a frame,
+    `minimalize` consumes it: it empties the vec lists and sets
+    `consumed`, after which `check`, `is_minimal`, `diffs` and
+    `strand_betti` raise ValueError; so do they on another complex
+    built on the same vec lists, `check` as a twist mismatch."""
 
     __slots__ = ("ring", "twists", "levels", "consumed")
 
@@ -179,10 +168,15 @@ class FreeComplex:
 
     def _check_unconsumed(self):
         """Raise ValueError if `minimalize` consumed this complex, or
-        emptied vec lists it shares with another complex."""
+        emptied vec lists it shares with another complex: until then
+        every level holds one vec per generator of the next module."""
         if self.consumed:
             raise ValueError(_CONSUMED)
-        _check_frame_unconsumed(self.levels, self.twists)
+        for k, (_, vecs) in enumerate(self.levels):
+            n = len(self.twists[k + 1])
+            if len(vecs) != n:
+                raise ValueError("%s: level %d holds %d of its %d columns"
+                                 % (_CONSUMED, k, len(vecs), n))
 
     def check(self):
         if self.consumed:
@@ -212,13 +206,11 @@ class FreeComplex:
 
 
 def schreyer_frame(pres):
-    """The Schreyer frame of coker(pres) as (levels, twists), the data of
-    a FreeComplex: F_0 from the rows of pres, F_k from the Schreyer order
-    of level k, the last module from its columns; each level's columns
-    are a list, which `minimal_resolution` empties as it takes the level
-    over, while `strand_betti` only reads them.  Raises
-    ResolutionTruncated if the ladder does not end naturally within
-    len(ring.names) + 2 levels."""
+    """The Schreyer frame of coker(pres) as a checked FreeComplex: F_0
+    from the rows of pres, F_k from the Schreyer order of level k, the
+    last module from its columns.  `strand_betti` reads it and
+    `minimalize` consumes it.  Raises ResolutionTruncated if the ladder
+    does not end naturally within len(ring.names) + 2 levels."""
     cap = len(pres.ring.names) + 2
     vecs, order0 = vecs_of_matrix(pres)
     levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
@@ -226,35 +218,26 @@ def schreyer_frame(pres):
     if truncated:
         raise ResolutionTruncated(
             "syzygy ladder still active after %d levels" % cap)
-    if not levels:
-        return levels, [list(order0.twists)]
-    last_order, last_els = levels[-1]
-    return levels, [list(order.twists) for order, _ in levels] + \
-        [vec_bidegs(last_els, last_order)]
+    twists = [order.twists for order, _ in levels]
+    if levels:
+        last_order, last_els = levels[-1]
+        twists.append(vec_bidegs(last_els, last_order))
+    return FreeComplex(pres.ring, twists or [order0.twists], levels)
 
 
 def free_resolution(pres, max_len):
-    """The minimal graded free resolution of coker(pres): `minimal_resolution`
+    """The minimal graded free resolution of coker(pres): `minimalize`
     of its `schreyer_frame`.  If it is longer than max_len, a
     ResolutionTruncated error is raised — never a silently shortened
     complex."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    minC = minimal_resolution(schreyer_frame(pres), pres.ring)
+    minC = minimalize(schreyer_frame(pres))[0]
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
             % (minC.length, max_len))
     return minC
-
-
-def minimal_resolution(frame, ring):
-    """The minimalizing route: the frame as a checked FreeComplex, which
-    `minimalize` contracts, whatever its length.  The frame is consumed:
-    read it with `strand_betti` first."""
-    levels, twists = frame
-    _check_frame_unconsumed(levels, twists)
-    return minimalize(FreeComplex(ring, twists, levels))[0]
 
 
 def minimalize(C):
@@ -276,8 +259,8 @@ def minimalize(C):
     (only the contraction of level k can still delete its columns): each
     surviving term is re-keyed once into the minimal complex's
     FreeModuleOrder and the level's dicts are dropped.  C is marked
-    consumed, so its `check`, `is_minimal` and `diffs` raise ValueError
-    from then on; C.twists stays readable.  The result is a checked
+    consumed, so its `check`, `is_minimal`, `diffs` and `strand_betti`
+    raise ValueError from then on; C.twists stays readable.  The result is a checked
     FreeComplex."""
     C._check_unconsumed()
     C.consumed = True
@@ -507,21 +490,21 @@ def _constant_strands(order, els, row_twists, col_twists, field):
 def ladder_betti(pres):
     """Minimal bigraded Betti numbers of coker(pres): `strand_betti` of
     its `schreyer_frame`."""
-    return strand_betti(schreyer_frame(pres), pres.ring.field)
+    return strand_betti(schreyer_frame(pres))
 
 
-def strand_betti(frame, field):
+def strand_betti(C):
     """The constant-strand route: minimal bigraded Betti numbers read
-    directly off the non-minimal frame.
+    directly off the non-minimal complex C, a Schreyer frame.
 
-    In each bidegree, beta_{k} = (generators of the frame's F_k there)
-    minus the ranks of the incoming and outgoing constant strands; no
-    minimalization is performed, and the frame is left as it was.  A
-    frame that `minimalize` consumed raises ValueError."""
-    levels, twists = frame
-    _check_frame_unconsumed(levels, twists)
+    In each bidegree, beta_{k} = (generators of C's F_k there) minus the
+    ranks of the incoming and outgoing constant strands; no
+    minimalization is performed, and C is left as it was.  A complex
+    that `minimalize` consumed raises ValueError."""
+    C._check_unconsumed()
+    twists, field = C.twists, C.ring.field
     ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
-    for k, (order_k, els) in enumerate(levels):
+    for k, (order_k, els) in enumerate(C.levels):
         strands = _constant_strands(order_k, els, twists[k], twists[k + 1],
                                     field)
         ranks.append({bd: _field_rank(rows, field)

@@ -218,8 +218,6 @@ class Polynomial:
             if other.ring.codec is not self.ring.codec and other.ring != self.ring:
                 raise ValueError("mixed rings")
             return other
-        if isinstance(other, int):
-            return self.ring.const(other)
         return self.ring.const(other)
 
     def __eq__(self, other):

@@ -342,29 +342,6 @@ def test_divided_square_is_no_product_of_act_or_wedge(monkeypatch):
         assert calls == ["divided_power"]
 
 
-def test_a_dropped_term_of_the_square_fails_its_three_families(monkeypatch):
-    raw = ExteriorElement.divided_power
-
-    def dropped(self):
-        sq = raw(self)
-        return sq._new(dict(list(sq.terms.items())[1:]))
-
-    monkeypatch.setattr(ExteriorElement, "divided_power", dropped)
-    rep = run_suite("exterior-identities", fs=[4], chars=[32003])
-    verdicts = {}
-    for r in rep.checks:
-        verdicts.setdefault(r.name.split("[")[0], set()).add(r.verdict)
-    assert verdicts == {
-        "contract-vector-leibniz": {"pass"},
-        "double-contraction-divided-square": {"fail"},
-        "three-coform-expansion": {"pass"},
-        "divided-power-derivation": {"fail"},
-        "pairing-compatibility": {"pass"},
-        "half-factorization": {"fail"},
-        "pfaffian-squares-to-determinant": {"pass"},
-    }
-
-
 # -- the one-pass product sum ----------------------------------------------
 
 def accumulate_reference(domain, table, left, right):

@@ -496,7 +496,7 @@ def test_schreyer_keys_of_the_n_ladder_at_f6():
     divisibility between same-component terms agrees with the codec."""
     ring = ring_for(6, GF(32003), vars="x")
     codec = ring.codec
-    levels, _ = schreyer_frame(module_presentation("N", ring))
+    levels = schreyer_frame(module_presentation("N", ring)).levels
     assert len(levels) == 10
     for order, els in levels:
         leads = {}

@@ -20,9 +20,8 @@ from pfaffcalc.fields import GF, QQ
 from pfaffcalc.gbengine import FreeModuleOrder
 from pfaffcalc.resolutions import (FreeComplex, ResolutionTruncated,
                                    complex_betti, composite, free_resolution,
-                                   ladder_betti, minimal_resolution,
-                                   minimalize, schreyer_frame, strand_betti,
-                                   vecs_of_matrix)
+                                   ladder_betti, minimalize, schreyer_frame,
+                                   strand_betti, vecs_of_matrix)
 from pfaffcalc.rings import ring_for
 
 
@@ -152,9 +151,8 @@ def test_public_minimalize_of_the_frame_is_frozen(name, f, char):
     # the dense entry point contracts the whole non-minimal frame
     ring = ring_for(f, GF(char) if char else QQ,
                     vars="xt" if name == "RJ" else "x")
-    levels, twists = resolutions.schreyer_frame(module_presentation(name, ring))
-    vec_frame = FreeComplex(ring, twists, levels)
-    frame = FreeComplex.of_matrices(ring, twists, vec_frame.diffs)
+    vec_frame = schreyer_frame(module_presentation(name, ring))
+    frame = FreeComplex.of_matrices(ring, vec_frame.twists, vec_frame.diffs)
     assert not frame.is_minimal()
     minC, B = minimalize(frame)
     assert complex_digest(minC) == MINIMAL_COMPLEX_SHA256[(name, f, char)]
@@ -173,8 +171,7 @@ def test_dense_round_trip_keeps_the_frozen_complex(name, f, char):
 
 def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
     ring = ring_for(5, qq, vars="x")
-    levels, twists = resolutions.schreyer_frame(module_presentation("N", ring))
-    frame = FreeComplex(ring, twists, levels)
+    frame = schreyer_frame(module_presentation("N", ring))
     one = ring.codec.one
 
     def scans(C):
@@ -188,40 +185,37 @@ def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
 
 
 @pytest.mark.parametrize("read", [
-    pytest.param(lambda ring, frame, C: C.check(), id="check"),
-    pytest.param(lambda ring, frame, C: C.is_minimal(), id="is_minimal"),
-    pytest.param(lambda ring, frame, C: C.diffs, id="diffs"),
-    pytest.param(lambda ring, frame, C: complex_betti(C), id="complex_betti"),
-    pytest.param(lambda ring, frame, C: minimalize(C), id="minimalize"),
-    pytest.param(lambda ring, frame, C: strand_betti(frame, ring.field),
-                 id="strand_betti"),
-    pytest.param(lambda ring, frame, C: minimal_resolution(frame, ring),
-                 id="minimal_resolution"),
+    pytest.param(lambda C: C.check(), id="check"),
+    pytest.param(lambda C: C.is_minimal(), id="is_minimal"),
+    pytest.param(lambda C: C.diffs, id="diffs"),
+    pytest.param(complex_betti, id="complex_betti"),
+    pytest.param(minimalize, id="minimalize"),
+    pytest.param(strand_betti, id="strand_betti"),
 ])
 def test_a_consumed_frame_fails_loudly(read, qq):
     # emptied vec lists would otherwise read as a minimal complex, the
     # frame's generator counts as its Betti table, or an IndexError
     ring = ring_for(4, qq, vars="x")
-    frame = schreyer_frame(module_presentation("N", ring))
-    levels, twists = frame
-    C = FreeComplex(ring, twists, levels)
+    C = schreyer_frame(module_presentation("N", ring))
+    twists = [list(tw) for tw in C.twists]
     minimalize(C)
-    assert C.consumed and all(vecs == [] for _, vecs in levels)
-    assert C.twists == [list(tw) for tw in twists]
+    assert C.consumed and all(vecs == [] for _, vecs in C.levels)
+    assert C.twists == twists
     with pytest.raises(ValueError, match="consumed by minimalize"):
-        read(ring, frame, C)
+        read(C)
 
 
 def test_a_complex_on_a_consumed_frame_fails_loudly(qq):
     # a second complex on the same vec lists is not marked consumed, but
     # its emptied lists would read as a minimal complex
     ring = ring_for(4, qq, vars="x")
-    levels, twists = schreyer_frame(module_presentation("N", ring))
-    C, other = (FreeComplex(ring, twists, levels) for _ in range(2))
+    C = schreyer_frame(module_presentation("N", ring))
+    other = FreeComplex(ring, C.twists, C.levels)
     minimalize(C)
     assert not other.consumed
     for read in (other.is_minimal, lambda: other.diffs,
-                 lambda: complex_betti(other), lambda: minimalize(other)):
+                 lambda: complex_betti(other), lambda: minimalize(other),
+                 lambda: strand_betti(other)):
         with pytest.raises(ValueError, match="consumed by minimalize"):
             read()
     with pytest.raises(ValueError, match="does not match the twist data"):
@@ -316,11 +310,12 @@ def test_contraction_fills_in_a_unit_and_drops_a_cancelled_entry(char):
     d2 = GradedMatrix(ring, [[z], [-(a * b)], [b], [a], [z]],
                       twists[1], twists[2])
     frame = FreeComplex.of_matrices(ring, twists, [d1, d2])
+    table = strand_betti(frame)  # the rank route first: minimalize consumes
     minC, B = minimalize(frame)
     assert minC.twists == [[(0, 0)] * 2, [(1, 0)] * 3, [(2, 0)]]
     assert [d.entries for d in minC.diffs] == [
         [[a, -b, z], [z, z, b]], [[b], [a], [z]]]
-    assert B == complex_betti(minC)
+    assert B == complex_betti(minC) == table
 
 
 def _koszul_maps(ring, sign):
@@ -412,8 +407,14 @@ def test_free_resolution_rejects_a_corrupted_ladder(char, monkeypatch):
         return levels, truncated
 
     monkeypatch.setattr(resolutions, "schreyer_resolution", corrupted)
-    with pytest.raises(ValueError, match="composite d_1 o d_2 is nonzero"):
-        resolve("RJ", 4, GF(char) if char else QQ, vars="xt")
+    ring = ring_for(4, GF(char) if char else QQ, vars="xt")
+    pres = module_presentation("RJ", ring)
+    # the frame is checked when built, whichever route reads it
+    for route in (lambda: free_resolution(pres, max_len=len(ring.names)),
+                  lambda: ladder_betti(pres)):
+        with pytest.raises(ValueError,
+                           match="composite d_1 o d_2 is nonzero"):
+            route()
 
 
 # -- the nested minimalization, kept as a reference ---------------------------
@@ -541,8 +542,9 @@ def _frame_data(name, f, char, seed):
         random.Random(seed).shuffle(cols)
     pres = GradedMatrix(ring, [[row[j] for j in cols] for row in pres.entries],
                         pres.row_degs, [pres.col_degs[j] for j in cols])
-    levels, twists = schreyer_frame(pres)
-    return ring, twists, tuple((order, tuple(vecs)) for order, vecs in levels)
+    frame = schreyer_frame(pres)
+    return ring, frame.twists, tuple((order, tuple(vecs))
+                                     for order, vecs in frame.levels)
 
 
 def _terms_with_types(C):
@@ -557,7 +559,7 @@ def test_minimalize_matches_the_nested_reference(name, f, char):
     for seed in (0, 1, 7):
         frame = _frame_complex(name, f, char, seed)
         # both readers first: minimalize consumes the frame
-        table = strand_betti((frame.levels, frame.twists), frame.ring.field)
+        table = strand_betti(frame)
         want, want_B = minimalize_reference(frame)
         got, got_B = minimalize(frame)
         assert got.twists == want.twists
@@ -569,7 +571,7 @@ def test_minimalize_matches_the_nested_reference(name, f, char):
         # route refuses the consumed frame
         assert frame.levels and all(vecs == [] for _, vecs in frame.levels)
         with pytest.raises(ValueError, match="consumed by minimalize"):
-            strand_betti((frame.levels, frame.twists), frame.ring.field)
+            strand_betti(frame)
 
 
 def _traced_peak(fn, arg):

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from pfaffcalc import constructions, resolutions, verify
+from pfaffcalc import constructions, homology, resolutions, verify
 from pfaffcalc.betti import BettiTable
+from pfaffcalc.exterior import ExteriorElement
+from pfaffcalc.rings import PolyRing
 from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
                               CheckFailure, CheckResult, SuiteReport,
                               run_suite)
@@ -111,8 +113,7 @@ def test_crashed_check_is_an_error_not_a_fail(monkeypatch):
     assert rep.status == "fail"
 
 
-def _counting(monkeypatch, calls, routes=("minimal_resolution",
-                                          "strand_betti")):
+def _counting(monkeypatch, calls, routes=("minimalize", "strand_betti")):
     """Record each Schreyer frame verify builds, and each call of the
     named route functions, as (function, variables, presentation
     columns, characteristic); a route call is matched to the frame
@@ -131,9 +132,9 @@ def _counting(monkeypatch, calls, routes=("minimal_resolution",
     def counting(name):
         real = getattr(verify, name)
 
-        def counted(fr, *args):
+        def counted(fr):
             calls.append((name,) + next(s for f, s in frames if f is fr))
-            return real(fr, *args)
+            return real(fr)
         return counted
     for name in routes:
         monkeypatch.setattr(verify, name, counting(name))
@@ -164,7 +165,7 @@ def test_resolution_tables_are_computed_once_per_run(monkeypatch):
     assert sorted(c for c in calls if c[0] == "schreyer_frame") == \
         sorted(("schreyer_frame",) + shape for shape in shapes)
     assert sorted(calls) == sorted(
-        (name,) + shape for name in ("schreyer_frame", "minimal_resolution",
+        (name,) + shape for name in ("schreyer_frame", "minimalize",
                                      "strand_betti")
         for shape in shapes)
     assert verify._TABLES == {}
@@ -176,17 +177,15 @@ def test_resolution_tables_are_computed_once_per_run(monkeypatch):
 
 def test_a_table_whose_routes_disagree_is_not_kept(monkeypatch):
     calls = []
-    _counting(monkeypatch, calls, routes=("minimal_resolution",))
-    monkeypatch.setattr(verify, "strand_betti",
-                        lambda frame, field: BettiTable())
+    _counting(monkeypatch, calls, routes=("minimalize",))
+    monkeypatch.setattr(verify, "strand_betti", lambda frame: BettiTable())
     rep = run_suite("resolutions", fs=[4], chars=[0])
     assert [c.verdict for c in rep.checks] == [FAIL] * 4
     assert all(c.detail.startswith("matrix-route and rank-route Betti tables "
                                    "disagree") for c in rep.checks)
     # every check that asked for a table built its frame and resolved it
     # again
-    assert [c[0] for c in calls] == ["schreyer_frame",
-                                     "minimal_resolution"] * 4
+    assert [c[0] for c in calls] == ["schreyer_frame", "minimalize"] * 4
     assert verify._TABLES == {}
 
 
@@ -213,7 +212,7 @@ def test_char_anomaly_resolves_each_table_once_by_both_routes(monkeypatch):
     rep = run_suite("char-anomaly")
     assert rep.status == "pass"
     assert sorted(calls) == sorted(
-        (name,) + shape for name in ("schreyer_frame", "minimal_resolution",
+        (name,) + shape for name in ("schreyer_frame", "minimalize",
                                      "strand_betti")
         for shape in _N5)
     assert verify._TABLES == {}
@@ -221,7 +220,7 @@ def test_char_anomaly_resolves_each_table_once_by_both_routes(monkeypatch):
 
 def test_the_rank_route_reads_each_frame_before_the_matrix_route(
         monkeypatch):
-    """minimal_resolution consumes its frame, so on every table of a
+    """minimalize consumes its frame, so on every table of a
     resolutions and char-anomaly run, strand_betti reads the frame
     first."""
     calls = []
@@ -235,7 +234,7 @@ def test_the_rank_route_reads_each_frame_before_the_matrix_route(
     assert len(shapes) == len(set(shapes)) >= 4
     for shape in shapes:
         assert [c[0] for c in calls if c[1:] == shape] == [
-            "schreyer_frame", "strand_betti", "minimal_resolution"]
+            "schreyer_frame", "strand_betti", "minimalize"]
 
 
 def _consume_first(monkeypatch):
@@ -243,7 +242,7 @@ def _consume_first(monkeypatch):
 
     def consumed(pres):
         frame = real(pres)
-        resolutions.minimal_resolution(frame, pres.ring)
+        resolutions.minimalize(frame)
         return frame
     monkeypatch.setattr(verify, "schreyer_frame", consumed)
 
@@ -251,11 +250,9 @@ def _consume_first(monkeypatch):
 def _consume_between(monkeypatch):
     real = verify.strand_betti
 
-    def read_then_consume(frame, field):
-        table = real(frame, field)
-        levels, twists = frame
-        resolutions.minimalize(resolutions.FreeComplex(
-            levels[0][0].ring, twists, levels))
+    def read_then_consume(frame):
+        table = real(frame)
+        resolutions.minimalize(frame)
         return table
     monkeypatch.setattr(verify, "strand_betti", read_then_consume)
 
@@ -414,3 +411,132 @@ def test_all_runs_every_suite_in_order():
     assert rep.status == "incomplete"
     # at least one check from each suite family must be on the list
     assert len(rep.checks) > 8
+
+
+# -- a mutant for every check family ------------------------------------------
+#
+# Each mutant plants one fault, by monkeypatch, in a function or method
+# that the checks call.  Run over the whole f = 4 grid at one
+# characteristic, exactly the families the fault concerns must read fail,
+# and nothing else may move: no error, no other fail.
+
+def _wrap(monkeypatch, owner, name, mutate):
+    """Replace owner.name by a function that returns mutate(result, *args)
+    of the original."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: mutate(real(*args), *args))
+
+
+def _first_entry_plus(B, n):
+    """A copy of the Betti table B with n added to its first entry, in
+    key order; B itself is shared with other checks and stays as it
+    was."""
+    data = dict(B.data)
+    data[min(data)] += n
+    return BettiTable(data)
+
+
+def _one_generator_moved_up(B):
+    """A copy of B with one generator of its first entry moved up one
+    x-degree."""
+    i, (a, b) = min(B.data)
+    out = _first_entry_plus(B, -1)
+    out.add(i, (a + 1, b))
+    return out
+
+
+def _d2_column0_negated(M, name, ring):
+    if name != "D2":
+        return M
+    ent = [list(r) for r in M.entries]
+    i = next(i for i, row in enumerate(ent) if not row[0].is_zero())
+    ent[i][0] = -ent[i][0]
+    return constructions.GradedMatrix(ring, ent, M.row_degs, M.col_degs)
+
+
+def _unit_kernel_vector_added(out, *args):
+    vecs, order = out
+    return vecs + [((order.key(0, order.one), order.ring.field.one()),)], order
+
+
+def _square_term_dropped(monkeypatch):
+    # only in squares over field scalars, which the exterior identities
+    # sample: the square of the generic form over the polynomial ring
+    # gives the Pfaffian generators, whose one f = 4 term a dropped term
+    # would zero, failing the families built on them too
+    raw = ExteriorElement.divided_power
+
+    def dropped(self):
+        sq = raw(self)
+        if isinstance(self.ring, PolyRing):
+            return sq
+        return sq._new(dict(list(sq.terms.items())[1:]))
+    monkeypatch.setattr(ExteriorElement, "divided_power", dropped)
+
+
+MUTANTS = [
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "oracle_betti",
+                         lambda B, pres: _first_entry_plus(B, 1)),
+        {"betti-against-rank-oracle"}, id="oracle-entry-plus-one"),
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "mapping_cone_betti",
+                         lambda B, *tables: _first_entry_plus(B, -1)),
+        {"iterated-cone-assembly"}, id="cone-entry-minus-one"),
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "map_matrix", _d2_column0_negated),
+        {"relation-maps-compose-to-zero"}, id="d2-entry-negated"),
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "determinant_oracle",
+                         lambda det, M: det + 1),
+        {"pfaffian-squares-to-determinant"}, id="determinant-plus-one"),
+    pytest.param(
+        lambda mp: mp.setattr(
+            verify, "betti_palindrome_check",
+            lambda B, codim, real=verify.betti_palindrome_check: real(
+                _one_generator_moved_up(B), codim)),
+        {"self-dual-cokernel-table", "self-dual-quotient-table"},
+        id="palindrome-generator-moved-up"),
+    pytest.param(
+        lambda mp: _wrap(mp, homology, "kernel_over_quotient",
+                         _unit_kernel_vector_added),
+        {"homology-vanishes"}, id="kernel-unit-vector-added"),
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "s1_s2_sets", lambda s, ring: (
+            s[0], s[1] + [ring.x(1, 2)])),
+        {"local-generators-membership"}, id="pivot-variable-in-s2"),
+    pytest.param(
+        lambda mp: _wrap(mp, verify, "ideal_quotient",
+                         lambda quot, gens, f: quot + [f]),
+        {"pfaffian-colon-regularity", "combined-colon-regularity"},
+        id="colon-gains-its-divisor"),
+    pytest.param(
+        _square_term_dropped,
+        {"double-contraction-divided-square", "divided-power-derivation",
+         "half-factorization"}, id="square-term-dropped"),
+]
+
+
+@pytest.fixture(scope="module")
+def clean_check_names():
+    rep = run_suite("all", fs=[4], chars=[32003])
+    assert rep.status == PASS
+    return [c.name for c in rep.checks]
+
+
+@pytest.mark.parametrize("plant,families", MUTANTS)
+def test_a_mutant_fails_exactly_its_own_families(plant, families,
+                                                  clean_check_names,
+                                                  monkeypatch):
+    plant(monkeypatch)
+    rep = run_suite("all", fs=[4], chars=[32003])
+    assert [c.name for c in rep.checks] == clean_check_names
+    verdicts = {}
+    for c in rep.checks:
+        verdicts.setdefault(c.name.split("[")[0], set()).add(c.verdict)
+        if c.verdict == FAIL:
+            assert c.detail, c.name
+    assert verdicts == {family: {FAIL} if family in families else {PASS}
+                        for family in verdicts}
+    assert families <= set(verdicts)
