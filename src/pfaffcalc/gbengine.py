@@ -412,7 +412,12 @@ def interreduce(G, order, field):
     remainder no tail term of which is divisible by another survivor's
     leading term; a vec's own leading term is larger than its tail, so
     divides no tail term either.  A second pass would return every vec
-    unchanged."""
+    unchanged.
+
+    The output holds one coefficient object per value, the first one
+    met (over QQ an int and a Fraction of equal value are one value), so
+    a Schreyer frame, every level of which comes from here, stores each
+    of its few distinct coefficients once."""
     ocomp = order.comp
     odiv = order.divides
     buckets = {}
@@ -435,14 +440,14 @@ def interreduce(G, order, field):
         bucket.insert(pos, ent)
     one = field.one()
     fmul = field.mul
+    canon = {}.setdefault
     out = []
     for ent in sorted((bucket[pos] for bucket, pos in slots),
                       key=lambda ent: ent[0], reverse=True):
         inv, g = ent[1], ent[2]
-        if g[0][1] == one:
-            out.append(tuple(g))
-        else:
-            out.append(tuple((kk, fmul(cc, inv)) for kk, cc in g))
+        if g[0][1] != one:
+            g = [(kk, fmul(cc, inv)) for kk, cc in g]
+        out.append(tuple((kk, canon(cc, cc)) for kk, cc in g))
     return out
 
 

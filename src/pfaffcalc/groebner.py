@@ -63,16 +63,22 @@ def groebner_basis(gens, ring=None):
     return GroebnerBasis(ring, gens)
 
 
-def _as_gb(ideal):
+def _as_gb(ideal, ring=None):
     if isinstance(ideal, GroebnerBasis):
         return ideal
-    return groebner_basis(list(ideal))
+    return groebner_basis(list(ideal), ring)
 
 
 def same_ideal(a, b):
     """Whether two generating sets span the same ideal (two-sided
-    membership against each other's Groebner basis)."""
-    ga, gb = _as_gb(a), _as_gb(b)
+    membership against each other's Groebner basis).  The ring comes
+    from whichever side has a nonzero generator; two zero ideals are
+    equal."""
+    a, b = (x if isinstance(x, GroebnerBasis) else list(x) for x in (a, b))
+    ring = next((p.ring for p in (*a, *b) if not p.is_zero()), None)
+    if ring is None:
+        return True
+    ga, gb = _as_gb(a, ring), _as_gb(b, ring)
     return all(gb.contains(p) for p in ga) and \
         all(ga.contains(p) for p in gb)
 
@@ -99,7 +105,7 @@ def ideal_quotient(gens, f):
 def saturation_member(gens, f, g, bound):
     """The least N <= bound with f^N * g in the ideal, as (True, N);
     (False, None) if no such exponent exists within the bound."""
-    gb = _as_gb(gens)
+    gb = _as_gb(gens, g.ring)
     power = g.ring.one()
     for n in range(bound + 1):
         if gb.contains(power * g):

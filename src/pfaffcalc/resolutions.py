@@ -18,8 +18,12 @@ wherever it is read again.
 
 * ``minimalize`` contracts unit entries on one {key: coeff} dict per
   column in the frame's own keys (deterministic pivot order), level by
-  level, each level of the frame freed once copied and each level of
-  the minimal complex built once final; the minimal complex is checked
+  level, finding each pivot row through one flat index per row (the
+  column and key of each of its terms) rather than a key list per
+  entry; each vec of the frame is freed as it is copied, each column
+  dict once it is re-keyed, and each level of the minimal complex,
+  built once final, keeps one coefficient object per value, as every
+  frame level does from `interreduce`; the minimal complex is checked
   again; ``free_resolution`` is this route on a presentation, and the
   one place that caps the length (ResolutionTruncated beyond max_len);
   every other caller reads the length off the result;
@@ -252,16 +256,17 @@ def minimalize(C):
     runs on one {key: coeff} dict per column in the frame's own keys.
 
     Levels are taken over one at a time.  When level k's turn comes, its
-    vecs are copied into the dicts (`dict(vec)`, sharing the frame's key
-    and coefficient objects) and its vec list is emptied in place, so the
-    frame's tuples are freed even if the caller still holds the frame.
-    Once level k is contracted, level k-1 of the minimal complex is final
+    vecs are popped from its vec list one by one, each copied into a dict
+    (`dict(vec)`, sharing the frame's key and coefficient objects) as it
+    is popped, so the list ends empty and the frame's tuples are freed as
+    they are copied, even if the caller still holds the frame.  Once
+    level k is contracted, level k-1 of the minimal complex is final
     (only the contraction of level k can still delete its columns): each
     surviving term is re-keyed once into the minimal complex's
-    FreeModuleOrder and the level's dicts are dropped.  C is marked
-    consumed, so its `check`, `is_minimal`, `diffs` and `strand_betti`
-    raise ValueError from then on; C.twists stays readable.  The result is a checked
-    FreeComplex."""
+    FreeModuleOrder, each column dict dropped once re-keyed, with one
+    coefficient object per value.  C is marked consumed, so its `check`,
+    `is_minimal`, `diffs` and `strand_betti` raise ValueError from then
+    on; C.twists stays readable.  The result is a checked FreeComplex."""
     C._check_unconsumed()
     C.consumed = True
     ring = C.ring
@@ -272,8 +277,8 @@ def minimalize(C):
     for k in range(n + 1):
         if k < n:
             order, vecs = C.levels[k]
-            mats[k] = [dict(v) for v in vecs]
-            vecs.clear()
+            vecs.reverse()
+            mats[k] = [dict(vecs.pop()) for _ in range(len(vecs))]
             _contract_units(mats, k, order, alive, ring.field)
         if k:
             levels.append(_minimal_level(mats[k - 1], C.levels[k - 1][0],
@@ -314,11 +319,16 @@ def _contract_units(mats, k, order, alive, field):
     so the heap's minimum is the lowest (i, j) unit of the current matrix; a
     Schur update can only create units below and to the right of its
     pivot, and those are pushed as they appear.  One pass over the
-    columns builds the heap and the entry index entries[i][j], the keys
-    of entry (i, j) in their column's order.  The pivot row's terms are
-    popped from their columns as they are read.  Row c of d_{k+2}, which
-    dies with the pivot column c of d_{k+1}, is skipped by `alive` when
-    its level's turn comes, and so is it when the level is re-keyed."""
+    columns builds the heap and the row index: rowcols[i] and rowkeys[i]
+    list, side by side, the column and key of every term row i holds or
+    gains.  Nothing is taken out of the index when a term cancels, so it
+    may list a key its column no longer holds, or list one twice; the
+    pivot row is read by popping each listed key from its column, and a
+    key that is not there is skipped.  Each entry's value is independent
+    of the order its terms are read in, so the output is too.  Row c of
+    d_{k+2}, which dies with the pivot column c of d_{k+1}, is skipped by
+    `alive` when its level's turn comes, and so is it when the level is
+    re-keyed."""
     p = field.char
     inv = field.inv
     cols = mats[k]
@@ -326,17 +336,15 @@ def _contract_units(mats, k, order, alive, field):
     one = order.one
     ukey = [order.key(i, one) for i in range(order.rank)]
     alive_k, alive_next = alive[k], alive[k + 1]
-    entries = [{} for _ in ukey]
+    rowcols = [[] for _ in ukey]
+    rowkeys = [[] for _ in ukey]
     heap = []
     for j, col in enumerate(cols):
         for key in col:
             i = top - ((key & mask) >> shift)
             if alive_k[i]:
-                e = entries[i].get(j)
-                if e is None:
-                    entries[i][j] = [key]
-                else:
-                    e.append(key)
+                rowcols[i].append(j)
+                rowkeys[i].append(key)
                 if key == ukey[i]:
                     heap.append((i, j))
     heapify(heap)
@@ -357,21 +365,18 @@ def _contract_units(mats, k, order, alive, field):
             i = top - ((ka & mask) >> shift)
             if i != r and alive_k[i]:
                 facs.setdefault(i, []).append((ka - rone, -ca * uinv))
-        pivrow = []
-        for j, ks in entries[r].items():
-            if j != c and ks:
-                pop = cols[j].pop
-                pivrow.append((j, [(kq, pop(kq)) for kq in ks]))
+        pivrow = {}
+        for j, kq in zip(rowcols[r], rowkeys[r]):
+            if j != c:
+                cq = cols[j].pop(kq, None)
+                if cq is not None:
+                    pivrow.setdefault(j, []).append((kq, cq))
         for i, fi in facs.items():
-            ent = entries[i]
-            del ent[c]
+            rc, rk = rowcols[i], rowkeys[i]
             ui = ukey[i]
-            for j, q in pivrow:
+            for j, q in pivrow.items():
                 col = cols[j]
                 get = col.get
-                e = ent.get(j)
-                if e is None:
-                    e = ent[j] = []
                 for base, nfac in fi:
                     for kq, cq in q:
                         m = base + kq
@@ -381,15 +386,15 @@ def _contract_units(mats, k, order, alive, field):
                             y %= p
                         if y:
                             if x is None:
-                                e.append(m)
+                                rc.append(j)
+                                rk.append(m)
                             col[m] = y
                         else:   # x is there: nfac * cq alone is nonzero
                             del col[m]
-                            e.remove(m)
                 if ui in col:
                     heappush(heap, (i, j))
         # delete row r and column c of d_{k+1}, and column r of d_k
-        entries[r] = None
+        rowcols[r] = rowkeys[r] = None
         cols[c] = {}
         alive_k[r] = alive_next[c] = False
         if k > 0:
@@ -401,7 +406,9 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
     d_{k+1} over `order`: (FreeModuleOrder of the surviving rows, the
     surviving columns as vecs over it).  A term of row i, key(i, one) +
     ((m - one) << mshift), goes to new_order.key(pos, m) = outbase[i] +
-    (m - one), pos its surviving row."""
+    (m - one), pos its surviving row.  Each column dict is dropped from
+    `cols` once it is re-keyed, and the level keeps one coefficient
+    object per value."""
     keep = [i for i, a in enumerate(alive_rows) if a]
     new_order = FreeModuleOrder(ring, len(keep),
                                 twists=[row_twists[i] for i in keep])
@@ -412,8 +419,11 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
     outbase = [None] * order.rank
     for pos, i in enumerate(keep):
         outbase[i] = new_order.key(pos, one)
+    canon = {}.setdefault
     vecs = []
-    for col, a in zip(cols, alive_cols):
+    for j, a in enumerate(alive_cols):
+        col = cols[j]
+        cols[j] = None
         if not a:
             continue
         terms = []
@@ -421,7 +431,8 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
             i = top - ((key & mask) >> shift)
             base = outbase[i]
             if base is not None:
-                terms.append((base + ((key - ukey[i]) >> mshift), c))
+                terms.append((base + ((key - ukey[i]) >> mshift),
+                              canon(c, c)))
         terms.sort(reverse=True)
         vecs.append(tuple(terms))
     return new_order, vecs

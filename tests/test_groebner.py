@@ -130,6 +130,19 @@ def test_same_ideal_distinguishes():
     assert not same_ideal(gb_i, gb_j)
 
 
+def test_same_ideal_reads_a_zero_ideal():
+    # the ring comes from whichever side has a nonzero generator
+    ring = ring_for(4, GF(32003))
+    x12 = ring.x(1, 2)
+    assert same_ideal([], [ring.zero()])
+    assert same_ideal([ring.zero()], [])
+    assert not same_ideal([], [x12])
+    assert not same_ideal([x12, ring.zero()], [])
+    assert same_ideal(groebner_basis([], ring), [ring.zero()])
+    # saturation_member takes the ring from the element it tests
+    assert saturation_member([], x12, ring.x(1, 3), 2) == (False, None)
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("kind", ["I", "J"])
 @pytest.mark.parametrize("f", [4, 5])

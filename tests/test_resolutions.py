@@ -592,4 +592,25 @@ def test_minimalize_working_set_is_smaller_than_the_nested_copy(name, char):
     frame = _frame_complex(name, 5, char, 0)
     reference = _traced_peak(minimalize_reference, frame)
     peak = _traced_peak(minimalize, frame)
-    assert peak <= 0.75 * reference, (peak, reference)
+    assert peak <= 0.36 * reference, (peak, reference)
+
+
+def _coefficient_counts(C):
+    """Per level, (distinct coefficient objects, distinct values)."""
+    out = []
+    for _, vecs in C.levels:
+        cs = [c for v in vecs for _, c in v]
+        out.append((len({id(c) for c in cs}), len(set(cs))))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_each_level_holds_one_coefficient_object_per_value(char):
+    # interreduce shares them in the frame, _minimal_level in the
+    # minimal complex
+    ring = ring_for(5, GF(char) if char else QQ, vars="xt")
+    frame = schreyer_frame(module_presentation("RJ", ring))
+    counts = _coefficient_counts(frame)
+    minC, _ = minimalize(frame)
+    for objects, values in counts + _coefficient_counts(minC):
+        assert objects == values

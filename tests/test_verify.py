@@ -7,6 +7,7 @@ import pytest
 from pfaffcalc import constructions, homology, resolutions, verify
 from pfaffcalc.betti import BettiTable
 from pfaffcalc.exterior import ExteriorElement
+from pfaffcalc.groebner import HilbertData
 from pfaffcalc.rings import PolyRing
 from pfaffcalc.verify import (ERROR, FAIL, PASS, SKIPPED, SUITE_NAMES,
                               CheckFailure, CheckResult, SuiteReport,
@@ -512,6 +513,12 @@ MUTANTS = [
         {"pfaffian-colon-regularity", "combined-colon-regularity"},
         id="colon-gains-its-divisor"),
     pytest.param(
+        lambda mp: _wrap(mp, verify, "dimension_codim",
+                         lambda hd, ideal: HilbertData(hd.dim, hd.codim + 1,
+                                                       hd.numerator)),
+        {"codim-sum-ideal", "codim-pfaffian-ideal",
+         "codim-partial-row-ideal"}, id="codim-plus-one"),
+    pytest.param(
         _square_term_dropped,
         {"double-contraction-divided-square", "divided-power-derivation",
          "half-factorization"}, id="square-term-dropped"),
@@ -540,3 +547,14 @@ def test_a_mutant_fails_exactly_its_own_families(plant, families,
     assert verdicts == {family: {FAIL} if family in families else {PASS}
                         for family in verdicts}
     assert families <= set(verdicts)
+
+
+def test_a_zero_ideal_gets_a_colon_verdict(monkeypatch):
+    # every generator zero: the colon ideals are zero too, and comparing
+    # two zero ideals is a verdict, not an error
+    monkeypatch.setattr(verify, "build_ideal",
+                        lambda kind, ring, lam=None: [ring.zero()] * 3)
+    rep = run_suite("localization", fs=[4], chars=[32003])
+    [check] = [c for c in rep.checks
+               if c.name == "pfaffian-colon-regularity[f=4,GF(32003)]"]
+    assert check.verdict in (PASS, FAIL), check.detail
