@@ -80,9 +80,6 @@ class CoefficientField:
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
-
     def mul(self, a, b):
         return (a * b) % self.char if self.char else a * b
 

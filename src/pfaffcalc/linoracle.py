@@ -215,7 +215,10 @@ def oracle_betti(pres):
     MAX_TOTAL_DEGREE, by graded linear algebra alone.
 
     The presentation must be bihomogeneous with no unit entries (its
-    cover generators are taken as the minimal ones)."""
+    cover generators are taken as the minimal ones).  If every twist has
+    t-degree 0, the entries are t-free and, by flat base change, the
+    table is that over the x-variables alone: only t-degree-0 bidegrees
+    are visited."""
     ring = pres.ring
     field = ring.field
     for row in pres.entries:
@@ -236,6 +239,8 @@ def oracle_betti(pres):
         return got
 
     degrees = _bidegrees_upto(MAX_TOTAL_DEGREE)
+    if all(b == 0 for _, b in (*pres.row_degs, *pres.col_degs)):
+        degrees = [bd for bd in degrees if bd[1] == 0]
     prev_twists = list(pres.row_degs)
     gens = _poly_columns_to_vectors(pres)  # generating set of level 1
     level = 1

@@ -28,10 +28,13 @@ wherever it is read again.
   one place that caps the length (ResolutionTruncated beyond max_len);
   every other caller reads the length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
-  off the non-minimal frame as dimensions of constant-strand homology
-  (number of generators in a bidegree minus the ranks of the incoming
-  and outgoing constant blocks); ``ladder_betti`` is this route on a
-  presentation.
+  off the non-minimal frame as dimensions of constant-strand homology,
+  the frame's generator table less the rank of each constant strand at
+  both of its ends.  A strand is the constant entries of a level's
+  columns of one twist, kept as sparse columns {row: coeff}
+  (bihomogeneity puts each in a row of its column's twist), and its
+  rank comes from eliminating those columns in place; no dense block is
+  built.  ``ladder_betti`` is this route on a presentation.
 
 Both must agree; tests compare them.
 """
@@ -440,62 +443,46 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
 
 # -- Betti numbers straight from the ladder ----------------------------------
 
-def _field_rank(rows, field):
-    """Rank of a dense matrix given as lists of field elements."""
-    if not rows:
-        return 0
-    rows = [row[:] for row in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][c])
-        base = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                f = field.mul(rows[i][c], inv)
-                rowi = rows[i]
-                for j in range(c, ncols):
-                    rowi[j] = field.sub(rowi[j], field.mul(f, base[j]))
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _constant_strands(order, els, row_twists, col_twists, field):
-    """For one ladder differential, the constant blocks by bidegree:
-    {bidegree: rows list over row-indices with that twist}."""
-    rows_at = {}
-    for i, bd in enumerate(row_twists):
-        rows_at.setdefault(bd, []).append(i)
-    cols_at = {}
-    for j, bd in enumerate(col_twists):
-        cols_at.setdefault(bd, []).append(j)
+def _strand_ranks(order, vecs, col_twists, field):
+    """{bidegree: rank of the constant strand of d_{k+1} there}, for one
+    level (order_k, vecs) whose columns have the twists col_twists.  A
+    checked complex has bihomogeneous entries, so a constant entry sits in
+    a row of its column's own bidegree: grouping the columns' constant
+    entries, as sparse columns {row: coeff}, by column twist gives the
+    strands."""
     one = order.one
     strands = {}
-    for bd, cols in cols_at.items():
-        rows = rows_at.get(bd)
-        if not rows:
-            continue
-        rowpos = {ri: p for p, ri in enumerate(rows)}
-        zero = field.zero()
-        block = [[zero] * len(cols) for _ in rows]
-        for p, j in enumerate(cols):
-            for key, c in els[j]:
-                if order.mono(key) == one:
-                    i = order.comp(key)
-                    if i in rowpos:
-                        block[rowpos[i]][p] = c
-        strands[bd] = block
-    return strands
+    for v, bd in zip(vecs, col_twists):
+        col = {order.comp(key): c for key, c in v if order.mono(key) == one}
+        if col:
+            strands.setdefault(bd, []).append(col)
+    return {bd: _sparse_rank(cols, field) for bd, cols in strands.items()}
+
+
+def _sparse_rank(cols, field):
+    """Rank of the sparse columns {row: coeff}, which are eliminated in
+    place: a column is reduced by the pivot at its lowest row until it
+    vanishes or its lowest row has no pivot yet, and then becomes that
+    row's pivot.  Entries are reduced mod p when p > 0."""
+    p = field.char
+    pivots = {}  # lowest row -> (pivot column, inverse of its entry there)
+    for col in cols:
+        while col:
+            r = min(col)
+            if r not in pivots:
+                pivots[r] = (col, field.inv(col[r]))
+                break
+            piv, uinv = pivots[r]
+            f = col[r] * uinv
+            for i, v in piv.items():
+                x = col.get(i, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    col[i] = x
+                else:   # i is in col: f * v alone is nonzero
+                    del col[i]
+    return len(pivots)
 
 
 def ladder_betti(pres):
@@ -508,29 +495,17 @@ def strand_betti(C):
     """The constant-strand route: minimal bigraded Betti numbers read
     directly off the non-minimal complex C, a Schreyer frame.
 
-    In each bidegree, beta_{k} = (generators of C's F_k there) minus the
-    ranks of the incoming and outgoing constant strands; no
+    Starting from C's generator table, the rank of each constant strand
+    of d_{k+1} is taken off its bidegree at levels k and k+1; no
     minimalization is performed, and C is left as it was.  A complex
     that `minimalize` consumed raises ValueError."""
     C._check_unconsumed()
-    twists, field = C.twists, C.ring.field
-    ranks = []  # ranks[k]: {bidegree: rank of the constant strand of d_{k+1}}
-    for k, (order_k, els) in enumerate(C.levels):
-        strands = _constant_strands(order_k, els, twists[k], twists[k + 1],
-                                    field)
-        ranks.append({bd: _field_rank(rows, field)
-                      for bd, rows in strands.items()})
-    B = BettiTable()
-    for k, tw in enumerate(twists):
-        counts = {}
-        for bd in tw:
-            counts[bd] = counts.get(bd, 0) + 1
-        for bd, n in counts.items():
-            r_out = ranks[k].get(bd, 0) if k < len(ranks) else 0
-            r_in = ranks[k - 1].get(bd, 0) if k >= 1 else 0
-            beta = n - r_out - r_in
-            if beta < 0:
-                raise AssertionError("negative strand homology dimension")
-            if beta:
-                B.add(k, bd, beta)
+    B = C.betti()
+    for k, (order, vecs) in enumerate(C.levels):
+        for bd, r in _strand_ranks(order, vecs, C.twists[k + 1],
+                                   C.ring.field).items():
+            B.add(k, bd, -r)
+            B.add(k + 1, bd, -r)
+    if any(c < 0 for c in B.data.values()):
+        raise AssertionError("negative strand homology dimension")
     return B

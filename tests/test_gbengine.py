@@ -275,7 +275,7 @@ def _merge_sub_reference(a, ai, g, m, c, order, field):
             out.append((kg, field.neg(field.mul(c, g[j][1]))))
             j += 1
         else:
-            cc = field.sub(ca, field.mul(c, g[j][1]))
+            cc = field.add(ca, field.neg(field.mul(c, g[j][1])))
             if not field.is_zero(cc):
                 out.append((ka, cc))
             i += 1

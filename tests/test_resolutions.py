@@ -614,3 +614,91 @@ def test_each_level_holds_one_coefficient_object_per_value(char):
     minC, _ = minimalize(frame)
     for objects, values in counts + _coefficient_counts(minC):
         assert objects == values
+
+
+# -- the dense strand rank, kept as a reference -------------------------------
+
+def _field_rank(rows, field):
+    """Reference: rank of a dense matrix given as lists of field
+    elements."""
+    if not rows:
+        return 0
+    rows = [row[:] for row in rows]
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if not field.is_zero(rows[i][c]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][c])
+        base = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if not field.is_zero(rows[i][c]):
+                f = field.mul(rows[i][c], inv)
+                rowi = rows[i]
+                for j in range(c, ncols):
+                    rowi[j] = field.add(rowi[j],
+                                        field.neg(field.mul(f, base[j])))
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _dense_strands(order, vecs, row_twists, col_twists, field):
+    """Reference: the constant blocks of one level by bidegree, each a
+    dense list of rows over the rows with that twist, zeros filled in."""
+    rows_at = {}
+    for i, bd in enumerate(row_twists):
+        rows_at.setdefault(bd, []).append(i)
+    cols_at = {}
+    for j, bd in enumerate(col_twists):
+        cols_at.setdefault(bd, []).append(j)
+    blocks = {}
+    for bd, cols in cols_at.items():
+        rows = rows_at.get(bd)
+        if not rows:
+            continue
+        rowpos = {i: pos for pos, i in enumerate(rows)}
+        block = [[field.zero()] * len(cols) for _ in rows]
+        for pos, j in enumerate(cols):
+            for key, c in vecs[j]:
+                if order.mono(key) == order.one:
+                    block[rowpos[order.comp(key)]][pos] = c
+        blocks[bd] = block
+    return blocks
+
+
+@pytest.mark.parametrize("name,f,char", [
+    (name, f, char) for name in ("A", "N", "RJ") for f in (4, 5)
+    for char in (0, 2, 32003)] + [("N", 6, 32003), ("RJ", 6, 32003)])
+def test_strand_ranks_match_the_dense_reference(name, f, char):
+    ring, twists, levels = _frame_data(name, f, char, 0)
+    field = ring.field
+    nonzero = 0
+    for k, (order, vecs) in enumerate(levels):
+        want = {bd: _field_rank(rows, field) for bd, rows in
+                _dense_strands(order, vecs, twists[k], twists[k + 1],
+                               field).items()}
+        got = resolutions._strand_ranks(order, vecs, twists[k + 1], field)
+        assert got == {bd: r for bd, r in want.items() if r}
+        nonzero += len(got)
+    # a strand has positive rank exactly where the frame has a unit
+    assert bool(nonzero) == any(order.mono(key) == order.one
+                                for order, vecs in levels
+                                for v in vecs for key, _ in v)
+
+
+def test_a_rational_strand_with_a_dependent_column_and_a_non_unit_pivot():
+    cols = [{1: 2, 2: 3}, {1: 4, 2: 6}, {1: 3, 2: 5}, {2: 7}]
+    dense = [[col.get(i, 0) for col in cols] for i in range(3)]
+    assert resolutions._sparse_rank(cols, QQ) == 2 == _field_rank(dense, QQ)
+    # eliminated in place: the second and fourth columns vanish, and the
+    # third keeps 5 - (3/2) * 3 at row 2
+    assert cols == [{1: 2, 2: 3}, {}, {2: Fraction(1, 2)}, {}]
+    assert type(cols[2][2]) is Fraction

@@ -508,6 +508,10 @@ MUTANTS = [
             s[0], s[1] + [ring.x(1, 2)])),
         {"local-generators-membership"}, id="pivot-variable-in-s2"),
     pytest.param(
+        lambda mp: _wrap(mp, verify, "s1_s2_sets", lambda s, ring: (
+            s[0], s[1][:-1])),
+        {"pivot-square-inversion"}, id="s2-generator-dropped"),
+    pytest.param(
         lambda mp: _wrap(mp, verify, "ideal_quotient",
                          lambda quot, gens, f: quot + [f]),
         {"pfaffian-colon-regularity", "combined-colon-regularity"},
