@@ -1,11 +1,14 @@
 """Groebner machinery for submodules of graded free modules.
 
 Terms of a free module R^r are packed into single integers the same way
-ring monomials are (see `monomials`): the component index sits above the
-monomial bits, complemented so that integer comparison realizes a
-position-over-term order (earlier basis vectors are greater).  Syzygy
-levels use Schreyer orders that embed the parent level's keys, so every
-level of a free resolution runs on the identical reduction code path.
+ring monomials are (see `monomials`), by one class, `FreeModuleOrder`:
+a key is its component's base key plus the scalar monomial shifted into
+place.  The plain layout puts the complemented component index above
+the monomial bits, so integer comparison realizes a position-over-term
+order (earlier basis vectors are greater).  A syzygy level's Schreyer
+order, from `FreeModuleOrder.schreyer`, builds its base keys from the
+parent level's leading keys, so every level of a free resolution runs
+on the identical reduction code path.
 
 A module element ("vec") is a tuple of (key, coefficient) pairs sorted
 descending by key.  The engine works on vecs; `vec_of_entries` and
@@ -28,115 +31,85 @@ SMASK = (1 << SBITS) - 1
 
 
 class FreeModuleOrder:
-    """Position-over-term order on R^rank with one bidegree twist per
-    component.  Keys: (MAXC - comp) << shift | monomial.
+    """Term order on R^rank with one bidegree twist per component.
 
-    mshift is the bit position of the scalar monomial inside a key (0
-    here; Schreyer levels accumulate SBITS per level), so that
-    multiplying a key by a monomial m is key + ((m - one) << mshift).
+    Every key is bases[comp] + ((mono - one) << mshift): the term
+    mono*eps_comp sits on its component's base key, with the scalar
+    monomial mshift bits up, so multiplying a key by the monomial m adds
+    moff(m) = (m - one) << mshift.  Two layouts fill `bases`:
+
+    * the plain position-over-term order, built by the constructor:
+      bases[i] = (MAXC - i) << nbits | one and mshift 0, so a key is
+      the complemented component above the monomial bits and earlier
+      basis vectors are greater;
+    * the Schreyer order on the syzygies of a basis G inside an order,
+      built by that order's `schreyer`: m*eps_i compares by the key of
+      lt(m*g_i) there, ties going to the smaller index i.  bases[i] =
+      anchor_i << SBITS | (SMASK - i), anchor_i the key of lt(g_i), and
+      mshift is the parent's plus SBITS: the anchors hold their own
+      monomial at the parent's mshift, so one formula serves every
+      nesting depth.
+
     comp_bits = (mask, shift, top) gives the component in one integer
-    expression, comp(key) == top - ((key & mask) >> shift); a
-    `SchreyerOrder` has its own."""
+    expression, comp(key) == top - ((key & mask) >> shift)."""
 
     __slots__ = ("ring", "rank", "twists", "codec", "one", "guards",
-                 "shift", "_mask", "mshift", "comp_bits")
+                 "mshift", "bases", "comp_bits")
 
     def __init__(self, ring, rank, twists=None):
         if rank >= MAXC:
             raise ValueError("free module rank exceeds the packed capacity")
         if twists is None:
             twists = ((0, 0),) * rank
-        twists = tuple((int(a), int(b)) for a, b in twists)
-        if len(twists) != rank:
-            raise ValueError("need one twist per component")
+        nbits, one = ring.codec.nbits, ring.codec.one
+        self._lay_out(ring, twists,
+                      [(MAXC - i) << nbits | one for i in range(rank)],
+                      0, (-1 << nbits, nbits, MAXC))
+
+    def schreyer(self, anchors, twists):
+        """The Schreyer order on the syzygies of a basis G inside this
+        order: anchors[i] = key of lt(g_i), twists[i] = bidegree of g_i."""
+        if len(anchors) > SMASK:
+            raise ValueError("too many basis elements for one Schreyer level")
+        nxt = object.__new__(FreeModuleOrder)
+        nxt._lay_out(self.ring, twists,
+                     [a << SBITS | (SMASK - i) for i, a in enumerate(anchors)],
+                     self.mshift + SBITS, (SMASK, 0, SMASK))
+        return nxt
+
+    def _lay_out(self, ring, twists, bases, mshift, comp_bits):
         self.ring = ring
-        self.rank = rank
-        self.twists = twists
+        self.rank = len(bases)
+        self.twists = tuple((int(a), int(b)) for a, b in twists)
+        if len(self.twists) != self.rank:
+            raise ValueError("need one twist per component")
         self.codec = ring.codec
         self.one = self.codec.one
         self.guards = self.codec.guards
-        self.shift = self.codec.nbits
-        self._mask = (1 << self.shift) - 1
-        self.mshift = 0
-        self.comp_bits = (-1 << self.shift, self.shift, MAXC)
-
-    def key(self, comp, mono):
-        return ((MAXC - comp) << self.shift) | mono
-
-    def comp(self, key):
-        return MAXC - (key >> self.shift)
-
-    def mono(self, key):
-        return key & self._mask
-
-    def moff(self, m):
-        """Additive key offset realizing multiplication by the scalar
-        monomial m."""
-        return m - self.one
-
-    def divides(self, b, a):
-        """Does term key b divide term key a (same component, monomial
-        divisibility)?"""
-        return (a >> self.shift) == (b >> self.shift) and \
-            ((a - b + self.one) & self.guards) == 0
-
-    def quot(self, a, b):
-        """Scalar monomial a/b for same-component keys with b | a."""
-        return a - b + self.one
-
-
-class SchreyerOrder:
-    """Order on the syzygy module of a basis G inside a parent order:
-    m*eps_i compares by the parent key of lt(m*g_i); ties go to the
-    smaller index i.  anchors[i] = parent key of lt(g_i); twists[i] =
-    bidegree of g_i.
-
-    Keys: (parent key of lt(m*g_i)) << SBITS | (SMASK - i).  The scalar
-    monomial m therefore sits mshift = parent.mshift + SBITS bits up, and
-    multiplying a key by m adds (m - one) << mshift -- at every nesting
-    depth, since parent keys place their own monomial at parent.mshift.
-    comp_bits is as in `FreeModuleOrder`: the component sits in the low
-    SBITS bits."""
-
-    __slots__ = ("parent", "ring", "rank", "anchors", "twists", "codec",
-                 "one", "guards", "mshift", "bases", "comp_bits")
-
-    def __init__(self, parent, anchors, twists):
-        if len(anchors) > SMASK:
-            raise ValueError("too many basis elements for one Schreyer level")
-        if len(anchors) != len(twists):
-            raise ValueError("need one twist per anchor")
-        self.parent = parent
-        self.ring = parent.ring
-        self.rank = len(anchors)
-        self.anchors = tuple(anchors)
-        self.twists = tuple((int(a), int(b)) for a, b in twists)
-        self.codec = parent.codec
-        self.one = parent.one
-        self.guards = parent.guards
-        self.mshift = parent.mshift + SBITS
-        self.comp_bits = (SMASK, 0, SMASK)
-        self.bases = tuple((a << SBITS) | (SMASK - i)
-                           for i, a in enumerate(self.anchors))
+        self.mshift = mshift
+        self.bases = tuple(bases)
+        self.comp_bits = comp_bits
 
     def key(self, comp, mono):
         return self.bases[comp] + ((mono - self.one) << self.mshift)
 
     def comp(self, key):
-        return SMASK - (key & SMASK)
+        mask, shift, top = self.comp_bits
+        return top - ((key & mask) >> shift)
 
     def mono(self, key):
-        return ((key - self.bases[SMASK - (key & SMASK)]) >> self.mshift) \
-            + self.one
+        mask, shift, top = self.comp_bits
+        return ((key - self.bases[top - ((key & mask) >> shift)])
+                >> self.mshift) + self.one
 
     def moff(self, m):
+        """Additive key offset realizing multiplication by the scalar
+        monomial m."""
         return (m - self.one) << self.mshift
 
-    def divides(self, b, a):
-        return ((a ^ b) & SMASK) == 0 and \
-            ((((a - b) >> self.mshift) + self.one) & self.guards) == 0
-
     def quot(self, a, b):
+        """The scalar monomial a/b for keys a, b of one component.  b
+        divides a exactly when it has no guard bit set."""
         return ((a - b) >> self.mshift) + self.one
 
 
@@ -222,9 +195,9 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
     heap = [-k for k, _ in f]   # f descends, so this list is a heap
     rem = []
     quots = {} if record else None
-    ocomp = order.comp
-    odiv = order.divides
+    mask, shift, top = order.comp_bits
     oquot = order.quot
+    guards = order.guards
     moff = order.moff
     get = acc.get
     pop, push = heappop, heappush
@@ -234,8 +207,11 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
         c = acc.pop(k, None)
         if c is None:
             continue
-        for ent in buckets.get(ocomp(k), empty):
-            if odiv(ent[0], k):
+        # a bucket holds one leading component, so lk divides k exactly
+        # when the quotient k/lk has no guard bit set
+        for ent in buckets.get(top - ((k & mask) >> shift), empty):
+            m = oquot(k, ent[0])
+            if not m & guards:
                 break
         else:
             rem.append((k, c))
@@ -243,8 +219,7 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
                 rem.extend(sorted(acc.items(), reverse=True))
                 return tuple(rem), quots
             continue
-        lk, inv, g, gi = ent
-        m = oquot(k, lk)
+        _, inv, g, gi = ent
         cc = c * inv % p if p else c * inv
         if record:
             quots.setdefault(gi, []).append((m, cc))
@@ -326,7 +301,7 @@ def buchberger(vecs, order, field, known=()):
     only its component's pending pairs."""
     codec = order.codec
     lcm, divides = codec.lcm, codec.divides
-    scalar = isinstance(order, FreeModuleOrder) and order.rank == 1
+    scalar = order.rank == 1
 
     G = []
     comps = []      # leading component of each element
@@ -419,13 +394,15 @@ def interreduce(G, order, field):
     a Schreyer frame, every level of which comes from here, stores each
     of its few distinct coefficients once."""
     ocomp = order.comp
-    odiv = order.divides
+    oquot = order.quot
+    guards = order.guards
     buckets = {}
     slots = []   # (bucket, position) of each survivor
     for g in sorted(G, key=lambda g: g[0][0]):
         k = g[0][0]
         comp = ocomp(k)
-        if any(odiv(ent[0], k) for ent in buckets.get(comp, ())):
+        if any(not oquot(k, ent[0]) & guards
+               for ent in buckets.get(comp, ())):
             continue
         bucket_insert(buckets, order, field, g, len(slots))
         slots.append((buckets[comp], len(buckets[comp]) - 1))
@@ -491,7 +468,7 @@ def schreyer_level(G, order, field, pairs):
     Returns (taus, next_order).  Each tau is a vec over next_order; its
     leading term is u_ij * eps_i by construction (asserted)."""
     anchors = [g[0][0] for g in G]
-    nxt = SchreyerOrder(order, anchors, vec_bidegs(G, order))
+    nxt = order.schreyer(anchors, vec_bidegs(G, order))
     buckets = make_buckets(G, order, field)
     p = field.char
     nkey = nxt.key
@@ -501,8 +478,9 @@ def schreyer_level(G, order, field, pairs):
         rem, quots = nf(sp, order, buckets, field, record=True)
         if rem:
             raise AssertionError("S-pair of a Groebner basis did not reduce to zero")
+        lead = nkey(i, ua)
         # components differ, so neither entry is zero
-        acc = {nkey(i, ua): inv_i, nkey(j, ub): (-inv_j) % p if p else -inv_j}
+        acc = {lead: inv_i, nkey(j, ub): (-inv_j) % p if p else -inv_j}
         for gi, terms in quots.items():
             for m, c in terms:
                 k = nkey(gi, m)
@@ -514,7 +492,7 @@ def schreyer_level(G, order, field, pairs):
                 else:
                     del acc[k]
         tau = tuple(sorted(acc.items(), reverse=True))
-        if tau[0][0] != nxt.key(i, ua):
+        if tau[0][0] != lead:
             raise AssertionError("Schreyer leading term mismatch")
         taus.append(tau)
     taus.sort(key=lambda v: v[0][0], reverse=True)

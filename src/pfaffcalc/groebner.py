@@ -12,7 +12,8 @@ on the leading-term ideal -- and insists they agree.
 from functools import lru_cache
 
 from .constructions import GradedMatrix
-from .gbengine import columns_of_vecs, nf, vec_of_entries
+# nf stays bound here, unused, for the benchmark harness's restore test
+from .gbengine import columns_of_vecs, nf, vec_of_entries  # noqa: F401
 from .homology import ModuleSpan, kernel_over_quotient
 
 
@@ -33,11 +34,7 @@ class GroebnerBasis(ModuleSpan):
         return iter(self.elements)
 
     def contains(self, p):
-        if p.is_zero():
-            return True
-        v = vec_of_entries(((0, p),), self.order)
-        rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
-        return not rem
+        return self.contains_column(vec_of_entries(((0, p),), self.order))
 
     def contains_one(self):
         """Whether the ideal is the unit ideal."""

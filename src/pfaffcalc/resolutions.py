@@ -312,8 +312,8 @@ def _contract_units(mats, k, order, alive, field):
     column j of d_{k+1} as one {key: coefficient} dict in the keys of
     `order`; alive[k] and alive[k+1], the surviving generators of F_k and
     F_{k+1}, are updated, and each pivot row r empties column r of d_k,
-    mats[k-1][r].  Every key of row i is ukey[i] + moff(m), ukey[i] being
-    key(i, one), so a term ka of row i times a term kq of row r has the
+    mats[k-1][r].  Every key of row i is ukey[i] + moff(m), ukey being
+    order.bases, so a term ka of row i times a term kq of row r has the
     key ka + kq - ukey[r]: no monomial is decoded.  A unit is an entry
     holding ukey[i]; bihomogeneity makes that its only term.
 
@@ -336,8 +336,7 @@ def _contract_units(mats, k, order, alive, field):
     inv = field.inv
     cols = mats[k]
     mask, shift, top = order.comp_bits
-    one = order.one
-    ukey = [order.key(i, one) for i in range(order.rank)]
+    ukey = order.bases
     alive_k, alive_next = alive[k], alive[k + 1]
     rowcols = [[] for _ in ukey]
     rowkeys = [[] for _ in ukey]
@@ -407,9 +406,9 @@ def _contract_units(mats, k, order, alive, field):
 def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
     """Level k of the minimal complex from the contracted columns of
     d_{k+1} over `order`: (FreeModuleOrder of the surviving rows, the
-    surviving columns as vecs over it).  A term of row i, key(i, one) +
-    ((m - one) << mshift), goes to new_order.key(pos, m) = outbase[i] +
-    (m - one), pos its surviving row.  Each column dict is dropped from
+    surviving columns as vecs over it).  A term of row i, order.bases[i]
+    + ((m - one) << mshift), goes to new_order.key(pos, m) = outbase[i] +
+    (m - one), outbase[i] = new_order.bases[pos], pos its surviving row.  Each column dict is dropped from
     `cols` once it is re-keyed, and the level keeps one coefficient
     object per value."""
     keep = [i for i, a in enumerate(alive_rows) if a]
@@ -417,11 +416,10 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
                                 twists=[row_twists[i] for i in keep])
     mask, shift, top = order.comp_bits
     mshift = order.mshift
-    one = order.one
-    ukey = [order.key(i, one) for i in range(order.rank)]
+    ukey = order.bases
     outbase = [None] * order.rank
     for pos, i in enumerate(keep):
-        outbase[i] = new_order.key(pos, one)
+        outbase[i] = new_order.bases[pos]
     canon = {}.setdefault
     vecs = []
     for j, a in enumerate(alive_cols):

@@ -9,6 +9,7 @@ from conftest import J4_HILBERT_NUMERATOR, codim_I, codim_J
 from pfaffcalc import groebner
 from pfaffcalc.constructions import build_ideal
 from pfaffcalc.fields import GF, QQ
+from pfaffcalc.gbengine import vec_of_entries
 from pfaffcalc.groebner import (dimension_codim, groebner_basis,
                                 ideal_quotient, same_ideal, saturation_member)
 from pfaffcalc.homology import ModuleSpan
@@ -82,19 +83,26 @@ def test_membership_and_normal_form():
     assert gb.contains(member)
 
 
-def test_ideal_membership_is_not_module_membership(monkeypatch):
-    """A GroebnerBasis is the rank-1 ModuleSpan, but ideal membership
-    does not call ModuleSpan.contains_column, so that method's time is
-    module membership only."""
+def test_ideal_membership_is_rank_one_module_membership(monkeypatch):
+    """A GroebnerBasis is the rank-1 ModuleSpan, and ideal membership is
+    one ModuleSpan.contains_column call on the polynomial's vec; the zero
+    polynomial is the empty vec, whose remainder is empty."""
     gb, ring = gb_of("J", 4, 0)
+    real = ModuleSpan.contains_column
+    seen = []
 
-    def refuse(self, col):
-        raise AssertionError("ideal membership went through contains_column")
-    monkeypatch.setattr(ModuleSpan, "contains_column", refuse)
+    def counted(self, col):
+        seen.append(col)
+        return real(self, col)
+    monkeypatch.setattr(ModuleSpan, "contains_column", counted)
     assert isinstance(gb, ModuleSpan)
-    assert gb.contains(build_ideal("J", ring)[0])
-    assert not gb.contains(ring.x(1, 2))
+    polys = [build_ideal("J", ring)[0], ring.x(1, 2), ring.zero()]
+    assert [gb.contains(p) for p in polys] == [True, False, True]
+    assert seen == [vec_of_entries(((0, p),), gb.order) for p in polys]
+    assert seen[-1] == ()
+    del seen[:]
     assert saturation_member(gb, ring.x(1, 2), ring.t(1), 2) == (False, None)
+    assert len(seen) == 3
 
 
 @pytest.mark.parametrize("side", ["independent set", "Hilbert numerator"])

@@ -512,6 +512,12 @@ MUTANTS = [
             s[0], s[1][:-1])),
         {"pivot-square-inversion"}, id="s2-generator-dropped"),
     pytest.param(
+        lambda mp: mp.setattr(
+            verify, "saturation_member",
+            lambda gens, f, g, bound, real=verify.saturation_member: real(
+                gens, f, g, 0)),
+        {"pivot-power-saturation"}, id="saturation-search-stops-at-zero"),
+    pytest.param(
         lambda mp: _wrap(mp, verify, "ideal_quotient",
                          lambda quot, gens, f: quot + [f]),
         {"pfaffian-colon-regularity", "combined-colon-regularity"},
