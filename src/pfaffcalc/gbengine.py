@@ -10,18 +10,26 @@ order, from `FreeModuleOrder.schreyer`, builds its base keys from the
 parent level's leading keys, so every level of a free resolution runs
 on the identical reduction code path.
 
-A module element ("vec") is a tuple of (key, coefficient) pairs sorted
-descending by key.  The engine works on vecs; `vec_of_entries` and
-`columns_of_vecs` are the one translation to and from Polynomial
-columns: columns enter where a dense matrix comes in (`vecs_of_matrix`,
-`homology`'s spans and kernels) and leave only where a caller asks for
-polynomials.  `nf` and `spair_vec` sum into a dict {key: coeff}, and `nf`
-pops the largest key left from a heap, so a reduction step costs one
-dict probe per term of the reducer and never copies the rest of the vec.
+A module element ("vec") is one flat tuple (k0, c0, k1, c1, ...) of
+term keys and their nonzero coefficients, keys strictly descending; the
+zero vec is ().  So v[0] and v[1] are the leading key and coefficient,
+v[::2] the keys, len(v) twice the number of terms, and a loop reads the
+terms as `it = iter(v); for k, c in zip(it, it)` (a reducer's tail the
+same way, after skipping two items).  No tuple is held per term: a
+Schreyer frame, every level of which is a list of vecs, stores its keys
+and coefficients and one tuple per element.  The engine works on vecs;
+`vec_of_entries` and `columns_of_vecs` are the one translation to and
+from Polynomial columns: columns enter where a dense matrix comes in
+(`vecs_of_matrix`, `homology`'s spans and kernels) and leave only where a
+caller asks for polynomials.  `nf` and `spair_vec` sum into a dict {key:
+coeff}, and `nf` pops the largest key left from a heap, so a reduction
+step costs one dict probe per term of the reducer and never copies the
+rest of the vec.
 """
 
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 
 from .rings import Polynomial
 
@@ -122,7 +130,7 @@ def vec_of_entries(entries, order):
     for i, p in entries:
         acc.extend((order.key(i, m), c) for m, c in p.terms)
     acc.sort(reverse=True)
-    return tuple(acc)
+    return tuple(chain.from_iterable(acc))
 
 
 def columns_of_vecs(vecs, order):
@@ -133,7 +141,8 @@ def columns_of_vecs(vecs, order):
     cols = []
     for v in vecs:
         col = {}
-        for key, c in v:
+        it = iter(v)
+        for key, c in zip(it, it):
             col.setdefault(ocomp(key), []).append((omono(key), c))
         cols.append({i: Polynomial(ring, tuple(terms))
                      for i, terms in col.items()})
@@ -145,15 +154,16 @@ def vec_bidegs(vecs, order):
     on a vec with mixed terms.  Monomial bidegrees are memoized across
     all the vecs."""
     of_monomial = lru_cache(maxsize=None)(order.ring.bidegree_of_monomial)
-    ocomp = order.comp
-    omono = order.mono
+    mask, shift, top = order.comp_bits
+    bases, mshift, one = order.bases, order.mshift, order.one
     twists = order.twists
     out = []
     for v in vecs:
         bd = None
-        for k, _ in v:
-            mx, mt = of_monomial(omono(k))
-            ta, tb = twists[ocomp(k)]
+        for k in v[::2]:
+            i = top - ((k & mask) >> shift)
+            mx, mt = of_monomial(((k - bases[i]) >> mshift) + one)
+            ta, tb = twists[i]
             got = (mx + ta, mt + tb)
             if bd is None:
                 bd = got
@@ -175,7 +185,7 @@ def make_buckets(G, order, field):
 def bucket_insert(buckets, order, field, g, idx):
     """Index g under its leading component with the inverse of its lead
     coefficient; a monic g needs no inversion (field.inv(1) is 1)."""
-    k, c = g[0]
+    k, c = g[0], g[1]
     buckets.setdefault(order.comp(k), []).append(
         (k, 1 if c == 1 else field.inv(c), g, idx))
 
@@ -183,7 +193,7 @@ def bucket_insert(buckets, order, field, g, idx):
 def nf(f, order, buckets, field, record=False, zero_only=False):
     """Full normal form of the vec f against the bucketed basis.
 
-    Returns (remainder, quots): remainder is a descending tuple; quots
+    Returns (remainder, quots): remainder is a vec; quots
     (when record) maps basis index -> list of (monomial, coeff) with
     f = sum(quots * basis) + remainder.  With zero_only=True, returns as
     soon as an irreducible head proves the remainder nonzero, with a
@@ -191,8 +201,9 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
     unreduced rest.  Keys enter the heap when they enter the dict; a
     popped key no longer in it is skipped."""
     p = field.char
-    acc = dict(f)
-    heap = [-k for k, _ in f]   # f descends, so this list is a heap
+    it = iter(f)
+    acc = dict(zip(it, it))
+    heap = [-k for k in f[::2]]   # f descends, so this list is a heap
     rem = []
     quots = {} if record else None
     mask, shift, top = order.comp_bits
@@ -214,9 +225,11 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
             if not m & guards:
                 break
         else:
-            rem.append((k, c))
+            rem.append(k)
+            rem.append(c)
             if zero_only:
-                rem.extend(sorted(acc.items(), reverse=True))
+                rem.extend(chain.from_iterable(sorted(acc.items(),
+                                                      reverse=True)))
                 return tuple(rem), quots
             continue
         _, inv, g, gi = ent
@@ -225,7 +238,10 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
             quots.setdefault(gi, []).append((m, cc))
         ncc = -cc
         off = moff(m)
-        for kg, cg in g[1:]:
+        it = iter(g)
+        next(it)
+        next(it)
+        for kg, cg in zip(it, it):
             kk = kg + off
             x = get(kk)
             if x is None:
@@ -245,14 +261,21 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
 def spair_vec(gi, gj, ua, ub, order, field):
     """ua*gi/lc(gi) - ub*gj/lc(gj); the leading terms cancel exactly."""
     p = field.char
-    inv_i = field.inv(gi[0][1])
-    inv_j = field.inv(gj[0][1])
+    inv_i = field.inv(gi[1])
+    inv_j = field.inv(gj[1])
     offa = order.moff(ua)
     offb = order.moff(ub)
-    acc = {k + offa: c * inv_i % p if p else c * inv_i for k, c in gi[1:]}
+    it = iter(gi)
+    next(it)
+    next(it)
+    acc = {k + offa: c * inv_i % p if p else c * inv_i
+           for k, c in zip(it, it)}
     get = acc.get
     ninv = -inv_j
-    for k, c in gj[1:]:
+    it = iter(gj)
+    next(it)
+    next(it)
+    for k, c in zip(it, it):
         kk = k + offb
         y = get(kk, 0) + ninv * c
         if p:
@@ -261,7 +284,8 @@ def spair_vec(gi, gj, ua, ub, order, field):
             acc[kk] = y
         else:
             del acc[kk]
-    return sorted(acc.items(), reverse=True), inv_i, inv_j
+    return tuple(chain.from_iterable(sorted(acc.items(), reverse=True))), \
+        inv_i, inv_j
 
 
 # -- Buchberger --------------------------------------------------------------
@@ -314,7 +338,7 @@ def buchberger(vecs, order, field, known=()):
     def install(g):
         s = len(G)
         G.append(g)
-        k = g[0][0]
+        k = g[0]
         ct = order.comp(k)
         comps.append(ct)
         monos.append(order.mono(k))
@@ -393,14 +417,14 @@ def interreduce(G, order, field):
     met (over QQ an int and a Fraction of equal value are one value), so
     a Schreyer frame, every level of which comes from here, stores each
     of its few distinct coefficients once."""
-    ocomp = order.comp
+    mask, shift, top = order.comp_bits
     oquot = order.quot
     guards = order.guards
     buckets = {}
     slots = []   # (bucket, position) of each survivor
-    for g in sorted(G, key=lambda g: g[0][0]):
-        k = g[0][0]
-        comp = ocomp(k)
+    for g in sorted(G, key=lambda g: g[0]):
+        k = g[0]
+        comp = top - ((k & mask) >> shift)
         if any(not oquot(k, ent[0]) & guards
                for ent in buckets.get(comp, ())):
             continue
@@ -411,7 +435,7 @@ def interreduce(G, order, field):
         g = ent[2]
         rem, _ = nf(g, order, buckets, field)
         if rem != g:
-            if not rem or rem[0][0] != ent[0]:
+            if not rem or rem[0] != ent[0]:
                 raise AssertionError("interreduction destroyed a leading term")
             ent = (ent[0], ent[1], rem, ent[3])
         bucket.insert(pos, ent)
@@ -422,9 +446,12 @@ def interreduce(G, order, field):
     for ent in sorted((bucket[pos] for bucket, pos in slots),
                       key=lambda ent: ent[0], reverse=True):
         inv, g = ent[1], ent[2]
-        if g[0][1] != one:
-            g = [(kk, fmul(cc, inv)) for kk, cc in g]
-        out.append(tuple((kk, canon(cc, cc)) for kk, cc in g))
+        cs = g[1::2]
+        if cs[0] != one:
+            cs = [fmul(cc, inv) for cc in cs]
+        g = list(g)
+        g[1::2] = [canon(cc, cc) for cc in cs]
+        out.append(tuple(g))
     return out
 
 
@@ -442,8 +469,8 @@ def schreyer_pairs(G, order):
     Returns a list of (i, j, ua, ub)."""
     codec = order.codec
     n = len(G)
-    comps = [order.comp(g[0][0]) for g in G]
-    monos = [order.mono(g[0][0]) for g in G]
+    comps = [order.comp(g[0]) for g in G]
+    monos = [order.mono(g[0]) for g in G]
     by_comp = {}
     for i, c in enumerate(comps):
         by_comp.setdefault(c, []).append(i)
@@ -467,7 +494,7 @@ def schreyer_level(G, order, field, pairs):
 
     Returns (taus, next_order).  Each tau is a vec over next_order; its
     leading term is u_ij * eps_i by construction (asserted)."""
-    anchors = [g[0][0] for g in G]
+    anchors = [g[0] for g in G]
     nxt = order.schreyer(anchors, vec_bidegs(G, order))
     buckets = make_buckets(G, order, field)
     p = field.char
@@ -491,11 +518,11 @@ def schreyer_level(G, order, field, pairs):
                     acc[k] = y
                 else:
                     del acc[k]
-        tau = tuple(sorted(acc.items(), reverse=True))
-        if tau[0][0] != lead:
+        tau = tuple(chain.from_iterable(sorted(acc.items(), reverse=True)))
+        if tau[0] != lead:
             raise AssertionError("Schreyer leading term mismatch")
         taus.append(tau)
-    taus.sort(key=lambda v: v[0][0], reverse=True)
+    taus.sort(key=lambda v: v[0], reverse=True)
     return taus, nxt
 
 

@@ -10,7 +10,10 @@ once per closure check and once per position of an exactness check,
 and placed in every cover component as a basis known in advance, so its
 pairs are never formed again.  Spans are built
 from the construction matrices' columns, the dense edge; kernels and
-the elements tested for membership stay engine vecs.
+the elements tested for membership stay engine vecs, flat tuples (k0,
+c0, k1, c1, ...) as `gbengine` defines them: placing a basis in a
+component, or moving a kernel element out of the graph module, rewrites
+the keys v[::2] and keeps the coefficients v[1::2] as they are.
 
 The characteristic-2 report resolves nothing itself: it reads the
 presentations and Betti tables of N at f = 5 that its caller already
@@ -59,8 +62,13 @@ class ModuleSpan:
         """The reduced basis of this rank-1 span placed in each listed
         component of the free module order, as vecs over it."""
         mono = self.order.mono
-        return [tuple((order.key(i, mono(k)), c) for k, c in g)
-                for i in comps for g in self._G]
+        out = []
+        for i in comps:
+            for g in self._G:
+                v = list(g)
+                v[::2] = [order.key(i, mono(k)) for k in g[::2]]
+                out.append(tuple(v))
+        return out
 
 
 def quotient_span(C):
@@ -97,11 +105,12 @@ def kernel_over_quotient(M, relations=(), quotient=None):
     korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
     kernel = []
     for g in buchberger(vecs, order, ring.field, known=known):
-        if order.comp(g[0][0]) >= nrows:
+        if order.comp(g[0]) >= nrows:
             # shifting every component down by nrows keeps the key order
-            kernel.append(tuple((korder.key(order.comp(k) - nrows,
-                                            order.mono(k)), c)
-                                for k, c in g))
+            v = list(g)
+            v[::2] = [korder.key(order.comp(k) - nrows, order.mono(k))
+                      for k in g[::2]]
+            kernel.append(tuple(v))
     return kernel, korder
 
 
@@ -133,7 +142,7 @@ def homology_is_zero(C, position):
     else:
         order = span.order
         one = ring.field.one()
-        tests = [((order.key(i, order.one), one),) for i in range(term.rank)]
+        tests = [(order.key(i, order.one), one) for i in range(term.rank)]
     return all(span.contains_column(v) for v in tests)
 
 

@@ -2,10 +2,15 @@
 
 A `FreeComplex` keeps each differential as engine vecs, the one
 representation the whole pipeline works on: levels[k] = (order_k,
-columns of d_{k+1} as vecs over order_k).  It checks itself when built
-(twist data, entry bidegrees, d o d = 0 by `composite`), and dense
-graded matrices exist only at the API edge: `FreeComplex.of_matrices`
-takes them in, and reading `diffs`, which only callers do, builds them.
+columns of d_{k+1} as vecs over order_k), each vec one flat tuple (k0,
+c0, k1, c1, ...) of keys and coefficients (see `gbengine`), so a frame
+or a minimal complex holds one tuple per column and none per term.  A
+complex checks itself when built (twist data, entry bidegrees, d o d = 0
+by `composite`), and dense graded matrices exist only at the API edge:
+`FreeComplex.of_matrices` takes them in, and reading `diffs`, which only
+callers do, builds them.  The loops here decode a key inline, its
+component from order.comp_bits and its monomial's offset against
+order.bases; a unit is a key equal to its component's base key.
 
 Two independent Betti routes are provided on purpose.  Both read one
 Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
@@ -22,7 +27,7 @@ wherever it is read again.
   column and key of each of its terms) rather than a key list per
   entry; each vec of the frame is freed as it is copied, each column
   dict once it is re-keyed, and each level of the minimal complex,
-  built once final, keeps one coefficient object per value, as every
+  built flat once final, keeps one coefficient object per value, as every
   frame level does from `interreduce`; the minimal complex is checked
   again; ``free_resolution`` is this route on a presentation, and the
   one place that caps the length (ResolutionTruncated beyond max_len);
@@ -39,7 +44,9 @@ wherever it is read again.
 Both must agree; tests compare them.
 """
 
+import gc
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .constructions import GradedMatrix
 from .betti import BettiTable
@@ -70,21 +77,29 @@ def composite(v, order_next, G, order, field):
     component i of order_next stands for the vec G[i] over order.  Each
     term m*eps_i of v contributes G[i] shifted by m; coefficients are
     summed unreduced and reduced once at the end, and zero sums are
-    dropped."""
+    dropped.  The shift is read off the key without decoding m: key -
+    bases_next[i] is (m - one) << mshift_next, and moff(m) over order is
+    that number shifted down to order's mshift, so order_next's mshift
+    must not be below order's."""
+    mask, shift, top = order_next.comp_bits
+    bases = order_next.bases
+    down = order_next.mshift - order.mshift
+    if down < 0:
+        raise ValueError("order_next packs its monomials below order's")
     acc = {}
     get = acc.get
-    ncomp = order_next.comp
-    nmono = order_next.mono
-    moff = order.moff
-    for key, c in v:
-        off = moff(nmono(key))
-        for kg, cg in G[ncomp(key)]:
+    it = iter(v)
+    for key, c in zip(it, it):
+        i = top - ((key & mask) >> shift)
+        off = (key - bases[i]) >> down
+        git = iter(G[i])
+        for kg, cg in zip(git, git):
             kk = kg + off
             acc[kk] = get(kk, 0) + c * cg
     p = field.char
     terms = [(k, x % p) for k, x in acc.items() if x % p] if p else \
         [(k, x) for k, x in acc.items() if x]
-    return tuple(sorted(terms, reverse=True))
+    return tuple(chain.from_iterable(sorted(terms, reverse=True)))
 
 
 def _check_chain(levels, twists, field):
@@ -200,13 +215,18 @@ class FreeComplex:
         return B
 
     def is_minimal(self):
-        """No differential has a term with a constant monomial; every
-        entry of a checked complex is bihomogeneous, so such a term is a
-        whole unit entry."""
+        """No differential has a term with a constant monomial, a key
+        equal to its component's base key; every entry of a checked
+        complex is bihomogeneous, so such a term is a whole unit entry."""
         self._check_unconsumed()
-        return not any(order.mono(key) == order.one
-                       for order, vecs in self.levels
-                       for v in vecs for key, _ in v)
+        for order, vecs in self.levels:
+            mask, shift, top = order.comp_bits
+            bases = order.bases
+            for v in vecs:
+                for key in v[::2]:
+                    if key == bases[top - ((key & mask) >> shift)]:
+                        return False
+        return True
 
     def __repr__(self):
         return "<FreeComplex ranks %r>" % ([len(t) for t in self.twists],)
@@ -236,10 +256,20 @@ def free_resolution(pres, max_len):
     """The minimal graded free resolution of coker(pres): `minimalize`
     of its `schreyer_frame`.  If it is longer than max_len, a
     ResolutionTruncated error is raised — never a silently shortened
-    complex."""
+    complex.
+
+    The frame is gone once `minimalize` returns, and one full collection
+    then empties the interpreter's free lists, where up to 2000 freed
+    tuples of each small length wait.  Over GF(p) a flat vec holds only
+    ints, so the collector untracks it and full collections rarely run
+    on their own; the frame's freed vecs would otherwise stay listed,
+    scattered through the heap, and a caller resolving again would build
+    its next frame around them, its peak RSS creeping from one resolve
+    to the next."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     minC = minimalize(schreyer_frame(pres))[0]
+    gc.collect()
     if minC.length > max_len:
         raise ResolutionTruncated(
             "minimal resolution has length %d, beyond the requested %d"
@@ -260,16 +290,17 @@ def minimalize(C):
 
     Levels are taken over one at a time.  When level k's turn comes, its
     vecs are popped from its vec list one by one, each copied into a dict
-    (`dict(vec)`, sharing the frame's key and coefficient objects) as it
+    {key: coeff} (sharing the frame's key and coefficient objects) as it
     is popped, so the list ends empty and the frame's tuples are freed as
     they are copied, even if the caller still holds the frame.  Once
     level k is contracted, level k-1 of the minimal complex is final
     (only the contraction of level k can still delete its columns): each
     surviving term is re-keyed once into the minimal complex's
-    FreeModuleOrder, each column dict dropped once re-keyed, with one
-    coefficient object per value.  C is marked consumed, so its `check`,
-    `is_minimal`, `diffs` and `strand_betti` raise ValueError from then
-    on; C.twists stays readable.  The result is a checked FreeComplex."""
+    FreeModuleOrder, each column dict dropped once re-keyed and its terms
+    stored as one flat vec, with one coefficient object per value.  C is
+    marked consumed, so its `check`, `is_minimal`, `diffs` and
+    `strand_betti` raise ValueError from then on; C.twists stays
+    readable.  The result is a checked FreeComplex."""
     C._check_unconsumed()
     C.consumed = True
     ring = C.ring
@@ -281,7 +312,11 @@ def minimalize(C):
         if k < n:
             order, vecs = C.levels[k]
             vecs.reverse()
-            mats[k] = [dict(vecs.pop()) for _ in range(len(vecs))]
+            cols = []
+            for _ in range(len(vecs)):
+                it = iter(vecs.pop())
+                cols.append(dict(zip(it, it)))
+            mats[k] = cols
             _contract_units(mats, k, order, alive, ring.field)
         if k:
             levels.append(_minimal_level(mats[k - 1], C.levels[k - 1][0],
@@ -435,7 +470,7 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
                 terms.append((base + ((key - ukey[i]) >> mshift),
                               canon(c, c)))
         terms.sort(reverse=True)
-        vecs.append(tuple(terms))
+        vecs.append(tuple(chain.from_iterable(terms)))
     return new_order, vecs
 
 
@@ -448,10 +483,16 @@ def _strand_ranks(order, vecs, col_twists, field):
     a row of its column's own bidegree: grouping the columns' constant
     entries, as sparse columns {row: coeff}, by column twist gives the
     strands."""
-    one = order.one
+    mask, shift, top = order.comp_bits
+    bases = order.bases
     strands = {}
     for v, bd in zip(vecs, col_twists):
-        col = {order.comp(key): c for key, c in v if order.mono(key) == one}
+        col = {}
+        it = iter(v)
+        for key, c in zip(it, it):
+            i = top - ((key & mask) >> shift)
+            if key == bases[i]:
+                col[i] = c
         if col:
             strands.setdefault(bd, []).append(col)
     return {bd: _sparse_rank(cols, field) for bd, cols in strands.items()}

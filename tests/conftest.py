@@ -5,6 +5,8 @@ linear-algebra method (see pfaffcalc.linoracle) and cross-checked
 between characteristic 0 and 32003 before being frozen here.
 """
 
+from itertools import chain
+
 import pytest
 
 from pfaffcalc.fields import GF, QQ
@@ -23,6 +25,22 @@ def gf32003():
 @pytest.fixture(scope="session")
 def qq():
     return QQ
+
+
+# ---------------------------------------------------------------------------
+# engine vecs, flat tuples (k0, c0, k1, c1, ...), as (key, coeff) pairs
+
+
+def terms(v):
+    """The (key, coefficient) pairs of the engine vec v, in its order."""
+    it = iter(v)
+    return list(zip(it, it))
+
+
+def flat(pairs):
+    """The engine vec of the given (key, coefficient) pairs, in their
+    order; `terms` inverted."""
+    return tuple(chain.from_iterable(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Free resolutions: minimality, frozen tables, dual-route agreement."""
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 
 from conftest import (A4_BIGRADED, MINIMAL_COMPLEX_SHA256, N4_TOTALS,
                       N5_TOTALS, N5_TOTALS_CHAR2, N6_BIGRADED,
-                      N6_MINIMAL_SHA256, RJ4_BIGRADED, RJ4_TOTALS, RJ5_TOTALS)
+                      N6_MINIMAL_SHA256, RJ4_BIGRADED, RJ4_TOTALS, RJ5_TOTALS,
+                      flat, terms)
 from pfaffcalc import resolutions
 from pfaffcalc.constructions import (GradedMatrix, mapping_cone_betti,
                                      module_presentation)
@@ -94,6 +96,13 @@ def test_two_routes_agree(name, f, vars, qq):
     via_min = complex_betti(free_resolution(pres, max_len=len(ring.names)))
     via_ladder = ladder_betti(pres)
     assert via_min == via_ladder
+
+
+def test_free_resolution_ends_with_a_full_collection(qq):
+    # it empties the free lists that the consumed frame's vecs went to
+    before = gc.get_stats()[-1]["collections"]
+    resolve("N", 4, qq)
+    assert gc.get_stats()[-1]["collections"] > before
 
 
 def test_resolution_truncation_is_loud(qq):
@@ -356,7 +365,7 @@ def test_check_sums_the_composite_in_the_field(char, c1, c2, want):
                           twists[1], twists[2])]
     (G, order), (H, order_next) = (vecs_of_matrix(d) for d in diffs)
     got = composite(H[0], order_next, G, order, ring.field)
-    assert got == (((order.key(0, a.lm()), want),) if want else ())
+    assert got == ((order.key(0, a.lm()), want) if want else ())
     if want:
         with pytest.raises(ValueError,
                            match="composite d_1 o d_2 is nonzero"):
@@ -374,7 +383,19 @@ def test_composite_is_a_descending_vec(qq):
                       [(1, 0)])
     (G, order), (H, order_next) = (vecs_of_matrix(d) for d in (d1, d2))
     assert composite(H[0], order_next, G, order, QQ) == (
-        (order.key(0, large.lm()), -2), (order.key(0, small.lm()), 1))
+        order.key(0, large.lm()), -2, order.key(0, small.lm()), 1)
+
+
+def test_composite_refuses_orders_given_the_wrong_way_round(qq):
+    # the shift of a term is read off its key, which takes order_next's
+    # monomials at least as far up as order's
+    ring = ring_for(4, qq, vars="x")
+    (order, G), (order_next, H) = \
+        schreyer_frame(module_presentation("N", ring)).levels[:2]
+    assert order_next.mshift > order.mshift
+    assert not composite(H[0], order_next, G, order, QQ)
+    with pytest.raises(ValueError, match="packs its monomials below"):
+        composite(G[0], order, H, order_next, QQ)
 
 
 def test_check_rejects_a_twist_mismatch(qq):
@@ -400,10 +421,10 @@ def test_free_resolution_rejects_a_corrupted_ladder(char, monkeypatch):
         levels, truncated = real(*args, **kw)
         order, els = levels[1]
         field = order.ring.field
-        key, c = els[0][-1]
+        key, c = els[0][-2:]
         c = field.add(c, field.one())
-        last = () if field.is_zero(c) else ((key, c),)
-        levels[1] = (order, [els[0][:-1] + last] + list(els[1:]))
+        last = () if field.is_zero(c) else (key, c)
+        levels[1] = (order, [els[0][:-2] + last] + list(els[1:]))
         return levels, truncated
 
     monkeypatch.setattr(resolutions, "schreyer_resolution", corrupted)
@@ -428,7 +449,7 @@ def minimalize_reference(C):
     for order, vecs in C.levels:
         cols = [{} for _ in vecs]
         for col, v in zip(cols, vecs):
-            for key, c in v:
+            for key, c in terms(v):
                 col.setdefault(order.comp(key), {})[order.mono(key)] = c
         mats.append(cols)
     alive = _contract_units_reference(mats, C.twists, ring.field,
@@ -442,9 +463,9 @@ def minimalize_reference(C):
         pos = {i: p for p, i in enumerate(keep[k])}
         order = FreeModuleOrder(ring, len(twists[k]), twists=twists[k])
         levels.append((order, [
-            tuple(sorted(((order.key(pos[i], m), c) for i, e in
-                          mats[k][j].items() for m, c in e.items()),
-                         reverse=True))
+            flat(sorted(((order.key(pos[i], m), c) for i, e in
+                         mats[k][j].items() for m, c in e.items()),
+                        reverse=True))
             for j in keep[k + 1]]))
     out = FreeComplex(ring, twists, levels)
     if not out.is_minimal():
@@ -548,7 +569,7 @@ def _frame_data(name, f, char, seed):
 
 
 def _terms_with_types(C):
-    return [[[(key, c, type(c)) for key, c in v] for v in vecs]
+    return [[[(key, c, type(c)) for key, c in terms(v)] for v in vecs]
             for _, vecs in C.levels]
 
 
@@ -599,7 +620,7 @@ def _coefficient_counts(C):
     """Per level, (distinct coefficient objects, distinct values)."""
     out = []
     for _, vecs in C.levels:
-        cs = [c for v in vecs for _, c in v]
+        cs = [c for v in vecs for c in v[1::2]]
         out.append((len({id(c) for c in cs}), len(set(cs))))
     return out
 
@@ -614,6 +635,28 @@ def test_each_level_holds_one_coefficient_object_per_value(char):
     minC, _ = minimalize(frame)
     for objects, values in counts + _coefficient_counts(minC):
         assert objects == values
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_every_level_holds_flat_vecs(char):
+    """Each vec of the f = 5 RJ frame and of its minimal complex is one
+    flat tuple (k0, c0, k1, c1, ...): even length, int keys strictly
+    descending, no zero coefficient, and no tuple per term."""
+    field = GF(char) if char else QQ
+    ring = ring_for(5, field, vars="xt")
+    frame = schreyer_frame(module_presentation("RJ", ring))
+    # copied first: minimalize empties the frame's vec lists
+    levels = [list(vecs) for _, vecs in frame.levels]
+    minC, _ = minimalize(frame)
+    levels += [vecs for _, vecs in minC.levels]
+    for vecs in levels:
+        assert vecs
+        for v in vecs:
+            assert type(v) is tuple and len(v) % 2 == 0
+            keys, coeffs = v[::2], v[1::2]
+            assert all(type(k) is int for k in keys)
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            assert not any(field.is_zero(c) for c in coeffs)
 
 
 # -- the dense strand rank, kept as a reference -------------------------------
@@ -667,7 +710,7 @@ def _dense_strands(order, vecs, row_twists, col_twists, field):
         rowpos = {i: pos for pos, i in enumerate(rows)}
         block = [[field.zero()] * len(cols) for _ in rows]
         for pos, j in enumerate(cols):
-            for key, c in vecs[j]:
+            for key, c in terms(vecs[j]):
                 if order.mono(key) == order.one:
                     block[rowpos[order.comp(key)]][pos] = c
         blocks[bd] = block
@@ -691,7 +734,7 @@ def test_strand_ranks_match_the_dense_reference(name, f, char):
     # a strand has positive rank exactly where the frame has a unit
     assert bool(nonzero) == any(order.mono(key) == order.one
                                 for order, vecs in levels
-                                for v in vecs for key, _ in v)
+                                for v in vecs for key in v[::2])
 
 
 def test_a_rational_strand_with_a_dependent_column_and_a_non_unit_pivot():

@@ -458,7 +458,7 @@ def _d2_column0_negated(M, name, ring):
 
 def _unit_kernel_vector_added(out, *args):
     vecs, order = out
-    return vecs + [((order.key(0, order.one), order.ring.field.one()),)], order
+    return vecs + [(order.key(0, order.one), order.ring.field.one())], order
 
 
 def _square_term_dropped(monkeypatch):
@@ -474,6 +474,20 @@ def _square_term_dropped(monkeypatch):
             return sq
         return sq._new(dict(list(sq.terms.items())[1:]))
     monkeypatch.setattr(ExteriorElement, "divided_power", dropped)
+
+
+def _negated_on_field_scalars(side, k, other_k):
+    """A mutate for `_wrap` on an ExteriorElement product: the result
+    negated where a degree-k element of `side` meets one of degree
+    other_k over field scalars, which only the exterior identities
+    sample; the polynomial-ring complexes of the other suites stay as
+    built."""
+    def mutate(out, self, other):
+        if isinstance(self.ring, PolyRing) or \
+                (self.side, self.k, other.k) != (side, k, other_k):
+            return out
+        return -out
+    return mutate
 
 
 MUTANTS = [
@@ -532,6 +546,21 @@ MUTANTS = [
         _square_term_dropped,
         {"double-contraction-divided-square", "divided-power-derivation",
          "half-factorization"}, id="square-term-dropped"),
+    # the Leibniz shapes are the only vector actions on a 2-coform, the
+    # three-term rule the only wedge of a 2-coform with a coform, and
+    # the pairing the only action of a 3-form on a 3-coform
+    pytest.param(
+        lambda mp: _wrap(mp, ExteriorElement, "act",
+                         _negated_on_field_scalars("primal", 1, 2)),
+        {"contract-vector-leibniz"}, id="vector-on-2-coform-negated"),
+    pytest.param(
+        lambda mp: _wrap(mp, ExteriorElement, "wedge",
+                         _negated_on_field_scalars("dual", 2, 1)),
+        {"three-coform-expansion"}, id="coform-wedge-negated"),
+    pytest.param(
+        lambda mp: _wrap(mp, ExteriorElement, "act",
+                         _negated_on_field_scalars("primal", 3, 3)),
+        {"pairing-compatibility"}, id="3-form-pairing-negated"),
 ]
 
 
