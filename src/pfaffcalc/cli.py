@@ -232,8 +232,11 @@ def _cmd_verify(args, parser):
     fmt = cfg.format or "text"
     if fmt not in ("text", "json"):
         parser.error("verify supports --format text or json, got %r" % fmt)
-    report = run_suite(args.suite, fs=cfg.fs, chars=cfg.chars,
-                       seed=cfg.seed, budget_seconds=cfg.budget_seconds)
+    try:
+        report = run_suite(args.suite, fs=cfg.fs, chars=cfg.chars,
+                           seed=cfg.seed, budget_seconds=cfg.budget_seconds)
+    except ValueError as e:     # the grid, judged before any check runs
+        parser.exit(USAGE_EXIT, "%s verify: error: %s\n" % (parser.prog, e))
     sys.stdout.write(report.to_json() if fmt == "json"
                      else report.to_text())
     return {"pass": 0, "fail": 1, "incomplete": 2,

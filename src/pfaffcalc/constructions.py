@@ -136,9 +136,6 @@ class GradedMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def transpose(self, row_degs, col_degs):
         ent = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         return GradedMatrix(self.ring, ent, row_degs, col_degs)

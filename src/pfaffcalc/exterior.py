@@ -171,9 +171,6 @@ class ExteriorElement:
             return ExteriorElement.zero(R, self.side, self.k)
         return self._new({k: R.mul(a, c) for k, a in self.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, indices):
         """Coefficient of the basis element with the given indices (any
         order; the sign of sorting is applied)."""

@@ -7,10 +7,12 @@ c0, k1, c1, ...) of keys and coefficients (see `gbengine`), so a frame
 or a minimal complex holds one tuple per column and none per term.  A
 complex checks itself when built (twist data, entry bidegrees, d o d = 0
 by `composite`), and dense graded matrices exist only at the API edge:
-`FreeComplex.of_matrices` takes them in, and reading `diffs`, which only
-callers do, builds them.  The loops here decode a key inline, its
-component from order.comp_bits and its monomial's offset against
-order.bases; a unit is a key equal to its component's base key.
+they come in through `vecs_of_matrix`, and leave only through the
+engine's one translation out of vecs (see `gbengine`), for a caller that
+asks for polynomials; nothing here builds a matrix.  The loops here
+decode a key inline, its component from order.comp_bits and its
+monomial's offset against order.bases; a unit is a key equal to its
+component's base key.
 
 Two independent Betti routes are provided on purpose.  Both read one
 Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
@@ -48,10 +50,9 @@ import gc
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .constructions import GradedMatrix
 from .betti import BettiTable
-from .gbengine import (FreeModuleOrder, columns_of_vecs, vec_bidegs,
-                       vec_of_entries, schreyer_resolution)
+from .gbengine import (FreeModuleOrder, vec_bidegs, vec_of_entries,
+                       schreyer_resolution)
 
 
 class ResolutionTruncated(Exception):
@@ -61,10 +62,10 @@ class ResolutionTruncated(Exception):
 _CONSUMED = "the frame was consumed by minimalize"
 
 
-# -- vec <-> GradedMatrix ----------------------------------------------------
+# -- dense matrices in --------------------------------------------------------
 
 def vecs_of_matrix(M):
-    """Columns of a GradedMatrix as engine vecs, plus the ambient order."""
+    """Columns of a graded matrix as engine vecs, plus the ambient order."""
     order = FreeModuleOrder(M.ring, M.nrows, twists=M.row_degs)
     return [vec_of_entries(enumerate(col), order)
             for col in M.columns()], order
@@ -142,8 +143,8 @@ class FreeComplex:
     is never cut short: a resolution that would be raises
     ResolutionTruncated instead.  `strand_betti` reads a frame,
     `minimalize` consumes it: it empties the vec lists and sets
-    `consumed`, after which `check`, `is_minimal`, `diffs` and
-    `strand_betti` raise ValueError; so do they on another complex
+    `consumed`, after which `check`, `is_minimal` and `strand_betti`
+    raise ValueError; so do they on another complex
     built on the same vec lists, `check` as a twist mismatch."""
 
     __slots__ = ("ring", "twists", "levels", "consumed")
@@ -156,33 +157,6 @@ class FreeComplex:
             raise ValueError("need exactly one twist list per module")
         self.consumed = False
         self.check()
-
-    @classmethod
-    def of_matrices(cls, ring, twists, diffs):
-        """The complex whose differential d_{k+1} is the graded matrix
-        diffs[k]."""
-        levels = []
-        for k, d in enumerate(diffs):
-            if [list(d.row_degs), list(d.col_degs)] != \
-                    [list(tw) for tw in twists[k:k + 2]]:
-                raise ValueError("differential %d does not match the twist "
-                                 "data" % (k + 1,))
-            vecs, order = vecs_of_matrix(d)
-            levels.append((order, vecs))
-        return cls(ring, twists, levels)
-
-    @property
-    def diffs(self):
-        """The differentials as graded matrices, built on each read."""
-        self._check_unconsumed()
-        zero = self.ring.zero()
-        mats = []
-        for (order, vecs), col_degs in zip(self.levels, self.twists[1:]):
-            cols = columns_of_vecs(vecs, order)
-            mats.append(GradedMatrix(self.ring, [[c.get(i, zero) for c in cols]
-                                                 for i in range(order.rank)],
-                                     order.twists, col_degs))
-        return mats
 
     @property
     def length(self):
@@ -298,9 +272,9 @@ def minimalize(C):
     surviving term is re-keyed once into the minimal complex's
     FreeModuleOrder, each column dict dropped once re-keyed and its terms
     stored as one flat vec, with one coefficient object per value.  C is
-    marked consumed, so its `check`, `is_minimal`, `diffs` and
-    `strand_betti` raise ValueError from then on; C.twists stays
-    readable.  The result is a checked FreeComplex."""
+    marked consumed, so its `check`, `is_minimal` and `strand_betti`
+    raise ValueError from then on; C.twists stays readable.  The result
+    is a checked FreeComplex."""
     C._check_unconsumed()
     C.consumed = True
     ring = C.ring

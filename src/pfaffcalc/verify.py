@@ -107,10 +107,6 @@ class SuiteReport:
             return "incomplete"
         return "pass"
 
-    @property
-    def ok(self):
-        return self.status == "pass"
-
     def to_json_obj(self):
         return {
             "suite": self.suite,
@@ -783,7 +779,15 @@ _SUITE_BUILDERS = {
 
 
 def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
-    """Run one named suite (or 'all') over the given grid."""
+    """Run one named suite (or 'all') over the given grid.  Raises
+    ValueError, before any check runs, for an unknown suite, a grid that
+    repeats a value (its checks would run twice under one name), or a
+    grid that selects no check, whose report would read "pass" on
+    nothing."""
+    for what, values in (("f", fs), ("char", chars)):
+        if values is not None and len(set(values)) != len(values):
+            raise ValueError("the grid repeats a value of %s: %s"
+                             % (what, ",".join(map(str, values))))
     if suite == "all":
         names = SUITE_NAMES
     elif suite in _SUITE_BUILDERS:
@@ -802,6 +806,10 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
         checks.extend(builder(use_fs, use_chars, seed))
     grid_fs = sorted(used_fs) if fs is None else list(fs)
     grid_chars = sorted(used_chars) if chars is None else list(chars)
+    if not checks:
+        raise ValueError("the grid f=%s char=%s selects no check of suite %s"
+                         % (",".join(map(str, grid_fs)),
+                            ",".join(map(str, grid_chars)), suite))
 
     start = time.monotonic()
     results = []

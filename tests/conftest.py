@@ -9,7 +9,10 @@ from itertools import chain
 
 import pytest
 
+from pfaffcalc.constructions import GradedMatrix
 from pfaffcalc.fields import GF, QQ
+from pfaffcalc.gbengine import columns_of_vecs
+from pfaffcalc.resolutions import FreeComplex, vecs_of_matrix
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +44,44 @@ def flat(pairs):
     """The engine vec of the given (key, coefficient) pairs, in their
     order; `terms` inverted."""
     return tuple(chain.from_iterable(pairs))
+
+
+# ---------------------------------------------------------------------------
+# dense graded matrices, which the library takes in only through
+# vecs_of_matrix and gives back only through columns_of_vecs
+
+
+def complex_of_matrices(ring, twists, mats):
+    """The checked FreeComplex whose differential d_{k+1} is the graded
+    matrix mats[k]."""
+    levels = []
+    for k, d in enumerate(mats):
+        if [list(d.row_degs), list(d.col_degs)] != \
+                [list(tw) for tw in twists[k:k + 2]]:
+            raise ValueError("differential %d does not match the twist "
+                             "data" % (k + 1,))
+        vecs, order = vecs_of_matrix(d)
+        levels.append((order, vecs))
+    return FreeComplex(ring, twists, levels)
+
+
+def dense_diffs(C):
+    """The differentials of the FreeComplex C as graded matrices; a
+    complex that minimalize consumed raises ValueError."""
+    C._check_unconsumed()
+    zero = C.ring.zero()
+    mats = []
+    for (order, vecs), col_degs in zip(C.levels, C.twists[1:]):
+        cols = columns_of_vecs(vecs, order)
+        mats.append(GradedMatrix(C.ring, [[c.get(i, zero) for c in cols]
+                                          for i in range(order.rank)],
+                                 order.twists, col_degs))
+    return mats
+
+
+def is_zero_matrix(M):
+    """Whether every entry of the graded matrix M is zero."""
+    return all(e.is_zero() for row in M.entries for e in row)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,25 @@ def test_multi_f_rejected_for_single_f_commands(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(["--suite", "grades", "--f", "9"], id="f-out-of-range"),
+    pytest.param(["--suite", "grades", "--f", ""], id="f-empty"),
+    pytest.param(["--suite", "char-anomaly", "--f", "4"], id="char-anomaly"),
+])
+def test_verify_refuses_a_grid_that_selects_no_check(grid, capsys):
+    code, out, err = run(["verify"] + grid, capsys)
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1 and "selects no check" in err
+
+
+def test_verify_refuses_a_grid_that_repeats_a_value(capsys):
+    code, out, err = run(["verify", "--suite", "grades", "--f", "4,4"],
+                         capsys)
+    assert (code, out) == (64, "")
+    assert err == "pfaffcalc verify: error: the grid repeats a value of " \
+        "f: 4,4\n"
+
+
 def test_verify_accepts_multi_f(capsys):
     code, out, _ = run(["verify", "--suite", "grades", "--f", "2,3",
                         "--char", "0"], capsys)

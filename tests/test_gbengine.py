@@ -46,6 +46,25 @@ def test_vec_poly_roundtrip():
     assert list(v[::2]) == sorted(set(v[::2]), reverse=True)
 
 
+def test_packed_capacity_guards_refuse_before_laying_out_keys():
+    # each guard reads a length only, so a refused order allocates nothing
+    ring = ring_for(3, QQ)
+    with pytest.raises(ValueError,
+                       match="free module rank exceeds the packed capacity"):
+        FreeModuleOrder(ring, gbengine.MAXC)
+
+    class TooMany:
+        def __len__(self):
+            return gbengine.SMASK + 1
+
+        def __iter__(self):
+            raise AssertionError("the anchors were read past the guard")
+
+    with pytest.raises(ValueError,
+                       match="too many basis elements for one Schreyer level"):
+        FreeModuleOrder(ring, 1).schreyer(TooMany(), ())
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_groebner_basis_invariants(char):
     field = GF(char) if char else QQ

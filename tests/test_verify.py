@@ -63,6 +63,27 @@ def test_zero_budget_goes_incomplete():
     assert all(c.seconds is None for c in rep.checks)
 
 
+@pytest.mark.parametrize("suite,fs", [
+    pytest.param("grades", [9], id="grades-f9"),
+    pytest.param("grades", [], id="grades-no-f"),
+    pytest.param("char-anomaly", [4], id="char-anomaly-f4"),
+])
+def test_a_grid_that_selects_no_check_is_refused(suite, fs):
+    # a report of no checks would read "pass" on nothing
+    with pytest.raises(ValueError, match="selects no check of suite"):
+        run_suite(suite, fs=fs)
+
+
+@pytest.mark.parametrize("fs,chars,what", [
+    pytest.param([4, 4], [0], "f", id="f"),
+    pytest.param([4], [0, 0], "char", id="char"),
+])
+def test_a_grid_that_repeats_a_value_is_refused(fs, chars, what):
+    # each check would run twice under one name
+    with pytest.raises(ValueError, match="repeats a value of %s" % what):
+        run_suite("grades", fs=fs, chars=chars)
+
+
 def test_grid_restriction_drops_unsupported_values():
     rep = run_suite("grades", fs=[2, 4], chars=[0])
     assert rep.fs == [2, 4]
@@ -412,6 +433,10 @@ def test_all_runs_every_suite_in_order():
     assert rep.status == "incomplete"
     # at least one check from each suite family must be on the list
     assert len(rep.checks) > 8
+    # a grid is judged empty per run: char-anomaly selects nothing at
+    # f = 4, and the run still goes ahead
+    assert not any(c.name.startswith("presentation-depends")
+                   for c in rep.checks)
 
 
 # -- a mutant for every check family ------------------------------------------
