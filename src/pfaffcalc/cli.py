@@ -1,9 +1,14 @@
 """Command-line surface: gen, codim, resolve, verify, export.
 
-Flags override config-file values (simple ``key = value`` lines); the
-``PFAFFCALC_OUTDIR`` environment variable overrides the output
-directory only (flags still win).  All inputs are validated before any
-computation starts; usage problems exit with code 64.
+argparse is the one reader of settings.  After the command line parses,
+each config-file line ``key = value`` becomes the flag ``--key=value``,
+and a non-empty ``PFAFFCALC_OUTDIR`` the flag ``--outdir=...``; these
+go between the subcommand and the user's own flags and the line is
+parsed again, so a value from either place is checked exactly as the
+flag would be, and the last one seen wins: flag, then environment, then
+config file, then default.  A key that the command does not take is
+left over, unread.  All inputs are validated before any computation
+starts; usage problems exit with code 64.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify failure,
 2 verify incomplete (budget ran out), 3 verify error (a check crashed),
@@ -38,14 +43,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _read_config(path, parser):
-    """Parse a ``key = value`` config file into a dict."""
+def _config_flags(path, parser):
+    """The lines of a ``key = value`` config file as ``--key=value``
+    flags, in file order."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         parser.error("cannot read config file: %s" % e)
-    out = {}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,93 +63,58 @@ def _read_config(path, parser):
         if key not in _CONFIG_KEYS:
             parser.error("config line %d: unknown key %r (expected one "
                          "of %s)" % (lineno, key, ", ".join(_CONFIG_KEYS)))
-        out[key] = value
-    return out
+        flags.append("--%s=%s" % (key, value))
+    return flags
 
 
-def _int_list(text, parser, what):
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        parser.error("%s must be a comma-separated list of integers, "
-                     "got %r" % (what, text))
+# --------------------------------------------------------------------------
+# argparse types: each setting's one check
 
 
-def _check_f(f, parser):
+def _int_list(check):
+    """The type of a comma-separated integer list, each value passed
+    through check."""
+    def parse(text):
+        try:
+            values = [int(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "must be a comma-separated list of integers, got %r" % text)
+        return [check(v) for v in values]
+    return parse
+
+
+def _check_f(f):
     if f < 2:
-        parser.error("f must be at least 2, got %d" % f)
+        raise argparse.ArgumentTypeError("f must be at least 2, got %d" % f)
     return f
 
 
-def _check_char(char, parser):
+def _check_char(char):
     try:
         CoefficientField(char)
     except ValueError as e:
-        parser.error(str(e))
+        raise argparse.ArgumentTypeError(str(e))
     return char
 
 
-class Config:
-    """Merged settings: flags override config-file values; the
-    PFAFFCALC_OUTDIR environment variable overrides outdir only."""
+def _budget(text):
+    # NaN would compare false against elapsed time and never stop a run,
+    # and a negative budget would skip every check
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "budget-seconds must be a number >= 0, got %r" % text)
 
-    __slots__ = ("fs", "chars", "seed", "budget_seconds", "outdir",
-                 "format")
 
-    def __init__(self, args, parser):
-        cfg = _read_config(args.config, parser) if args.config else {}
-
-        def pick(flag, key, default=None):
-            if flag is not None:
-                return flag
-            if key in cfg:
-                return cfg[key]
-            return default
-
-        fs = pick(getattr(args, "f", None), "f")
-        self.fs = None if fs is None else \
-            [_check_f(v, parser) for v in _int_list(fs, parser, "--f")]
-        chars = pick(getattr(args, "char", None), "char")
-        self.chars = None if chars is None else \
-            [_check_char(v, parser)
-             for v in _int_list(chars, parser, "--char")]
-        seed = pick(getattr(args, "seed", None), "seed", 0)
-        try:
-            self.seed = int(seed)
-        except ValueError:
-            parser.error("seed must be an integer, got %r" % (seed,))
-        budget = pick(getattr(args, "budget_seconds", None),
-                      "budget-seconds")
-        try:
-            self.budget_seconds = None if budget is None else float(budget)
-        except ValueError:
-            parser.error("budget-seconds must be a number, got %r"
-                         % (budget,))
-        # NaN would compare false against elapsed time and never stop a
-        # run, and a negative budget would skip every check
-        if self.budget_seconds is not None and \
-                not self.budget_seconds >= 0:
-            parser.error("budget-seconds must be a number >= 0, got %r"
-                         % (budget,))
-        outdir = getattr(args, "outdir", None)
-        if outdir is None:
-            outdir = os.environ.get("PFAFFCALC_OUTDIR") or \
-                cfg.get("outdir") or "."
-        self.outdir = outdir
-        self.format = pick(getattr(args, "format", None), "format")
-
-    def single_f(self, parser):
-        if self.fs is None or len(self.fs) != 1:
-            parser.error("this command needs exactly one --f value")
-        return self.fs[0]
-
-    def single_char(self, parser):
-        """The one --char value, 0 (the rationals) when none is given."""
-        if self.chars is None:
-            return 0
-        if len(self.chars) != 1:
-            parser.error("this command needs exactly one --char value")
-        return self.chars[0]
+def _single(values, flag, parser):
+    """The one value of a list flag, for a command that takes one."""
+    if values is None or len(values) != 1:
+        parser.error("this command needs exactly one %s value" % flag)
+    return values[0]
 
 
 def _ring_and_gens(kind, f, char, lam, parser):
@@ -174,15 +145,11 @@ def _normalized_gens(gens, ring):
 
 
 def _cmd_gen(args, parser):
-    cfg = Config(args, parser)
-    f = cfg.single_f(parser)
-    char = cfg.single_char(parser)
+    f = _single(args.f, "--f", parser)
+    char = _single(args.char, "--char", parser)
     ring, gens = _ring_and_gens(args.ideal, f, char, args.lam, parser)
     gens = _normalized_gens(gens, ring)
-    fmt = cfg.format or "text"
-    if fmt not in ("text", "cas"):
-        parser.error("gen supports --format text or cas, got %r" % fmt)
-    if fmt == "cas":
+    if args.format == "cas":
         sys.stdout.write(emit_cas(gens, ring))
     else:
         for g in gens:
@@ -191,9 +158,8 @@ def _cmd_gen(args, parser):
 
 
 def _cmd_codim(args, parser):
-    cfg = Config(args, parser)
-    f = cfg.single_f(parser)
-    char = cfg.single_char(parser)
+    f = _single(args.f, "--f", parser)
+    char = _single(args.char, "--char", parser)
     ring, gens = _ring_and_gens(args.ideal, f, char, args.lam, parser)
     hd = dimension_codim(groebner_basis(gens, ring))
     print(json.dumps({"dim": hd.dim, "codim": hd.codim,
@@ -203,10 +169,8 @@ def _cmd_codim(args, parser):
 
 
 def _cmd_resolve(args, parser):
-    cfg = Config(args, parser)
-    f = cfg.single_f(parser)
-    char = cfg.single_char(parser)
-    field = CoefficientField(char)
+    f = _single(args.f, "--f", parser)
+    field = CoefficientField(_single(args.char, "--char", parser))
     # modules over the x-variable ring unless the row ideal is involved
     ring = ring_for(f, field) if args.module == "RJ" else \
         ring_for(f, field, vars="x")
@@ -215,48 +179,44 @@ def _cmd_resolve(args, parser):
     except ValueError as e:
         parser.error(str(e))
     B = complex_betti(free_resolution(pres, max_len=len(ring.names)))
-    fmt = cfg.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps({"betti": B.to_json_obj(bigraded=args.bigraded)},
                          sort_keys=True))
-    elif fmt == "text":
-        sys.stdout.write(B.pretty(bigraded=args.bigraded) + "\n")
     else:
-        parser.error("resolve supports --format text or json, got %r"
-                     % fmt)
+        sys.stdout.write(B.pretty(bigraded=args.bigraded) + "\n")
     return 0
 
 
 def _cmd_verify(args, parser):
-    cfg = Config(args, parser)
-    fmt = cfg.format or "text"
-    if fmt not in ("text", "json"):
-        parser.error("verify supports --format text or json, got %r" % fmt)
     try:
-        report = run_suite(args.suite, fs=cfg.fs, chars=cfg.chars,
-                           seed=cfg.seed, budget_seconds=cfg.budget_seconds)
+        report = run_suite(args.suite, fs=args.f, chars=args.char,
+                           seed=args.seed, budget_seconds=args.budget_seconds)
     except ValueError as e:     # the grid, judged before any check runs
         parser.exit(USAGE_EXIT, "%s verify: error: %s\n" % (parser.prog, e))
-    sys.stdout.write(report.to_json() if fmt == "json"
+    sys.stdout.write(report.to_json() if args.format == "json"
                      else report.to_text())
     return {"pass": 0, "fail": 1, "incomplete": 2,
             "error": 3}[report.status]
 
 
 def _cmd_export(args, parser):
-    cfg = Config(args, parser)
-    fs = cfg.fs or [4, 5]
-    chars = cfg.chars or [0]
-    os.makedirs(cfg.outdir, exist_ok=True)
+    # judged as verify judges its grid: an empty or repeating list would
+    # write nothing, or write and list one file twice
+    for flag, values in (("--f", args.f), ("--char", args.char)):
+        if not values or len(set(values)) != len(values):
+            parser.exit(USAGE_EXIT, "%s export: error: %s must list one or "
+                        "more distinct values, got %r\n"
+                        % (parser.prog, flag, ",".join(map(str, values))))
+    outdir = args.outdir or "."
+    os.makedirs(outdir, exist_ok=True)
     written = []
-    for char in chars:
-        for f in fs:
+    for char in args.char:
+        for f in args.f:
             for kind in ("I", "K", "J"):
                 ring, gens = _ring_and_gens(kind, f, char, None, parser)
                 gens = _normalized_gens(gens, ring)
                 tag = "QQ" if char == 0 else "GF%d" % char
-                path = os.path.join(cfg.outdir,
-                                    "%s_f%d_%s.cas" % (kind, f, tag))
+                path = os.path.join(outdir, "%s_f%d_%s.cas" % (kind, f, tag))
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(emit_cas(gens, ring))
                 written.append(path)
@@ -280,9 +240,12 @@ def _build_parser():
         p.add_argument("--config", metavar="FILE",
                        help="key = value config file; flags override it")
         p.add_argument("--f", metavar="N" if not multi_f else "N,N",
+                       type=_int_list(_check_f),
                        help="alternating-matrix size%s"
                        % ("" if not multi_f else " list"))
         p.add_argument("--char", metavar="C" if not multi_f else "C,C",
+                       type=_int_list(_check_char),
+                       default=None if multi_f else [0],
                        help="coefficient characteristic%s: 0 for the "
                        "rationals or a prime"
                        % ("" if not multi_f else " list"))
@@ -295,7 +258,7 @@ def _build_parser():
                    choices=("I", "K", "J", "Ilambda"))
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="index for Ilambda (1 <= lambda <= f-1)")
-    p.add_argument("--format", choices=("text", "cas"), default=None)
+    p.add_argument("--format", choices=("text", "cas"), default="text")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("codim", help="dimension and codimension",
@@ -318,7 +281,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--bigraded", action="store_true",
                    help="report (x,t)-bidegrees instead of total degrees")
-    p.add_argument("--format", choices=("text", "json"), default=None)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_resolve)
 
     p = sub.add_parser("verify", help="run a verification suite",
@@ -328,10 +291,9 @@ def _build_parser():
     common(p, multi_f=True)
     p.add_argument("--suite", default="all",
                    choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                   default=None)
-    p.add_argument("--format", choices=("text", "json"), default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget-seconds", type=_budget)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export", help="write CAS-portable ideal files",
@@ -339,15 +301,25 @@ def _build_parser():
                        "and J for each requested size and characteristic "
                        "to the output directory.")
     common(p, multi_f=True)
-    p.add_argument("--outdir", default=None)
-    p.set_defaults(fn=_cmd_export)
+    p.add_argument("--outdir", default=".")
+    p.set_defaults(fn=_cmd_export, f=[4, 5], char=[0])
     return top
 
 
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        settings = _config_flags(args.config, parser) if args.config else []
+        if os.environ.get("PFAFFCALC_OUTDIR"):
+            settings.append("--outdir=" + os.environ["PFAFFCALC_OUTDIR"])
+        if settings:
+            # parsed again with the settings before the user's flags, so
+            # the flags win; a setting the command does not take is left
+            at = argv.index(args.command) + 1
+            args, _ = parser.parse_known_args(argv[:at] + settings +
+                                              argv[at:])
         return args.fn(args, parser)
     except SystemExit as e:
         code = e.code

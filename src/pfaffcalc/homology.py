@@ -154,9 +154,6 @@ class PalindromeReport:
         self.c = c
         self.sigma = sigma
 
-    def __bool__(self):
-        return self.ok
-
     def __repr__(self):
         return "PalindromeReport(ok=%r, c=%r, sigma=%r)" % (
             self.ok, self.c, self.sigma)

@@ -27,7 +27,7 @@ from .constructions import (_PFAFFIANS, build_complex, build_ideal,
                             module_presentation, s1_s2_sets, tx_entries)
 from .exterior import (AlternatingMatrix, ExteriorElement, all_subsets,
                        determinant_oracle, pfaffian_oracle)
-from .fields import GF, QQ
+from .fields import CoefficientField, GF, QQ
 from .groebner import (dimension_codim, groebner_basis, ideal_quotient,
                        same_ideal, saturation_member)
 from .homology import (ModuleSpan, betti_palindrome_check,
@@ -47,14 +47,6 @@ PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 SKIPPED = "skipped (budget)"
-
-
-def _field_of(char):
-    return QQ if char == 0 else GF(char)
-
-
-def _lbl(char):
-    return "QQ" if char == 0 else "GF(%d)" % char
 
 
 def _pick(requested, supported):
@@ -172,16 +164,12 @@ def _trial_count(char):
     return 20 if char == 0 else 100
 
 
-def _half(field):
-    return field.from_fraction(1, 2)
-
-
 # --------------------------------------------------------------------------
 # exterior-identities suite
 
 
 def _id_leibniz(f, char, seed):
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "leibniz", f, char)
     n = _trial_count(char)
     shapes = [(q, p) for q in (1, 2, 3) for p in (q, q + 1)
@@ -203,7 +191,7 @@ def _id_leibniz(f, char, seed):
 
 
 def _id_double_contraction(f, char, seed):
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "double", f, char)
     n = _trial_count(char)
     for t in range(n):
@@ -218,7 +206,7 @@ def _id_double_contraction(f, char, seed):
 
 
 def _id_three_term(f, char, seed):
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "threeterm", f, char)
     n = _trial_count(char)
     for t in range(n):
@@ -235,7 +223,7 @@ def _id_three_term(f, char, seed):
 
 
 def _id_divided_leibniz(f, char, seed):
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "gamma", f, char)
     n = _trial_count(char)
     for t in range(n):
@@ -253,7 +241,7 @@ def _id_divided_leibniz(f, char, seed):
 
 
 def _id_compat(f, char, seed):
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "compat", f, char)
     n = _trial_count(char)
     for t in range(n):
@@ -268,11 +256,9 @@ def _id_compat(f, char, seed):
 
 
 def _id_half_factorization(f, char, seed):
-    if char == 2:
-        raise CheckFailure("needs 2 invertible")
-    field = _field_of(char)
+    field = CoefficientField(char)
     rng = _rng_for(seed, "half", f, char)
-    half = _half(field)
+    half = field.from_fraction(1, 2)
     n = _trial_count(char)
     for t in range(n):
         xi = _rand_form(field, f, rng, "primal", 2)
@@ -332,8 +318,9 @@ def _exterior_checks(fs, chars, seed):
             for char in chars:
                 if name == "half-factorization" and char == 2:
                     continue
+                field = CoefficientField(char)
                 checks.append(_Check(
-                    "%s[f=%d,%s]" % (name, f, _lbl(char)), claim,
+                    "%s[f=%d,%s]" % (name, f, field), claim,
                     (lambda fn=fn, f=f, char=char: fn(f, char, seed))))
     if _pick(fs, (4, 5, 6)):
         checks.append(_Check(
@@ -349,7 +336,7 @@ def _exterior_checks(fs, chars, seed):
 
 
 def _closure_relation_maps(f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     (G, order), (H, order_next) = (vecs_of_matrix(map_matrix(name, ring))
                                    for name in ("D1", "D2"))
     if len(G) != order_next.rank:
@@ -361,7 +348,7 @@ def _closure_relation_maps(f, char):
 
 
 def _closure_complex(name, f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     C = build_complex(name, ring)
     maps = [vecs_of_matrix(M) for M in C.maps]
     quotient = quotient_span(C)
@@ -385,16 +372,17 @@ def _closure_complex(name, f, char):
 def _closure_checks(fs, chars, seed):
     checks = []
     for char in chars:
+        field = CoefficientField(char)
         for f in _pick(fs, (4, 5)):
             checks.append(_Check(
-                "relation-maps-compose-to-zero[f=%d,%s]" % (f, _lbl(char)),
+                "relation-maps-compose-to-zero[f=%d,%s]" % (f, field),
                 "the two explicit relation matrices of the bigraded "
                 "quotient compose to the zero matrix",
                 lambda f=f, char=char: _closure_relation_maps(f, char)))
         for name, fmin in (("precplx", 3), ("seq32", 3), ("seq43", 2)):
             for f in _pick(fs, tuple(range(fmin, 7))):
                 checks.append(_Check(
-                    "composites-vanish[%s,f=%d,%s]" % (name, f, _lbl(char)),
+                    "composites-vanish[%s,f=%d,%s]" % (name, f, field),
                     "consecutive maps of the assembled complex compose to "
                     "zero modulo the designated relations of each target",
                     lambda name=name, f=f, char=char:
@@ -407,7 +395,7 @@ def _closure_checks(fs, chars, seed):
 
 
 def _codim_check(kind, f, char, expected, lam=None):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     gens = build_ideal(kind, ring, lam=lam)
     hd = dimension_codim(groebner_basis(gens, ring))
     if hd.codim != expected:
@@ -420,10 +408,11 @@ def _codim_check(kind, f, char, expected, lam=None):
 def _grades_checks(fs, chars, seed):
     checks = []
     for char in chars:
+        field = CoefficientField(char)
         for f in _pick(fs, (2, 3, 4, 5, 6)):
             expected = {2: 1, 3: 2}.get(f, comb(f - 2, 2) + 2)
             checks.append(_Check(
-                "codim-sum-ideal[f=%d,%s]" % (f, _lbl(char)),
+                "codim-sum-ideal[f=%d,%s]" % (f, field),
                 "the quotient by the sum of the Pfaffian ideal and the "
                 "row ideal has codimension C(f-2,2)+2 for f >= 4, with "
                 "the degenerate values 1 at f=2 and 2 at f=3",
@@ -431,7 +420,7 @@ def _grades_checks(fs, chars, seed):
                     _codim_check("J", f, char, e)))
         for f in _pick(fs, (4, 5, 6)):
             checks.append(_Check(
-                "codim-pfaffian-ideal[f=%d,%s]" % (f, _lbl(char)),
+                "codim-pfaffian-ideal[f=%d,%s]" % (f, field),
                 "the ideal of rank-4 Pfaffian coefficients has the "
                 "generic-alternating codimension C(f-2,2)",
                 lambda f=f, char=char:
@@ -439,7 +428,7 @@ def _grades_checks(fs, chars, seed):
             for lam in range(1, f):
                 checks.append(_Check(
                     "codim-partial-row-ideal[f=%d,lam=%d,%s]"
-                    % (f, lam, _lbl(char)),
+                    % (f, lam, field),
                     "adding the first lam entries of the row product to "
                     "the Pfaffian ideal raises the codimension to "
                     "C(f-2,2) + lam - 1",
@@ -454,7 +443,7 @@ def _grades_checks(fs, chars, seed):
 
 
 def _exactness_check(name, f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     C = build_complex(name, ring)
     bad = [p for p in C.exact_positions if not homology_is_zero(C, p)]
     if bad:
@@ -465,10 +454,11 @@ def _exactness_check(name, f, char):
 def _exactness_checks(fs, chars, seed):
     checks = []
     for char in chars:
+        field = CoefficientField(char)
         for name, fmin in (("seq32", 3), ("seq43", 2), ("precplx", 3)):
             for f in _pick(fs, tuple(range(fmin, 6))):
                 checks.append(_Check(
-                    "homology-vanishes[%s,f=%d,%s]" % (name, f, _lbl(char)),
+                    "homology-vanishes[%s,f=%d,%s]" % (name, f, field),
                     "the assembled complex is exact at every interior "
                     "position, computed as kernel membership in the span "
                     "of the incoming columns and designated relations",
@@ -517,7 +507,7 @@ def _resolve_both_routes(module, ring):
 
 
 def _rj_resolution_check(f, char, expect_totals):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     _, B = _resolve_both_routes("RJ", ring)
     if B.totals() != expect_totals:
         raise CheckFailure("total Betti numbers %s, expected %s"
@@ -533,7 +523,7 @@ def _rj_resolution_check(f, char, expect_totals):
 
 
 def _rj_oracle_check(f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     pres, B = _resolve_both_routes("RJ", ring)
     O = oracle_betti(pres)
     if B.data != O.data:
@@ -544,7 +534,7 @@ def _rj_oracle_check(f, char):
 
 
 def _pd_check(f, char):
-    ring = ring_for(f, _field_of(char), vars="x")
+    ring = ring_for(f, CoefficientField(char), vars="x")
     expected = comb(f - 2, 2)
     _, B = _resolve_both_routes("N", ring)
     if B.length() != expected:
@@ -554,11 +544,11 @@ def _pd_check(f, char):
 
 
 def _mapping_cone_check(char):
-    ringx = ring_for(4, _field_of(char), vars="x")
+    ringx = ring_for(4, CoefficientField(char), vars="x")
     _, BA = _resolve_both_routes("A", ringx)
     _, BN = _resolve_both_routes("N", ringx)
     predicted = mapping_cone_betti(BA, BN)
-    ring = ring_for(4, _field_of(char))
+    ring = ring_for(4, CoefficientField(char))
     _, direct = _resolve_both_routes("RJ", ring)
     if predicted.data != direct.data:
         raise CheckFailure("iterated-cone prediction %s differs from the "
@@ -572,11 +562,12 @@ def _resolution_checks(fs, chars, seed):
     checks = []
     rj_totals = {4: [1, 5, 5, 1], 5: [1, 10, 16, 16, 10, 1]}
     for char in chars:
+        field = CoefficientField(char)
         if char != 2:
             for f in _pick(fs, (4, 5)):
                 checks.append(_Check(
                     "bigraded-quotient-resolution[f=%d,%s]"
-                    % (f, _lbl(char)),
+                    % (f, field),
                     "the minimal bigraded resolution of the quotient by "
                     "the combined ideal has length C(f-2,2)+2 and last "
                     "Betti number 1, by two independent rank routes",
@@ -584,20 +575,20 @@ def _resolution_checks(fs, chars, seed):
                         f, char, rj_totals[f])))
             for f in _pick(fs, (4,)):
                 checks.append(_Check(
-                    "betti-against-rank-oracle[f=%d,%s]" % (f, _lbl(char)),
+                    "betti-against-rank-oracle[f=%d,%s]" % (f, field),
                     "every graded Betti number of the bigraded quotient "
                     "matches the degreewise linear-algebra oracle, a code "
                     "path with no division steps",
                     lambda f=f, char=char: _rj_oracle_check(f, char)))
         for f in _pick(fs, (4, 5)):
             checks.append(_Check(
-                "cokernel-projective-dimension[f=%d,%s]" % (f, _lbl(char)),
+                "cokernel-projective-dimension[f=%d,%s]" % (f, field),
                 "the cokernel of the Pfaffian-linear differential has "
                 "projective dimension C(f-2,2) over the x-variable ring",
                 lambda f=f, char=char: _pd_check(f, char)))
         if 4 in fs and char != 2:
             checks.append(_Check(
-                "iterated-cone-assembly[f=4,%s]" % _lbl(char),
+                "iterated-cone-assembly[f=4,%s]" % field,
                 "the bigraded Betti table assembled from the two "
                 "x-variable tables by the three-strand twist rule equals "
                 "the directly computed table",
@@ -611,10 +602,10 @@ def _resolution_checks(fs, chars, seed):
 
 def _palindrome_check(module, f, char):
     if module == "N":
-        ring = ring_for(f, _field_of(char), vars="x")
+        ring = ring_for(f, CoefficientField(char), vars="x")
         codim = comb(f - 2, 2)
     else:
-        ring = ring_for(f, _field_of(char))
+        ring = ring_for(f, CoefficientField(char))
         codim = comb(f - 2, 2) + 2
     _, B = _resolve_both_routes(module, ring)
     rep = betti_palindrome_check(B, codim)
@@ -628,15 +619,16 @@ def _palindrome_check(module, f, char):
 def _gorenstein_checks(fs, chars, seed):
     checks = []
     for char in chars:
+        field = CoefficientField(char)
         for f in _pick(fs, (4, 5)):
             checks.append(_Check(
-                "self-dual-cokernel-table[f=%d,%s]" % (f, _lbl(char)),
+                "self-dual-cokernel-table[f=%d,%s]" % (f, field),
                 "the Betti table of the differential cokernel reads the "
                 "same forwards and backwards (beta_i,j = beta_(c-i),"
                 "(sigma-j))",
                 lambda f=f, char=char: _palindrome_check("N", f, char)))
             checks.append(_Check(
-                "self-dual-quotient-table[f=%d,%s]" % (f, _lbl(char)),
+                "self-dual-quotient-table[f=%d,%s]" % (f, field),
                 "the total-degree Betti table of the bigraded quotient "
                 "is palindromic with last Betti number 1",
                 lambda f=f, char=char: _palindrome_check("RJ", f, char)))
@@ -648,7 +640,7 @@ def _gorenstein_checks(fs, chars, seed):
 
 
 def _s2_membership_check(f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     gbJ = groebner_basis(build_ideal("J", ring), ring)
     _, s2 = s1_s2_sets(ring)
     missing = sum(1 for s in s2 if not gbJ.contains(s))
@@ -659,7 +651,7 @@ def _s2_membership_check(f, char):
 
 
 def _s2_inversion_check(f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     _, s2 = s1_s2_sets(ring)
     gb2 = groebner_basis(s2, ring)
     x12 = ring.x(1, 2)
@@ -674,7 +666,7 @@ def _s2_inversion_check(f, char):
 
 
 def _saturation_check(char):
-    ring = ring_for(4, _field_of(char))
+    ring = ring_for(4, CoefficientField(char))
     tx = tx_entries(ring)
     target = build_ideal("I", ring) + [tx[0], tx[1]]
     x12 = ring.x(1, 2)
@@ -689,7 +681,7 @@ def _saturation_check(char):
 
 
 def _colon_check(kind, f, char):
-    ring = ring_for(f, _field_of(char))
+    ring = ring_for(f, CoefficientField(char))
     gens = build_ideal(kind, ring)
     x12, x13 = ring.x(1, 2), ring.x(1, 3)
     if not same_ideal(ideal_quotient(gens, x12), gens):
@@ -705,31 +697,32 @@ def _colon_check(kind, f, char):
 def _localization_checks(fs, chars, seed):
     checks = []
     for char in chars:
+        field = CoefficientField(char)
         for f in _pick(fs, (4, 5)):
             checks.append(_Check(
-                "local-generators-membership[f=%d,%s]" % (f, _lbl(char)),
+                "local-generators-membership[f=%d,%s]" % (f, field),
                 "the pivot-row Pfaffians and the two pivot entries of the "
                 "row product all lie in the combined ideal",
                 lambda f=f, char=char: _s2_membership_check(f, char)))
             checks.append(_Check(
-                "pivot-square-inversion[f=%d,%s]" % (f, _lbl(char)),
+                "pivot-square-inversion[f=%d,%s]" % (f, field),
                 "after multiplying by the square of the pivot variable, "
                 "every generator of the combined ideal lands in the ideal "
                 "of designated local generators",
                 lambda f=f, char=char: _s2_inversion_check(f, char)))
             checks.append(_Check(
-                "pfaffian-colon-regularity[f=%d,%s]" % (f, _lbl(char)),
+                "pfaffian-colon-regularity[f=%d,%s]" % (f, field),
                 "the pivot variable and then its row-mate are successive "
                 "nonzerodivisors modulo the Pfaffian ideal",
                 lambda f=f, char=char: _colon_check("I", f, char)))
             checks.append(_Check(
-                "combined-colon-regularity[f=%d,%s]" % (f, _lbl(char)),
+                "combined-colon-regularity[f=%d,%s]" % (f, field),
                 "the pivot variable and then its row-mate are successive "
                 "nonzerodivisors modulo the combined ideal",
                 lambda f=f, char=char: _colon_check("J", f, char)))
         if 4 in fs:
             checks.append(_Check(
-                "pivot-power-saturation[f=4,%s]" % _lbl(char),
+                "pivot-power-saturation[f=4,%s]" % field,
                 "a power of the pivot variable, of exponent at most 4, "
                 "carries every generator of the combined ideal into the "
                 "Pfaffian ideal plus the first two row-product entries",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -266,6 +267,43 @@ def test_export_flag_beats_environment(tmp_path, monkeypatch, capsys):
     assert len(list(used.iterdir())) == 3
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(["--f", "4,4"], id="f-repeats"),
+    pytest.param(["--f", ""], id="f-empty"),
+    pytest.param(["--char", "0,0"], id="char-repeats"),
+    pytest.param(["--char", ""], id="char-empty"),
+])
+def test_export_refuses_an_empty_or_repeating_list(grid, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code, out, err = run(["export", "--outdir", str(outdir)] + grid, capsys)
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pfaffcalc export: error: %s must list one or "
+                          "more distinct values" % grid[0])
+    assert not outdir.exists()
+
+
+def test_export_empty_outdir_is_the_working_directory(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["export", "--f", "2", "--outdir", ""], capsys)
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["I_f2_QQ.cas", "J_f2_QQ.cas", "K_f2_QQ.cas"]
+
+
+def test_export_environment_beats_config(tmp_path, monkeypatch, capsys):
+    used = tmp_path / "used"
+    ignored = tmp_path / "ignored"
+    conf = tmp_path / "run.conf"
+    conf.write_text("outdir = %s\n" % ignored)
+    monkeypatch.setenv("PFAFFCALC_OUTDIR", str(used))
+    code, _, _ = run(["export", "--f", "2", "--config", str(conf)], capsys)
+    assert code == 0
+    assert not ignored.exists()
+    assert len(list(used.iterdir())) == 3
+
+
 # -- config file ---------------------------------------------------------------------
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -292,6 +330,73 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, _, _ = run(["codim", "--ideal", "J", "--config", str(conf)],
                      capsys)
     assert code == 64
+
+
+def test_a_key_the_command_does_not_take_is_left_unread(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = x\nformat = yaml\nbudget-seconds = nan\n")
+    argv = ["codim", "--ideal", "J", "--f", "3"]
+    code, out, err = run(argv + ["--config", str(conf)], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out) == run(argv, capsys)[:2]
+
+
+# Each setting with a bad value, and a good value for the config file
+# that the good flag value overrides; the text reports tell them apart.
+SETTINGS = [
+    ("f", "1", "3", "2"),
+    ("char", "6", "32003", "0"),
+    ("seed", "x", "5", "0"),
+    ("budget-seconds", "nan", "0", "1000"),
+    ("format", "yaml", "json", "text"),
+]
+
+
+def _grades_argv(key):
+    """verify on the grades suite at f = 2 over QQ, leaving out the flag
+    of the setting under test."""
+    argv = ["verify", "--suite", "grades"]
+    for k, v in (("f", "2"), ("char", "0")):
+        if k != key:
+            argv += ["--" + k, v]
+    return argv
+
+
+def _untimed(out):
+    return re.sub(r" \(\d+\.\d+s\)", "", out)
+
+
+@pytest.mark.parametrize("key,bad", [s[:2] for s in SETTINGS],
+                         ids=[s[0] for s in SETTINGS])
+def test_a_bad_value_exits_64_from_a_flag_or_the_config(key, bad, tmp_path,
+                                                        capsys):
+    argv = _grades_argv(key)
+    code, out, err = run(argv + ["--%s=%s" % (key, bad)], capsys)
+    assert (code, out) == (64, "")
+    conf = tmp_path / "run.conf"
+    conf.write_text("%s = %s\n" % (key, bad))
+    code, out, conf_err = run(argv + ["--config", str(conf)], capsys)
+    assert (code, out) == (64, "")
+    # one parser: the same complaint, whichever place the value came from
+    assert conf_err.splitlines()[-1] == err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("key,from_config,from_flag",
+                         [(s[0],) + s[2:] for s in SETTINGS],
+                         ids=[s[0] for s in SETTINGS])
+def test_a_flag_overrides_the_config_value(key, from_config, from_flag,
+                                           tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("%s = %s\n" % (key, from_config))
+    config = ["--config", str(conf)]
+    flag = ["--%s=%s" % (key, from_flag)]
+
+    def outcome(extra):
+        code, out, err = run(_grades_argv(key) + extra, capsys)
+        assert err == ""
+        return code, _untimed(out)
+
+    assert outcome(config + flag) == outcome(flag) != outcome(config)
 
 
 def test_config_file_missing(capsys):
