@@ -7,8 +7,9 @@ go between the subcommand and the user's own flags and the line is
 parsed again, so a value from either place is checked exactly as the
 flag would be, and the last one seen wins: flag, then environment, then
 config file, then default.  A key that the command does not take is
-left over, unread.  All inputs are validated before any computation
-starts; usage problems exit with code 64.
+left over, unread.  A refused setting's error follows a line naming the
+config file, and ``PFAFFCALC_OUTDIR`` if set.  All inputs are validated
+before any computation starts; usage problems exit with code 64.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify failure,
 2 verify incomplete (budget ran out), 3 verify error (a check crashed),
@@ -24,7 +25,7 @@ import sys
 from .constructions import build_ideal, module_presentation
 from .fields import CoefficientField
 from .groebner import dimension_codim, groebner_basis
-from .resolutions import complex_betti, free_resolution
+from .resolutions import free_resolution
 from .rings import ring_for
 from .textio import emit_cas, render
 from .verify import SUITE_NAMES, run_suite
@@ -36,11 +37,14 @@ _CONFIG_KEYS = ("f", "char", "seed", "budget-seconds", "outdir", "format")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code fixed at 64."""
+    """argparse exiting 64 on misuse, `note` printed before its error."""
+
+    note = ""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
+        self.exit(USAGE_EXIT, "%s%s: error: %s\n"
+                  % (self.note, self.prog, message))
 
 
 def _config_flags(path, parser):
@@ -178,7 +182,7 @@ def _cmd_resolve(args, parser):
         pres = module_presentation(args.module, ring, lam=args.lam)
     except ValueError as e:
         parser.error(str(e))
-    B = complex_betti(free_resolution(pres, max_len=len(ring.names)))
+    B = free_resolution(pres, max_len=len(ring.names)).betti()
     if args.format == "json":
         print(json.dumps({"betti": B.to_json_obj(bigraded=args.bigraded)},
                          sort_keys=True))
@@ -259,7 +263,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="index for Ilambda (1 <= lambda <= f-1)")
     p.add_argument("--format", choices=("text", "cas"), default="text")
-    p.set_defaults(fn=_cmd_gen)
+    p.set_defaults(fn=_cmd_gen, sub=p)
 
     p = sub.add_parser("codim", help="dimension and codimension",
                        description="Krull dimension, codimension, and "
@@ -269,7 +273,7 @@ def _build_parser():
     p.add_argument("--ideal", required=True,
                    choices=("I", "K", "J", "Ilambda"))
     p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.set_defaults(fn=_cmd_codim)
+    p.set_defaults(fn=_cmd_codim, sub=p)
 
     p = sub.add_parser("resolve", help="minimal free resolution",
                        description="Betti table of the minimal graded "
@@ -282,7 +286,7 @@ def _build_parser():
     p.add_argument("--bigraded", action="store_true",
                    help="report (x,t)-bidegrees instead of total degrees")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_resolve)
+    p.set_defaults(fn=_cmd_resolve, sub=p)
 
     p = sub.add_parser("verify", help="run a verification suite",
                        description="Run a named battery of checks; exit "
@@ -294,7 +298,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-seconds", type=_budget)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, sub=p)
 
     p = sub.add_parser("export", help="write CAS-portable ideal files",
                        description="Write the generator files of I, K, "
@@ -302,7 +306,7 @@ def _build_parser():
                        "to the output directory.")
     common(p, multi_f=True)
     p.add_argument("--outdir", default=".")
-    p.set_defaults(fn=_cmd_export, f=[4, 5], char=[0])
+    p.set_defaults(fn=_cmd_export, sub=p, f=[4, 5], char=[0])
     return top
 
 
@@ -312,11 +316,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         settings = _config_flags(args.config, parser) if args.config else []
+        sources = ["config file %r" % args.config] if args.config else []
         if os.environ.get("PFAFFCALC_OUTDIR"):
             settings.append("--outdir=" + os.environ["PFAFFCALC_OUTDIR"])
+            sources.append("PFAFFCALC_OUTDIR")
         if settings:
-            # parsed again with the settings before the user's flags, so
-            # the flags win; a setting the command does not take is left
+            # the settings go before the user's flags, so the flags win;
+            # argv alone parsed, so what is refused now is a setting
+            args.sub.note = "%s: settings were read from %s\n" % (
+                args.sub.prog, " and ".join(sources))
             at = argv.index(args.command) + 1
             args, _ = parser.parse_known_args(argv[:at] + settings +
                                               argv[at:])

@@ -8,7 +8,8 @@ the monomial bits, so integer comparison realizes a position-over-term
 order (earlier basis vectors are greater).  A syzygy level's Schreyer
 order, from `FreeModuleOrder.schreyer`, builds its base keys from the
 parent level's leading keys, so every level of a free resolution runs
-on the identical reduction code path.
+on the identical reduction code path.  Every routine reads the
+coefficient field off the order it is given, order.ring.field.
 
 A module element ("vec") is one flat tuple (k0, c0, k1, c1, ...) of
 term keys and their nonzero coefficients, keys strictly descending; the
@@ -173,34 +174,31 @@ def vec_bidegs(vecs, order):
     return out
 
 
-def make_buckets(G, order, field):
+def make_buckets(G, order):
     """Index a basis by leading component for divisor scans: comp ->
     list of (ltkey, inv(lc), terms, index)."""
     buckets = {}
     for idx, g in enumerate(G):
-        bucket_insert(buckets, order, field, g, idx)
+        bucket_insert(buckets, order, g, idx)
     return buckets
 
 
-def bucket_insert(buckets, order, field, g, idx):
+def bucket_insert(buckets, order, g, idx):
     """Index g under its leading component with the inverse of its lead
     coefficient; a monic g needs no inversion (field.inv(1) is 1)."""
     k, c = g[0], g[1]
     buckets.setdefault(order.comp(k), []).append(
-        (k, 1 if c == 1 else field.inv(c), g, idx))
+        (k, 1 if c == 1 else order.ring.field.inv(c), g, idx))
 
 
-def nf(f, order, buckets, field, record=False, zero_only=False):
+def nf(f, order, buckets, record=False):
     """Full normal form of the vec f against the bucketed basis.
 
     Returns (remainder, quots): remainder is a vec; quots
     (when record) maps basis index -> list of (monomial, coeff) with
-    f = sum(quots * basis) + remainder.  With zero_only=True, returns as
-    soon as an irreducible head proves the remainder nonzero, with a
-    partial remainder: the terms reached so far, that head and the
-    unreduced rest.  Keys enter the heap when they enter the dict; a
-    popped key no longer in it is skipped."""
-    p = field.char
+    f = sum(quots * basis) + remainder.  Keys enter the heap when they
+    enter the dict; a popped key no longer in it is skipped."""
+    p = order.ring.field.char
     it = iter(f)
     acc = dict(zip(it, it))
     heap = [-k for k in f[::2]]   # f descends, so this list is a heap
@@ -227,10 +225,6 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
         else:
             rem.append(k)
             rem.append(c)
-            if zero_only:
-                rem.extend(chain.from_iterable(sorted(acc.items(),
-                                                      reverse=True)))
-                return tuple(rem), quots
             continue
         _, inv, g, gi = ent
         cc = c * inv % p if p else c * inv
@@ -258,8 +252,9 @@ def nf(f, order, buckets, field, record=False, zero_only=False):
     return tuple(rem), quots
 
 
-def spair_vec(gi, gj, ua, ub, order, field):
+def spair_vec(gi, gj, ua, ub, order):
     """ua*gi/lc(gi) - ub*gj/lc(gj); the leading terms cancel exactly."""
+    field = order.ring.field
     p = field.char
     inv_i = field.inv(gi[1])
     inv_j = field.inv(gj[1])
@@ -307,7 +302,7 @@ def _divisibility_minimal(cand, divides):
     return kept
 
 
-def buchberger(vecs, order, field, known=()):
+def buchberger(vecs, order, known=()):
     """Groebner basis of the submodule generated by `known` and `vecs`,
     as a list of vecs (leading coefficients arbitrary) that starts with
     `known` as given.
@@ -342,7 +337,7 @@ def buchberger(vecs, order, field, known=()):
         ct = order.comp(k)
         comps.append(ct)
         monos.append(order.mono(k))
-        bucket_insert(buckets, order, field, g, s)
+        bucket_insert(buckets, order, g, s)
         return s, ct, members.setdefault(ct, [])
 
     def add_pairs(t, ct, mine):
@@ -375,7 +370,7 @@ def buchberger(vecs, order, field, known=()):
         v = tuple(v)
         if not v:
             continue
-        rem, _ = nf(v, order, buckets, field)
+        rem, _ = nf(v, order, buckets)
         if rem:
             add_pairs(*install(rem))
 
@@ -386,14 +381,14 @@ def buchberger(vecs, order, field, known=()):
             continue
         ua = codec.div(L, monos[i])
         ub = codec.div(L, monos[j])
-        sp, _, _ = spair_vec(G[i], G[j], ua, ub, order, field)
-        rem, _ = nf(sp, order, buckets, field)
+        sp, _, _ = spair_vec(G[i], G[j], ua, ub, order)
+        rem, _ = nf(sp, order, buckets)
         if rem:
             add_pairs(*install(rem))
     return G
 
 
-def interreduce(G, order, field):
+def interreduce(G, order):
     """Reduce a GB to a monic, auto-reduced one: drop elements whose
     leading term is divisible by another's, then fully reduce each
     survivor against the rest.  The result is still a GB of the same
@@ -428,26 +423,25 @@ def interreduce(G, order, field):
         if any(not oquot(k, ent[0]) & guards
                for ent in buckets.get(comp, ())):
             continue
-        bucket_insert(buckets, order, field, g, len(slots))
+        bucket_insert(buckets, order, g, len(slots))
         slots.append((buckets[comp], len(buckets[comp]) - 1))
     for bucket, pos in slots:
         ent = bucket.pop(pos)
         g = ent[2]
-        rem, _ = nf(g, order, buckets, field)
+        rem, _ = nf(g, order, buckets)
         if rem != g:
             if not rem or rem[0] != ent[0]:
                 raise AssertionError("interreduction destroyed a leading term")
             ent = (ent[0], ent[1], rem, ent[3])
         bucket.insert(pos, ent)
-    one = field.one()
-    fmul = field.mul
+    fmul = order.ring.field.mul
     canon = {}.setdefault
     out = []
     for ent in sorted((bucket[pos] for bucket, pos in slots),
                       key=lambda ent: ent[0], reverse=True):
         inv, g = ent[1], ent[2]
         cs = g[1::2]
-        if cs[0] != one:
+        if cs[0] != 1:
             cs = [fmul(cc, inv) for cc in cs]
         g = list(g)
         g[1::2] = [canon(cc, cc) for cc in cs]
@@ -488,7 +482,7 @@ def schreyer_pairs(G, order):
     return out
 
 
-def schreyer_level(G, order, field, pairs):
+def schreyer_level(G, order, pairs):
     """Syzygies of the GB G, as a GB under the induced Schreyer order;
     pairs is schreyer_pairs(G, order).
 
@@ -496,13 +490,13 @@ def schreyer_level(G, order, field, pairs):
     leading term is u_ij * eps_i by construction (asserted)."""
     anchors = [g[0] for g in G]
     nxt = order.schreyer(anchors, vec_bidegs(G, order))
-    buckets = make_buckets(G, order, field)
-    p = field.char
+    buckets = make_buckets(G, order)
+    p = order.ring.field.char
     nkey = nxt.key
     taus = []
     for (i, j, ua, ub) in pairs:
-        sp, inv_i, inv_j = spair_vec(G[i], G[j], ua, ub, order, field)
-        rem, quots = nf(sp, order, buckets, field, record=True)
+        sp, inv_i, inv_j = spair_vec(G[i], G[j], ua, ub, order)
+        rem, quots = nf(sp, order, buckets, record=True)
         if rem:
             raise AssertionError("S-pair of a Groebner basis did not reduce to zero")
         lead = nkey(i, ua)
@@ -526,7 +520,7 @@ def schreyer_level(G, order, field, pairs):
     return taus, nxt
 
 
-def schreyer_resolution(vecs, order0, field, max_levels):
+def schreyer_resolution(vecs, order0, max_levels):
     """Iterated syzygies of the submodule generated by `vecs` inside the
     free module described by order0.
 
@@ -535,7 +529,7 @@ def schreyer_resolution(vecs, order0, field, max_levels):
     the reduced GB of the syzygies of levels[k] (both from interreduce).
     The ladder stops when a level has no same-component pairs left;
     truncated reports stopping at max_levels instead."""
-    G = interreduce(buchberger(vecs, order0, field), order0, field)
+    G = interreduce(buchberger(vecs, order0), order0)
     if not G:
         return [], False
     levels = [(order0, G)]
@@ -546,8 +540,8 @@ def schreyer_resolution(vecs, order0, field, max_levels):
             return levels, False
         if len(levels) >= max_levels:
             return levels, True
-        taus, nxt = schreyer_level(Gk, order_k, field, pairs)
-        taus = interreduce(taus, nxt, field)
+        taus, nxt = schreyer_level(Gk, order_k, pairs)
+        taus = interreduce(taus, nxt)
         if not taus:
             return levels, False
         levels.append((nxt, taus))

@@ -43,20 +43,17 @@ class ModuleSpan:
 
     def __init__(self, ring, rank, cols, twists=None, quotient=None):
         self.ring = ring
-        self.field = ring.field
         self.order = FreeModuleOrder(ring, rank, twists=twists)
         vecs = [vec_of_entries(enumerate(c), self.order) for c in cols]
         known = () if quotient is None else \
             quotient.placed(self.order, range(rank))
-        G = buchberger([v for v in vecs if v], self.order, self.field,
-                       known=known)
-        self._G = interreduce(G, self.order, self.field)
-        self._buckets = make_buckets(self._G, self.order, self.field)
+        G = buchberger([v for v in vecs if v], self.order, known=known)
+        self._G = interreduce(G, self.order)
+        self._buckets = make_buckets(self._G, self.order)
 
     def contains_column(self, v):
         """Whether the vec v over self.order lies in the span."""
-        rem, _ = nf(v, self.order, self._buckets, self.field, zero_only=True)
-        return not rem
+        return not nf(v, self.order, self._buckets)[0]
 
     def placed(self, order, comps):
         """The reduced basis of this rank-1 span placed in each listed
@@ -104,7 +101,7 @@ def kernel_over_quotient(M, relations=(), quotient=None):
     known = () if quotient is None else quotient.placed(order, range(nrows))
     korder = FreeModuleOrder(ring, ncols, twists=M.col_degs)
     kernel = []
-    for g in buchberger(vecs, order, ring.field, known=known):
+    for g in buchberger(vecs, order, known=known):
         if order.comp(g[0]) >= nrows:
             # shifting every component down by nrows keeps the key order
             v = list(g)
@@ -282,7 +279,7 @@ def char2_anomaly_check(n_char2, n_char0):
     coords = vec_of_entries(((j, _dec_coord(cert, S)) for j, S in
                              enumerate(all_subsets(5, 3))), cert_order)
     cert_ok = cert_ok and \
-        composite(coords, cert_order, G, order, r0.field) == w0
+        composite(coords, cert_order, G, order) == w0
 
     return Char2Report(
         witness_in_columns_char2=in_cols_2,

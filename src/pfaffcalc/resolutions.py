@@ -12,7 +12,8 @@ engine's one translation out of vecs (see `gbengine`), for a caller that
 asks for polynomials; nothing here builds a matrix.  The loops here
 decode a key inline, its component from order.comp_bits and its
 monomial's offset against order.bases; a unit is a key equal to its
-component's base key.
+component's base key.  As in the engine, the field is order.ring.field;
+`_sparse_rank` alone, which reads no order, is handed one.
 
 Two independent Betti routes are provided on purpose.  Both read one
 Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
@@ -26,14 +27,14 @@ wherever it is read again.
 * ``minimalize`` contracts unit entries on one {key: coeff} dict per
   column in the frame's own keys (deterministic pivot order), level by
   level, finding each pivot row through one flat index per row (the
-  column and key of each of its terms) rather than a key list per
-  entry; each vec of the frame is freed as it is copied, each column
-  dict once it is re-keyed, and each level of the minimal complex,
-  built flat once final, keeps one coefficient object per value, as every
-  frame level does from `interreduce`; the minimal complex is checked
-  again; ``free_resolution`` is this route on a presentation, and the
-  one place that caps the length (ResolutionTruncated beyond max_len);
-  every other caller reads the length off the result;
+  column and key of each of its terms); each vec of the frame is freed
+  as it is copied, each column dict once it is re-keyed, and each level
+  of the minimal complex, built flat once final, keeps one coefficient
+  object per value, as every frame level does from `interreduce`; the
+  minimal complex is checked again; ``free_resolution`` is this route
+  on a presentation, and the one place that caps the length
+  (ResolutionTruncated beyond max_len); every other caller reads the
+  length off the result;
 * ``strand_betti`` never minimalizes: it reads the minimal Betti numbers
   off the non-minimal frame as dimensions of constant-strand homology,
   the frame's generator table less the rank of each constant strand at
@@ -73,15 +74,15 @@ def vecs_of_matrix(M):
 
 # -- invariants of a chain of vecs --------------------------------------------
 
-def composite(v, order_next, G, order, field):
+def composite(v, order_next, G, order):
     """The image of the vec v over order_next, as a vec over order, where
     component i of order_next stands for the vec G[i] over order.  Each
     term m*eps_i of v contributes G[i] shifted by m; coefficients are
-    summed unreduced and reduced once at the end, and zero sums are
-    dropped.  The shift is read off the key without decoding m: key -
-    bases_next[i] is (m - one) << mshift_next, and moff(m) over order is
-    that number shifted down to order's mshift, so order_next's mshift
-    must not be below order's."""
+    summed unreduced and reduced once at the end in order's field, and
+    zero sums are dropped.  The shift is read off the key without
+    decoding m: key - bases_next[i] is (m - one) << mshift_next, and
+    moff(m) over order is that number shifted down to order's mshift, so
+    order_next's mshift must not be below order's."""
     mask, shift, top = order_next.comp_bits
     bases = order_next.bases
     down = order_next.mshift - order.mshift
@@ -97,13 +98,13 @@ def composite(v, order_next, G, order, field):
         for kg, cg in zip(git, git):
             kk = kg + off
             acc[kk] = get(kk, 0) + c * cg
-    p = field.char
+    p = order.ring.field.char
     terms = [(k, x % p) for k, x in acc.items() if x % p] if p else \
         [(k, x) for k, x in acc.items() if x]
     return tuple(chain.from_iterable(sorted(terms, reverse=True)))
 
 
-def _check_chain(levels, twists, field):
+def _check_chain(levels, twists):
     """The FreeComplex invariants on a chain given as engine vecs.
 
     levels[k] = (order_k, columns of d_{k+1} as vecs over order_k), and
@@ -126,7 +127,7 @@ def _check_chain(levels, twists, field):
         order, G = levels[k]
         order_next, H = levels[k + 1]
         for v in H:
-            if composite(v, order_next, G, order, field):
+            if composite(v, order_next, G, order):
                 raise ValueError("composite d_%d o d_%d is nonzero"
                                  % (k + 1, k + 2))
 
@@ -177,7 +178,7 @@ class FreeComplex:
     def check(self):
         if self.consumed:
             raise ValueError(_CONSUMED)
-        _check_chain(self.levels, self.twists, self.ring.field)
+        _check_chain(self.levels, self.twists)
 
     def betti(self):
         """Generator counts by (homological index, bidegree) — the Betti
@@ -215,7 +216,7 @@ def schreyer_frame(pres):
     cap = len(pres.ring.names) + 2
     vecs, order0 = vecs_of_matrix(pres)
     levels, truncated = schreyer_resolution([v for v in vecs if v], order0,
-                                            pres.ring.field, max_levels=cap)
+                                            max_levels=cap)
     if truncated:
         raise ResolutionTruncated(
             "syzygy ladder still active after %d levels" % cap)
@@ -277,7 +278,6 @@ def minimalize(C):
     is a checked FreeComplex."""
     C._check_unconsumed()
     C.consumed = True
-    ring = C.ring
     n = len(C.levels)
     alive = [[True] * len(tw) for tw in C.twists]
     mats = [None] * n
@@ -291,17 +291,16 @@ def minimalize(C):
                 it = iter(vecs.pop())
                 cols.append(dict(zip(it, it)))
             mats[k] = cols
-            _contract_units(mats, k, order, alive, ring.field)
+            _contract_units(mats, k, order, alive)
         if k:
             levels.append(_minimal_level(mats[k - 1], C.levels[k - 1][0],
-                                         C.twists[k - 1], alive[k - 1],
-                                         alive[k], ring))
+                                         alive[k - 1], alive[k]))
             mats[k - 1] = None
     twists = [[tw[i] for i, a in enumerate(al) if a]
               for tw, al in zip(C.twists, alive)]
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
-    out = FreeComplex(ring, twists, levels[:len(twists) - 1])
+    out = FreeComplex(C.ring, twists, levels[:len(twists) - 1])
     if not out.is_minimal():
         raise AssertionError("unit entry survived minimalization")
     return out, out.betti()
@@ -316,7 +315,7 @@ def complex_betti(C):
 
 # -- minimalization on the frame's keys ---------------------------------------
 
-def _contract_units(mats, k, order, alive, field):
+def _contract_units(mats, k, order, alive):
     """Contract every unit entry of d_{k+1} in place.  mats[k][j] is
     column j of d_{k+1} as one {key: coefficient} dict in the keys of
     `order`; alive[k] and alive[k+1], the surviving generators of F_k and
@@ -341,6 +340,7 @@ def _contract_units(mats, k, order, alive, field):
     d_{k+2}, which dies with the pivot column c of d_{k+1}, is skipped by
     `alive` when its level's turn comes, and so is it when the level is
     re-keyed."""
+    field = order.ring.field
     p = field.char
     inv = field.inv
     cols = mats[k]
@@ -412,17 +412,18 @@ def _contract_units(mats, k, order, alive, field):
             mats[k - 1][r] = {}
 
 
-def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
+def _minimal_level(cols, order, alive_rows, alive_cols):
     """Level k of the minimal complex from the contracted columns of
-    d_{k+1} over `order`: (FreeModuleOrder of the surviving rows, the
-    surviving columns as vecs over it).  A term of row i, order.bases[i]
-    + ((m - one) << mshift), goes to new_order.key(pos, m) = outbase[i] +
-    (m - one), outbase[i] = new_order.bases[pos], pos its surviving row.  Each column dict is dropped from
-    `cols` once it is re-keyed, and the level keeps one coefficient
-    object per value."""
+    d_{k+1} over `order`: (FreeModuleOrder over order's ring with the
+    twists of the surviving rows, the surviving columns as vecs over
+    it).  A term of row i, order.bases[i] + ((m - one) << mshift), goes
+    to new_order.key(pos, m) = outbase[i] + (m - one), outbase[i] =
+    new_order.bases[pos], pos its surviving row.  Each column dict is
+    dropped from `cols` once it is re-keyed, and the level keeps one
+    coefficient object per value."""
     keep = [i for i, a in enumerate(alive_rows) if a]
-    new_order = FreeModuleOrder(ring, len(keep),
-                                twists=[row_twists[i] for i in keep])
+    new_order = FreeModuleOrder(order.ring, len(keep),
+                                twists=[order.twists[i] for i in keep])
     mask, shift, top = order.comp_bits
     mshift = order.mshift
     ukey = order.bases
@@ -450,7 +451,7 @@ def _minimal_level(cols, order, row_twists, alive_rows, alive_cols, ring):
 
 # -- Betti numbers straight from the ladder ----------------------------------
 
-def _strand_ranks(order, vecs, col_twists, field):
+def _strand_ranks(order, vecs, col_twists):
     """{bidegree: rank of the constant strand of d_{k+1} there}, for one
     level (order_k, vecs) whose columns have the twists col_twists.  A
     checked complex has bihomogeneous entries, so a constant entry sits in
@@ -469,7 +470,8 @@ def _strand_ranks(order, vecs, col_twists, field):
                 col[i] = c
         if col:
             strands.setdefault(bd, []).append(col)
-    return {bd: _sparse_rank(cols, field) for bd, cols in strands.items()}
+    return {bd: _sparse_rank(cols, order.ring.field)
+            for bd, cols in strands.items()}
 
 
 def _sparse_rank(cols, field):
@@ -515,8 +517,7 @@ def strand_betti(C):
     C._check_unconsumed()
     B = C.betti()
     for k, (order, vecs) in enumerate(C.levels):
-        for bd, r in _strand_ranks(order, vecs, C.twists[k + 1],
-                                   C.ring.field).items():
+        for bd, r in _strand_ranks(order, vecs, C.twists[k + 1]).items():
             B.add(k, bd, -r)
             B.add(k + 1, bd, -r)
     if any(c < 0 for c in B.data.values()):

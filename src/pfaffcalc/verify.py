@@ -341,7 +341,7 @@ def _closure_relation_maps(f, char):
                                    for name in ("D1", "D2"))
     if len(G) != order_next.rank:
         raise ValueError("dimension mismatch in composition")
-    if any(composite(v, order_next, G, order, ring.field) for v in H):
+    if any(composite(v, order_next, G, order) for v in H):
         raise CheckFailure("the composite of the two relation maps is "
                            "a nonzero matrix")
     return "composite is the zero %dx%d matrix" % (order.rank, len(H))
@@ -359,8 +359,7 @@ def _closure_complex(name, f, char):
         span = ModuleSpan(ring, term.rank, term.extra_relations,
                           twists=term.degs, quotient=quotient)
         for v in H:
-            if not span.contains_column(
-                    composite(v, order_next, G, order, ring.field)):
+            if not span.contains_column(composite(v, order_next, G, order)):
                 raise CheckFailure(
                     "a composite column at position %d lies outside the "
                     "designated relations" % k)

@@ -381,6 +381,26 @@ def test_a_bad_value_exits_64_from_a_flag_or_the_config(key, bad, tmp_path,
     assert conf_err.splitlines()[-1] == err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("key,bad", [s[:2] for s in SETTINGS],
+                         ids=[s[0] for s in SETTINGS])
+def test_a_bad_config_value_names_where_the_settings_came_from(
+        key, bad, tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text("%s = %s\n" % (key, bad))
+    argv = _grades_argv(key) + ["--config", str(conf)]
+    note = "pfaffcalc verify: settings were read from config file %r" \
+        % str(conf)
+    monkeypatch.delenv("PFAFFCALC_OUTDIR", raising=False)
+    _, _, err = run(argv, capsys)
+    assert err.splitlines()[-2] == note
+    monkeypatch.setenv("PFAFFCALC_OUTDIR", str(tmp_path))
+    _, _, err = run(argv, capsys)
+    assert err.splitlines()[-2] == note + " and PFAFFCALC_OUTDIR"
+    # a bad flag fails before any setting is read
+    _, _, err = run(_grades_argv(key) + ["--%s=%s" % (key, bad)], capsys)
+    assert "settings were read" not in err
+
+
 @pytest.mark.parametrize("key,from_config,from_flag",
                          [(s[0],) + s[2:] for s in SETTINGS],
                          ids=[s[0] for s in SETTINGS])

@@ -69,8 +69,8 @@ def test_packed_capacity_guards_refuse_before_laying_out_keys():
 def test_groebner_basis_invariants(char):
     field = GF(char) if char else QQ
     ring, order, vecs = scalar_setup(3, field)
-    G = buchberger(vecs, order, field)
-    G = interreduce(G, order, field)
+    G = buchberger(vecs, order)
+    G = interreduce(G, order)
     one = field.one()
     leads = [g[0] for g in G]
     for i, g in enumerate(G):
@@ -84,16 +84,16 @@ def test_groebner_basis_invariants(char):
 def test_every_s_pair_reduces_to_zero(char):
     field = GF(char) if char else QQ
     ring, order, vecs = scalar_setup(3, field)
-    G = buchberger(vecs, order, field)
-    buckets = make_buckets(G, order, field)
+    G = buchberger(vecs, order)
+    buckets = make_buckets(G, order)
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
             ki, kj = G[i][0], G[j][0]
             L = order.codec.lcm(order.mono(ki), order.mono(kj))
             ua = order.codec.div(L, order.mono(ki))
             ub = order.codec.div(L, order.mono(kj))
-            s, _, _ = spair_vec(G[i], G[j], ua, ub, order, field)
-            rem, _ = nf(s, order, buckets, field)
+            s, _, _ = spair_vec(G[i], G[j], ua, ub, order)
+            rem, _ = nf(s, order, buckets)
             assert not rem
 
 
@@ -109,9 +109,11 @@ def test_buckets_invert_only_leads_that_are_not_one(char):
             inverted.append(a)
             return super().inv(a)
     ring, order, vecs = scalar_setup(4, field)
-    G = interreduce(buchberger(vecs, order, field), order, field)
+    G = interreduce(buchberger(vecs, order), order)
     G += [flat((k, field.mul(c, 3)) for k, c in terms(g)) for g in G[:2]]
-    buckets = make_buckets(G, order, Counting(char))
+    # the same keys, over a ring whose field counts its inversions
+    counting = FreeModuleOrder(ring_for(4, Counting(char)), 1)
+    buckets = make_buckets(G, counting)
     assert sorted(inverted) == [3, 3]
     for ltkey, inv, g, idx in (e for b in buckets.values() for e in b):
         assert g is G[idx] and ltkey == g[0]
@@ -121,14 +123,13 @@ def test_buckets_invert_only_leads_that_are_not_one(char):
 
 def test_membership_via_normal_form():
     ring, order, vecs = scalar_setup(4, QQ)
-    G = buchberger(vecs, order, QQ)
-    buckets = make_buckets(G, order, QQ)
+    G = buchberger(vecs, order)
+    buckets = make_buckets(G, order)
     gens = build_ideal("J", ring)
     member = gens[0] * ring.x(1, 3) + gens[2].scale(QQ.from_int(-3))
-    rem, _ = nf(vec_of_entries(((0, member),), order), order, buckets, QQ)
+    rem, _ = nf(vec_of_entries(((0, member),), order), order, buckets)
     assert not rem
-    rem, _ = nf(vec_of_entries(((0, ring.x(1, 2)),), order), order, buckets,
-                QQ)
+    rem, _ = nf(vec_of_entries(((0, ring.x(1, 2)),), order), order, buckets)
     assert rem
 
 
@@ -137,9 +138,9 @@ def test_schreyer_level_produces_syzygies():
     order = FreeModuleOrder(ring, 1)
     gens = build_ideal("J", ring)
     vecs = [vec_of_entries(((0, g),), order) for g in gens]
-    G = buchberger(vecs, order, QQ)
-    G = interreduce(G, order, QQ)
-    syz, sorder = schreyer_level(G, order, QQ, schreyer_pairs(G, order))
+    G = buchberger(vecs, order)
+    G = interreduce(G, order)
+    syz, sorder = schreyer_level(G, order, schreyer_pairs(G, order))
     polys = [col[0] for col in columns_of_vecs(G, order)]
     assert syz
     for s in syz[:10]:
@@ -148,6 +149,40 @@ def test_schreyer_level_produces_syzygies():
             term = Polynomial(ring, ((sorder.mono(key), c),))
             acc = acc + polys[sorder.comp(key)] * term
         assert acc.is_zero()
+
+
+def test_schreyer_level_refuses_a_basis_that_is_not_groebner():
+    """a*b + c^2 and a*c: their S-pair reduces to c^3, which buchberger
+    adds, so as a basis they leave a nonzero remainder."""
+    ring = ring_for(3, QQ)
+    order = FreeModuleOrder(ring, 1)
+    a, b, c = ring.x(1, 2), ring.x(1, 3), ring.x(2, 3)
+    gens = (a * b + c * c, a * c)
+    G = sorted((vec_of_entries(((0, g),), order) for g in gens), reverse=True)
+    assert len(buchberger(G, order)) > len(G)
+    with pytest.raises(AssertionError,
+                       match="S-pair of a Groebner basis did not reduce "
+                       "to zero"):
+        schreyer_level(G, order, schreyer_pairs(G, order))
+
+
+def test_schreyer_level_refuses_a_quotient_above_the_lead(monkeypatch):
+    """An nf that records one quotient term far above every S-pair's
+    leading term u_ij * eps_i puts that term at the head of the syzygy."""
+    ring, order, vecs = scalar_setup(4, QQ)
+    G = interreduce(buchberger(vecs, order), order)
+    far = ring.codec.pack((9,) + (0,) * (ring.codec.nvars - 1))
+    real_nf = gbengine.nf
+
+    def inflating(f, order, buckets, record=False):
+        rem, quots = real_nf(f, order, buckets, record=record)
+        if record:
+            quots.setdefault(0, []).append((far, 1))
+        return rem, quots
+    monkeypatch.setattr(gbengine, "nf", inflating)
+    with pytest.raises(AssertionError,
+                       match="Schreyer leading term mismatch"):
+        schreyer_level(G, order, schreyer_pairs(G, order))
 
 
 def test_module_order_twists_and_degrees():
@@ -175,10 +210,11 @@ def test_vec_bidegs_rejects_mixed_vec():
 
 # -- interreduce against the per-element reference ---------------------------
 
-def interreduce_reference(G, order, field):
+def interreduce_reference(G, order):
     """interreduce as it was when the buckets of all other survivors were
     rebuilt for every element on every pass.  It looks up make_buckets
     and nf on the module at call time, so a recording nf sees it too."""
+    field = order.ring.field
     items = sorted(G, key=lambda g: g[0])
     kept = []
     for g in items:
@@ -191,8 +227,8 @@ def interreduce_reference(G, order, field):
         changed = False
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            buckets = gbengine.make_buckets(others, order, field)
-            rem, _ = gbengine.nf(kept[i], order, buckets, field)
+            buckets = gbengine.make_buckets(others, order)
+            rem, _ = gbengine.nf(kept[i], order, buckets)
             if rem != kept[i]:
                 if not rem or rem[0] != kept[i][0]:
                     raise AssertionError("interreduction destroyed a leading term")
@@ -209,8 +245,8 @@ def interreduce_reference(G, order, field):
     return out
 
 
-def recorded_interreduce(fn, G, order, field, monkeypatch):
-    """(result, log) of fn(G, order, field), logging every nf call: the
+def recorded_interreduce(fn, G, order, monkeypatch):
+    """(result, log) of fn(G, order), logging every nf call: the
     vec reduced, its remainder, and each nonempty bucket's
     (ltkey, inv(lc), vec) entries in order.  A reduced GB is unique, so
     only the log shows which divisor and which version of a vec each
@@ -218,29 +254,28 @@ def recorded_interreduce(fn, G, order, field, monkeypatch):
     log = []
     real_nf = gbengine.nf
 
-    def recording_nf(f, order, buckets, field, **kw):
+    def recording_nf(f, order, buckets, **kw):
         seen = tuple((comp, tuple(ent[:3] for ent in bucket))
                      for comp, bucket in sorted(buckets.items()) if bucket)
-        rem, quots = real_nf(f, order, buckets, field, **kw)
+        rem, quots = real_nf(f, order, buckets, **kw)
         log.append((tuple(f), rem, seen))
         return rem, quots
 
     monkeypatch.setattr(gbengine, "nf", recording_nf)
     try:
-        out = fn(G, order, field)
+        out = fn(G, order)
     finally:
         monkeypatch.setattr(gbengine, "nf", real_nf)
     return out, log
 
 
-def assert_same_interreduce(G, order, field, monkeypatch):
+def assert_same_interreduce(G, order, monkeypatch):
     """interreduce makes one pass: its nf calls are the reference's first
     pass, one per survivor, and every later call of the reference
     returns its input unchanged."""
-    got, got_log = recorded_interreduce(interreduce, G, order, field,
-                                        monkeypatch)
+    got, got_log = recorded_interreduce(interreduce, G, order, monkeypatch)
     want, want_log = recorded_interreduce(interreduce_reference, G, order,
-                                          field, monkeypatch)
+                                          monkeypatch)
     assert got == want
     assert len(got_log) == len(want)
     for step, (a, b) in enumerate(zip(got_log, want_log)):
@@ -259,13 +294,12 @@ def test_interreduce_matches_per_element_reference(f, name, char, monkeypatch):
     field = GF(char) if char else QQ
     ring = ring_for(f, field, vars="xt" if name == "RJ" else "x")
     vecs, order = vecs_of_matrix(module_presentation(name, ring))
-    G = buchberger([v for v in vecs if v], order, field)
+    G = buchberger([v for v in vecs if v], order)
     levels = 0
     while G:
-        G = assert_same_interreduce(G, order, field, monkeypatch)
+        G = assert_same_interreduce(G, order, monkeypatch)
         levels += 1
-        G, order = schreyer_level(G, order, field,
-                                  schreyer_pairs(G, order))
+        G, order = schreyer_level(G, order, schreyer_pairs(G, order))
     assert levels >= (1 if name == "A" and f == 4 else 3)
 
 
@@ -282,7 +316,7 @@ def test_interreduce_guards_leading_terms():
         not term_divides(order, k - 1, k)
     for fn in (interreduce, interreduce_reference):
         with pytest.raises(AssertionError, match="destroyed a leading term"):
-            fn(G, order, field)
+            fn(G, order)
 
 
 # -- nf against the merge-based reference -------------------------------------
@@ -319,9 +353,10 @@ def _merge_sub_reference(a, ai, g, m, c, order, field):
     return out
 
 
-def nf_reference(f, order, buckets, field, record=False, zero_only=False):
+def nf_reference(f, order, buckets, record=False):
     """nf as it was when every reduction step merged the subtrahend into a
     fresh copy of the remaining work list of (key, coeff) pairs."""
+    field = order.ring.field
     work = terms(f)
     i0 = 0
     rem = []
@@ -334,9 +369,6 @@ def nf_reference(f, order, buckets, field, record=False, zero_only=False):
                 hit = ent
                 break
         if hit is None:
-            if zero_only:
-                rem.extend(work[i0:])
-                return flat(rem), quots
             rem.append(work[i0])
             i0 += 1
             continue
@@ -350,8 +382,9 @@ def nf_reference(f, order, buckets, field, record=False, zero_only=False):
     return flat(rem), quots
 
 
-def spair_vec_reference(gi, gj, ua, ub, order, field):
+def spair_vec_reference(gi, gj, ua, ub, order):
     """spair_vec as it was, one merge of the two scaled vecs."""
+    field = order.ring.field
     inv_i = field.inv(gi[1])
     inv_j = field.inv(gj[1])
     offa = order.moff(ua)
@@ -380,17 +413,14 @@ def checked_engine(monkeypatch, calls):
     """Route gbengine's nf and spair_vec through wrappers that also run
     the references on the same input and assert identical output, down
     to coefficient types and the order of the quotient dict and lists.
-    Every plain nf call is repeated with zero_only=True, whose partial
-    remainder must be empty exactly when the reference's is.  calls
-    counts the engine's nf calls by (record, zero_only)."""
+    calls counts the engine's nf calls by record."""
     real_nf, real_spair = gbengine.nf, gbengine.spair_vec
 
-    def nf_both(f, order, buckets, field, record=False, zero_only=False):
-        got = real_nf(f, order, buckets, field, record=record,
-                      zero_only=zero_only)
-        want = nf_reference(f, order, buckets, field, record=record,
-                            zero_only=zero_only)
-        calls[record, zero_only] = calls.get((record, zero_only), 0) + 1
+    def nf_both(f, order, buckets, record=False):
+        field = order.ring.field
+        got = real_nf(f, order, buckets, record=record)
+        want = nf_reference(f, order, buckets, record=record)
+        calls[record] = calls.get(record, 0) + 1
         assert got[0] == want[0]
         assert coeff_types(terms(got[0])) == coeff_types(terms(want[0]))
         assert_canonical(terms(got[0]), field)
@@ -401,19 +431,15 @@ def checked_engine(monkeypatch, calls):
                 assert_canonical(quot, field)
         else:
             assert got[1] is None and want[1] is None
-        if not zero_only:
-            z = real_nf(f, order, buckets, field, zero_only=True)[0]
-            zw = nf_reference(f, order, buckets, field, zero_only=True)[0]
-            assert bool(z) == bool(zw) == bool(got[0])
         return got
 
-    def spair_both(gi, gj, ua, ub, order, field):
-        got = real_spair(gi, gj, ua, ub, order, field)
-        want = spair_vec_reference(gi, gj, ua, ub, order, field)
+    def spair_both(gi, gj, ua, ub, order):
+        got = real_spair(gi, gj, ua, ub, order)
+        want = spair_vec_reference(gi, gj, ua, ub, order)
         assert got[0] == want[0]
         assert coeff_types(terms(got[0])) == coeff_types(terms(want[0]))
         assert got[1:] == want[1:]
-        assert_canonical(terms(got[0]), field)
+        assert_canonical(terms(got[0]), order.ring.field)
         return got
 
     monkeypatch.setattr(gbengine, "nf", nf_both)
@@ -432,14 +458,13 @@ def test_nf_matches_merge_reference(f, name, char, monkeypatch):
     vecs, order = vecs_of_matrix(module_presentation(name, ring))
     calls = {}
     checked_engine(monkeypatch, calls)
-    G = buchberger([v for v in vecs if v], order, field)
+    G = buchberger([v for v in vecs if v], order)
     while G:
-        G = interreduce(G, order, field)
-        G, order = schreyer_level(G, order, field,
-                                  schreyer_pairs(G, order))
-    assert calls[False, False] > 0
+        G = interreduce(G, order)
+        G, order = schreyer_level(G, order, schreyer_pairs(G, order))
+    assert calls[False] > 0
     # A at f = 4 is principal: its ladder has no S-pairs
-    assert (calls.get((True, False), 0) > 0) == (name != "A" or f != 4)
+    assert (calls.get(True, 0) > 0) == (name != "A" or f != 4)
 
 
 def test_nf_drops_a_term_that_cancels_over_gf2():
@@ -455,19 +480,17 @@ def test_nf_drops_a_term_that_cancels_over_gf2():
         return vec_of_entries(((0, p),), order)
 
     g = vec(y + x)
-    buckets = make_buckets([g], order, field)
+    buckets = make_buckets([g], order)
     # y^2 - y*(y + x) = xy in GF(2), which cancels the xy of f
     f = vec(y * y + x * y + t * t)
-    rem, quots = nf(f, order, buckets, field, record=True)
+    rem, quots = nf(f, order, buckets, record=True)
     assert rem == vec(t * t)
     assert quots == {0: [(y.lm(), 1)]}
-    for zero_only in (False, True):
-        assert nf(vec(y * y + x * y), order, buckets, field,
-                  zero_only=zero_only)[0] == ()
+    assert nf(vec(y * y + x * y), order, buckets)[0] == ()
     # under the leading w, the y terms cancel: (w + y + x) - (w + y) = x
     w = ring.x(2, 3)
     sp, _, _ = spair_vec(vec(w + y + x), vec(w + y), order.one, order.one,
-                         order, field)
+                         order)
     assert sp == vec(x)
 
 
@@ -560,7 +583,7 @@ def test_schreyer_keys_of_the_n_ladder_at_f6():
 
 # -- buchberger against the pair scan over every component --------------------
 
-def buchberger_reference(vecs, order, field):
+def buchberger_reference(vecs, order):
     """buchberger as it was when a new element scanned every earlier
     element, and the chain criterion every live pair, of all components,
     and no basis could be installed as known."""
@@ -600,13 +623,13 @@ def buchberger_reference(vecs, order, field):
         s = len(G)
         G.append(tuple(remainder))
         lts.append(remainder[0])
-        gbengine.bucket_insert(buckets, order, field, G[s], s)
+        gbengine.bucket_insert(buckets, order, G[s], s)
         add_pairs(s)
 
     for v in vecs:
         v = tuple(v)
         if v:
-            rem, _ = gbengine.nf(v, order, buckets, field)
+            rem, _ = gbengine.nf(v, order, buckets)
             if rem:
                 install(rem)
     while heap:
@@ -617,8 +640,8 @@ def buchberger_reference(vecs, order, field):
         L = lcms.pop((i, j))
         ua = codec.div(L, order.mono(lts[i]))
         ub = codec.div(L, order.mono(lts[j]))
-        sp, _, _ = gbengine.spair_vec(G[i], G[j], ua, ub, order, field)
-        rem, _ = gbengine.nf(sp, order, buckets, field)
+        sp, _, _ = gbengine.spair_vec(G[i], G[j], ua, ub, order)
+        rem, _ = gbengine.nf(sp, order, buckets)
         if rem:
             install(rem)
     return G
@@ -639,14 +662,14 @@ def existing_inputs(char):
 
 
 def suite_inputs(name, f, char, monkeypatch):
-    """Every (vecs, order, field, known) that the complex-closure and
-    exactness checks of one complex hand to buchberger."""
+    """Every (vecs, order, known) that the complex-closure and exactness
+    checks of one complex hand to buchberger."""
     calls = []
     real = homology.buchberger
 
-    def recording(vecs, order, field, known=()):
-        calls.append((list(vecs), order, field, list(known)))
-        return real(vecs, order, field, known=known)
+    def recording(vecs, order, known=()):
+        calls.append((list(vecs), order, list(known)))
+        return real(vecs, order, known=known)
     with monkeypatch.context() as m:
         m.setattr(homology, "buchberger", recording)
         verify._closure_complex(name, f, char)
@@ -657,9 +680,7 @@ def suite_inputs(name, f, char, monkeypatch):
 @pytest.mark.parametrize("char", [0, 2, 32003])
 def test_buchberger_matches_reference_on_the_existing_inputs(char):
     for vecs, order in existing_inputs(char):
-        field = order.ring.field
-        assert buchberger(vecs, order, field) == \
-            buchberger_reference(vecs, order, field)
+        assert buchberger(vecs, order) == buchberger_reference(vecs, order)
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])
@@ -674,10 +695,10 @@ def test_buchberger_with_a_known_basis_matches_reference(f, name, char,
     calls = suite_inputs(name, f, char, monkeypatch)
     assert sum(1 for *_, known in calls if known) >= 2
     real_spair = gbengine.spair_vec
-    for vecs, order, field, known in calls:
+    for vecs, order, known in calls:
         flat = known + vecs
-        want = buchberger_reference(flat, order, field)
-        assert buchberger(flat, order, field) == want
+        want = buchberger_reference(flat, order)
+        assert buchberger(flat, order) == want
         pairs = []
 
         def spying(gi, gj, *args):
@@ -685,12 +706,11 @@ def test_buchberger_with_a_known_basis_matches_reference(f, name, char,
             return real_spair(gi, gj, *args)
         with monkeypatch.context() as m:
             m.setattr(gbengine, "spair_vec", spying)
-            got = buchberger(vecs, order, field, known=known)
+            got = buchberger(vecs, order, known=known)
         assert got[:len(known)] == known
         seen = set(known)
         assert not any(gi in seen and gj in seen for gi, gj in pairs)
-        assert interreduce(got, order, field) == \
-            interreduce(want, order, field)
+        assert interreduce(got, order) == interreduce(want, order)
 
 
 def _old_span_basis(C, rank, cols, twists):
@@ -702,8 +722,8 @@ def _old_span_basis(C, rank, cols, twists):
              for q in C.quotient for i in range(rank)]
     order = FreeModuleOrder(ring, rank, twists=twists)
     vecs = [vec_of_entries(enumerate(c), order) for c in list(cols) + qcols]
-    G = buchberger_reference([v for v in vecs if v], order, ring.field)
-    return interreduce(G, order, ring.field)
+    G = buchberger_reference([v for v in vecs if v], order)
+    return interreduce(G, order)
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])

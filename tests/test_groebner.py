@@ -72,6 +72,13 @@ def test_hilbert_data_of_principal_ideal():
     assert hd.codim == 1
 
 
+def test_hilbert_data_refuses_an_inhomogeneous_ideal():
+    ring = ring_for(3, QQ)
+    with pytest.raises(ValueError,
+                       match="dimension data needs homogeneous generators"):
+        dimension_codim([ring.x(1, 2) * ring.x(1, 3) + ring.t(1)])
+
+
 def test_membership_and_normal_form():
     gb, ring = gb_of("J", 4, 0)
     gens = build_ideal("J", ring)

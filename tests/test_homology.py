@@ -115,7 +115,7 @@ def test_kernel_of_each_differential_is_the_next_image(name, f, char):
         # every kernel vec is nonzero and bihomogeneous (else this raises)
         assert None not in vec_bidegs(K, korder)
         order, G = C.levels[k]
-        assert not any(composite(v, korder, G, order, ring.field)
+        assert not any(composite(v, korder, G, order)
                        for v in K), (k, "d o K")
         if k + 1 == C.length:
             assert not K, k
@@ -171,8 +171,7 @@ def test_kernels_over_the_known_quotient_match_the_flattened_one(f, name,
         K, korder = kernel_over_quotient(M, term.extra_relations, quotient)
         K0, _ = kernel_over_quotient(M, term.extra_relations + flat)
         assert K
-        assert interreduce(K, korder, ring.field) == \
-            interreduce(K0, korder, ring.field)
+        assert interreduce(K, korder) == interreduce(K0, korder)
 
 
 def test_palindrome_check_on_tables(qq):

@@ -16,7 +16,7 @@ from conftest import (A4_BIGRADED, MINIMAL_COMPLEX_SHA256, N4_TOTALS,
                       N5_TOTALS, N5_TOTALS_CHAR2, N6_BIGRADED,
                       N6_MINIMAL_SHA256, RJ4_BIGRADED, RJ4_TOTALS, RJ5_TOTALS,
                       complex_of_matrices, dense_diffs, flat, terms)
-from pfaffcalc import resolutions
+from pfaffcalc import gbengine, resolutions
 from pfaffcalc.constructions import (GradedMatrix, mapping_cone_betti,
                                      module_presentation)
 from pfaffcalc.fields import GF, QQ
@@ -199,6 +199,24 @@ def test_the_resolution_layer_takes_no_dense_matrix_in_or_out():
     assert not hasattr(FreeComplex, "of_matrices")
 
 
+def test_the_engine_reads_its_field_from_the_order():
+    # an order's ring fixes the field, so no step takes one beside it;
+    # _sparse_rank alone reads no order
+    sigs = {}
+    for module in (gbengine, resolutions):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                sigs[node.name] = node.args
+    with_field = [name for name, args in sigs.items()
+                  if "field" in (a.arg for a in args.args + args.kwonlyargs)]
+    assert with_field == ["_sparse_rank"]
+    assert ast.unparse(sigs["nf"]) == "f, order, buckets, record=False"
+    assert not {"ring", "row_twists"} & \
+        {a.arg for a in sigs["_minimal_level"].args}
+
+
 def test_vec_minimality_agrees_with_a_dense_unit_scan(qq):
     ring = ring_for(5, qq, vars="x")
     frame = schreyer_frame(module_presentation("N", ring))
@@ -311,7 +329,7 @@ def test_zero_module_resolves_to_the_zero_complex(qq):
 def test_a_surviving_unit_is_refused(route, qq, monkeypatch):
     # contract nothing: the unit relation of the presentation survives
     monkeypatch.setattr(resolutions, "_contract_units",
-                        lambda mats, k, order, alive, field: None)
+                        lambda mats, k, order, alive: None)
     ring = ring_for(4, qq, vars="x")
     pres = GradedMatrix(ring, [[ring.one(), ring.x(1, 2)]], [(0, 0)],
                         [(0, 0), (1, 0)])
@@ -386,7 +404,7 @@ def test_check_sums_the_composite_in_the_field(char, c1, c2, want):
              GradedMatrix(ring, [[ring.const(c1)], [ring.const(c2)]],
                           twists[1], twists[2])]
     (G, order), (H, order_next) = (vecs_of_matrix(d) for d in diffs)
-    got = composite(H[0], order_next, G, order, ring.field)
+    got = composite(H[0], order_next, G, order)
     assert got == ((order.key(0, a.lm()), want) if want else ())
     if want:
         with pytest.raises(ValueError,
@@ -404,7 +422,7 @@ def test_composite_is_a_descending_vec(qq):
     d2 = GradedMatrix(ring, [[ring.one()], [ring.const(-2)]], [(1, 0)] * 2,
                       [(1, 0)])
     (G, order), (H, order_next) = (vecs_of_matrix(d) for d in (d1, d2))
-    assert composite(H[0], order_next, G, order, QQ) == (
+    assert composite(H[0], order_next, G, order) == (
         order.key(0, large.lm()), -2, order.key(0, small.lm()), 1)
 
 
@@ -415,9 +433,39 @@ def test_composite_refuses_orders_given_the_wrong_way_round(qq):
     (order, G), (order_next, H) = \
         schreyer_frame(module_presentation("N", ring)).levels[:2]
     assert order_next.mshift > order.mshift
-    assert not composite(H[0], order_next, G, order, QQ)
+    assert not composite(H[0], order_next, G, order)
     with pytest.raises(ValueError, match="packs its monomials below"):
-        composite(G[0], order, H, order_next, QQ)
+        composite(G[0], order, H, order_next)
+
+
+def test_a_complex_needs_one_twist_list_per_module(qq):
+    ring = ring_for(4, qq, vars="x")
+    with pytest.raises(ValueError,
+                       match="need exactly one twist list per module"):
+        FreeComplex(ring, [[(0, 0)], [(1, 0)]], [])
+
+
+def test_complex_betti_refuses_a_frame_with_units(qq):
+    ring = ring_for(4, qq, vars="x")
+    pres = GradedMatrix(ring, [[ring.one(), ring.x(1, 2)]], [(0, 0)],
+                        [(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="complex is not minimal"):
+        complex_betti(schreyer_frame(pres))
+
+
+def test_strand_betti_refuses_a_negative_homology_dimension(qq, monkeypatch):
+    # one strand reported with more rank than its level has columns
+    real = resolutions._strand_ranks
+
+    def over_reporting(order, vecs, col_twists):
+        ranks = real(order, vecs, col_twists)
+        ranks[col_twists[0]] = len(vecs) + 1
+        return ranks
+    monkeypatch.setattr(resolutions, "_strand_ranks", over_reporting)
+    pres = module_presentation("N", ring_for(4, qq, vars="x"))
+    with pytest.raises(AssertionError,
+                       match="negative strand homology dimension"):
+        ladder_betti(pres)
 
 
 def test_check_rejects_a_twist_mismatch(qq):
@@ -750,7 +798,7 @@ def test_strand_ranks_match_the_dense_reference(name, f, char):
         want = {bd: _field_rank(rows, field) for bd, rows in
                 _dense_strands(order, vecs, twists[k], twists[k + 1],
                                field).items()}
-        got = resolutions._strand_ranks(order, vecs, twists[k + 1], field)
+        got = resolutions._strand_ranks(order, vecs, twists[k + 1])
         assert got == {bd: r for bd, r in want.items() if r}
         nonzero += len(got)
     # a strand has positive rank exactly where the frame has a unit
