@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .constructions import build_ideal, module_presentation
+from .constructions import build_ideal, module_presentation, module_ring
 from .fields import CoefficientField
 from .groebner import dimension_codim, groebner_basis
 from .resolutions import free_resolution
@@ -174,10 +174,8 @@ def _cmd_codim(args, parser):
 
 def _cmd_resolve(args, parser):
     f = _single(args.f, "--f", parser)
-    field = CoefficientField(_single(args.char, "--char", parser))
-    # modules over the x-variable ring unless the row ideal is involved
-    ring = ring_for(f, field) if args.module == "RJ" else \
-        ring_for(f, field, vars="x")
+    ring = module_ring(args.module, f,
+                       CoefficientField(_single(args.char, "--char", parser)))
     try:
         pres = module_presentation(args.module, ring, lam=args.lam)
     except ValueError as e:

@@ -15,6 +15,7 @@ wedges e_i^e_j^e_k are used.
 from .betti import BettiTable
 from .exterior import (ExteriorElement, AlternatingMatrix, all_subsets,
                        contract, pfaffian_oracle)
+from .rings import ring_for
 
 
 def generic_xi(ring):
@@ -42,22 +43,11 @@ def _dec_coord(el, indices):
     return el.coeff(tuple(reversed(indices)))
 
 
-# Pfaffian generators by ring.  verify.run_suite empties the memo when
-# it starts and when it ends, so its checks share one build per ring and
-# no run reuses another's.
-_PFAFFIANS = {}
-
-
 def pfaffian_gens(ring):
     """Coefficients of xi^(2): the 4x4 Pfaffians of X, one per increasing
-    4-subset in lexicographic order.  A fresh list on every call; the
-    polynomials are immutable and shared."""
-    gens = _PFAFFIANS.get(ring)
-    if gens is None:
-        dp2 = generic_xi(ring).divided_power()
-        gens = _PFAFFIANS[ring] = [dp2.terms.get(I, ring.zero())
-                                   for I in all_subsets(ring.f, 4)]
-    return list(gens)
+    4-subset in lexicographic order."""
+    dp2 = generic_xi(ring).divided_power()
+    return [dp2.terms.get(I, ring.zero()) for I in all_subsets(ring.f, 4)]
 
 
 def tx_entries(ring):
@@ -389,6 +379,13 @@ def s1_s2_sets(ring):
     tx = tx_entries(ring)
     s2 += [-tx[0], tx[1]]
     return s1, s2
+
+
+def module_ring(name, f, field):
+    """The ring module `name` is resolved over: the full ring for 'RJ',
+    whose ideal holds the entries of t*X, and the x-variable ring for
+    'A', 'N' and 'Ilambda'."""
+    return ring_for(f, field, vars="xt" if name == "RJ" else "x")
 
 
 def module_presentation(name, ring, lam=None):

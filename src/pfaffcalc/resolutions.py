@@ -21,8 +21,9 @@ Schreyer frame, the iterated-syzygy ladder under Schreyer orders that
 wants both tables builds once and hands to each.  Ownership:
 `strand_betti` reads a frame, `minimalize` consumes it, emptying each
 level's vec list as it takes it over, so a caller that wants both
-tables calls `strand_betti` first.  A consumed frame raises ValueError
-wherever it is read again.
+tables calls `strand_betti` first.  The emptied vec lists are the one
+mark of a consumed frame, which raises ValueError wherever it is read
+again.
 
 * ``minimalize`` contracts unit entries on one {key: coeff} dict per
   column in the frame's own keys (deterministic pivot order), level by
@@ -104,16 +105,19 @@ def composite(v, order_next, G, order):
     return tuple(chain.from_iterable(sorted(terms, reverse=True)))
 
 
-def _check_chain(levels, twists):
+def _check_chain(ring, levels, twists):
     """The FreeComplex invariants on a chain given as engine vecs.
 
     levels[k] = (order_k, columns of d_{k+1} as vecs over order_k), and
     component i of order_{k+1} stands for column i of level k.  Checked:
-    order_k carries the twists of F_k and level k has one column per
-    generator of F_{k+1}, every entry has the bidegree its row and column
-    twists demand, and d_{k+1} o d_{k+2} = 0, by pushing each column of
-    level k+1 through the columns of level k."""
+    order_k is over `ring` and carries the twists of F_k, level k has one
+    column per generator of F_{k+1}, every entry has the bidegree its row
+    and column twists demand, and d_{k+1} o d_{k+2} = 0, by pushing each
+    column of level k+1 through the columns of level k."""
     for k, (order, vecs) in enumerate(levels):
+        if order.ring != ring:
+            raise ValueError("differential %d is over %r, not over the "
+                             "complex's ring %r" % (k + 1, order.ring, ring))
         if order.twists != tuple(map(tuple, twists[k])) or \
                 len(vecs) != len(twists[k + 1]):
             raise ValueError("differential %d does not match the twist "
@@ -140,15 +144,15 @@ class FreeComplex:
     twists[i] lists the generator bidegrees of F_i; levels[i] = (order_i,
     list of the columns of d_{i+1}: F_{i+1} -> F_i as vecs over order_i).
     Invariants, checked on construction: the differentials match the
-    twist data, and consecutive composites are identically zero.  A chain
-    is never cut short: a resolution that would be raises
-    ResolutionTruncated instead.  `strand_betti` reads a frame,
-    `minimalize` consumes it: it empties the vec lists and sets
-    `consumed`, after which `check`, `is_minimal` and `strand_betti`
-    raise ValueError; so do they on another complex
-    built on the same vec lists, `check` as a twist mismatch."""
+    twist data over the complex's ring, and consecutive composites are
+    identically zero.  A chain is never cut short: a resolution that
+    would be raises ResolutionTruncated instead.  `strand_betti` reads a
+    frame, `minimalize` consumes it: it empties the vec lists, the one
+    mark of a consumed frame, after which `check`, `is_minimal` and
+    `strand_betti` raise ValueError, on this complex and on any other
+    built on the same vec lists."""
 
-    __slots__ = ("ring", "twists", "levels", "consumed")
+    __slots__ = ("ring", "twists", "levels")
 
     def __init__(self, ring, twists, levels):
         self.ring = ring
@@ -156,7 +160,6 @@ class FreeComplex:
         self.levels = list(levels)
         if len(self.twists) != len(self.levels) + 1:
             raise ValueError("need exactly one twist list per module")
-        self.consumed = False
         self.check()
 
     @property
@@ -164,11 +167,10 @@ class FreeComplex:
         return len(self.twists) - 1
 
     def _check_unconsumed(self):
-        """Raise ValueError if `minimalize` consumed this complex, or
-        emptied vec lists it shares with another complex: until then
-        every level holds one vec per generator of the next module."""
-        if self.consumed:
-            raise ValueError(_CONSUMED)
+        """Raise ValueError if `minimalize` emptied the vec lists of this
+        complex, through it or through another complex sharing them:
+        until then every level holds one vec per generator of the next
+        module."""
         for k, (_, vecs) in enumerate(self.levels):
             n = len(self.twists[k + 1])
             if len(vecs) != n:
@@ -176,9 +178,8 @@ class FreeComplex:
                                  % (_CONSUMED, k, len(vecs), n))
 
     def check(self):
-        if self.consumed:
-            raise ValueError(_CONSUMED)
-        _check_chain(self.levels, self.twists)
+        self._check_unconsumed()
+        _check_chain(self.ring, self.levels, self.twists)
 
     def betti(self):
         """Generator counts by (homological index, bidegree) — the Betti
@@ -273,11 +274,10 @@ def minimalize(C):
     surviving term is re-keyed once into the minimal complex's
     FreeModuleOrder, each column dict dropped once re-keyed and its terms
     stored as one flat vec, with one coefficient object per value.  C is
-    marked consumed, so its `check`, `is_minimal` and `strand_betti`
-    raise ValueError from then on; C.twists stays readable.  The result
-    is a checked FreeComplex."""
+    left with empty vec lists, so its `check`, `is_minimal` and
+    `strand_betti` raise ValueError from then on; C.twists stays
+    readable.  The result is a checked FreeComplex."""
     C._check_unconsumed()
-    C.consumed = True
     n = len(C.levels)
     alive = [[True] * len(tw) for tw in C.twists]
     mats = [None] * n

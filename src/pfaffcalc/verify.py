@@ -20,14 +20,15 @@ carry the timings.
 import json
 import random
 import time
+from functools import partial
 from math import comb
 
-from .constructions import (_PFAFFIANS, build_complex, build_ideal,
-                            map_matrix, mapping_cone_betti,
-                            module_presentation, s1_s2_sets, tx_entries)
+from .constructions import (build_complex, build_ideal, map_matrix,
+                            mapping_cone_betti, module_presentation,
+                            module_ring, s1_s2_sets, tx_entries)
 from .exterior import (AlternatingMatrix, ExteriorElement, all_subsets,
                        determinant_oracle, pfaffian_oracle)
-from .fields import CoefficientField, GF, QQ
+from .fields import CoefficientField, QQ
 from .groebner import (dimension_codim, groebner_basis, ideal_quotient,
                        same_ideal, saturation_member)
 from .homology import (ModuleSpan, betti_palindrome_check,
@@ -58,12 +59,15 @@ class CheckFailure(Exception):
 
 
 class _Check:
+    """A named claim and its body, bound to its arguments when the check
+    is made: fn() runs body(*args)."""
+
     __slots__ = ("name", "claim", "fn")
 
-    def __init__(self, name, claim, fn):
+    def __init__(self, name, claim, body, *args):
         self.name = name
         self.claim = claim
-        self.fn = fn
+        self.fn = partial(body, *args)
 
 
 class CheckResult:
@@ -160,115 +164,91 @@ def _rand_form(field, f, rng, side, k):
     return ExteriorElement(field, side, k, terms)
 
 
-def _trial_count(char):
-    return 20 if char == 0 else 100
-
-
 # --------------------------------------------------------------------------
 # exterior-identities suite
 
 
-def _id_leibniz(f, char, seed):
+def _sampled(trial, tag, f, char, seed):
+    """Run trial(field, f, rng, t) for t = 0, 1, ...: 20 trials over QQ,
+    100 over GF(p), all drawing on the one stream of (seed, tag, f,
+    char).  A trial raises CheckFailure on a violation, and may return
+    a tail for the detail: Leibniz names the shapes it cycles through."""
     field = CoefficientField(char)
-    rng = _rng_for(seed, "leibniz", f, char)
-    n = _trial_count(char)
+    rng = _rng_for(seed, tag, f, char)
+    n = 20 if char == 0 else 100
+    for t in range(n):
+        tail = trial(field, f, rng, t)
+    return "%d trials%s" % (n, tail or "")
+
+
+def _id_leibniz(field, f, rng, t):
     shapes = [(q, p) for q in (1, 2, 3) for p in (q, q + 1)
               if p <= f and q <= f]
-    for t in range(n):
-        q, p = shapes[t % len(shapes)]
-        f1 = _rand_form(field, f, rng, "primal", 1)
-        phi = _rand_form(field, f, rng, "dual", q)
-        fp = _rand_form(field, f, rng, "primal", p)
-        lhs = f1.act(phi).act(fp)
-        mid = f1.wedge(phi.act(fp))
-        last = phi.act(f1.wedge(fp))
-        # the sign is (-1)^(1+q): plus for odd q, minus for even q
-        rhs = mid + last if q % 2 else mid - last
-        if lhs != rhs:
-            raise CheckFailure("trial %d (q=%d, p=%d) violates the "
-                               "exchange rule" % (t, q, p))
-    return "%d trials over shapes %s" % (n, shapes)
+    q, p = shapes[t % len(shapes)]
+    f1 = _rand_form(field, f, rng, "primal", 1)
+    phi = _rand_form(field, f, rng, "dual", q)
+    fp = _rand_form(field, f, rng, "primal", p)
+    lhs = f1.act(phi).act(fp)
+    mid = f1.wedge(phi.act(fp))
+    last = phi.act(f1.wedge(fp))
+    # the sign is (-1)^(1+q): plus for odd q, minus for even q
+    rhs = mid + last if q % 2 else mid - last
+    if lhs != rhs:
+        raise CheckFailure("trial %d (q=%d, p=%d) violates the "
+                           "exchange rule" % (t, q, p))
+    return " over shapes %s" % (shapes,)
 
 
-def _id_double_contraction(f, char, seed):
-    field = CoefficientField(char)
-    rng = _rng_for(seed, "double", f, char)
-    n = _trial_count(char)
-    for t in range(n):
-        f2 = _rand_form(field, f, rng, "primal", 2)
-        phi3 = _rand_form(field, f, rng, "dual", 3)
-        lhs = f2.act(phi3).act(f2)
-        rhs = phi3.act(f2.divided_power())
-        if lhs != rhs:
-            raise CheckFailure("trial %d violates the divided-square "
-                               "pairing" % t)
-    return "%d trials" % n
+def _id_double_contraction(field, f, rng, t):
+    f2 = _rand_form(field, f, rng, "primal", 2)
+    phi3 = _rand_form(field, f, rng, "dual", 3)
+    if f2.act(phi3).act(f2) != phi3.act(f2.divided_power()):
+        raise CheckFailure("trial %d violates the divided-square "
+                           "pairing" % t)
 
 
-def _id_three_term(f, char, seed):
-    field = CoefficientField(char)
-    rng = _rng_for(seed, "threeterm", f, char)
-    n = _trial_count(char)
-    for t in range(n):
-        f2 = _rand_form(field, f, rng, "primal", 2)
-        a, b, c = (_rand_form(field, f, rng, "dual", 1) for _ in range(3))
-        lhs = f2.act(a.wedge(b).wedge(c))
-        rhs = (c.scale(f2.act(a.wedge(b)).coeff(()))
-               - b.scale(f2.act(a.wedge(c)).coeff(()))
-               + a.scale(f2.act(b.wedge(c)).coeff(())))
-        if lhs != rhs:
-            raise CheckFailure("trial %d violates the three-term "
-                               "expansion" % t)
-    return "%d trials" % n
+def _id_three_term(field, f, rng, t):
+    f2 = _rand_form(field, f, rng, "primal", 2)
+    a, b, c = (_rand_form(field, f, rng, "dual", 1) for _ in range(3))
+    lhs = f2.act(a.wedge(b).wedge(c))
+    rhs = (c.scale(f2.act(a.wedge(b)).coeff(()))
+           - b.scale(f2.act(a.wedge(c)).coeff(()))
+           + a.scale(f2.act(b.wedge(c)).coeff(())))
+    if lhs != rhs:
+        raise CheckFailure("trial %d violates the three-term "
+                           "expansion" % t)
 
 
-def _id_divided_leibniz(f, char, seed):
-    field = CoefficientField(char)
-    rng = _rng_for(seed, "gamma", f, char)
-    n = _trial_count(char)
-    for t in range(n):
-        tau = _rand_form(field, f, rng, "dual", 1)
-        v = _rand_form(field, f, rng, "primal", 2)
-        w = _rand_form(field, f, rng, "primal", 2)
-        if tau.act(v.divided_power()) != tau.act(v).wedge(v):
-            raise CheckFailure("trial %d: tau(v^(2)) != tau(v) ^ v" % t)
-        lhs = tau.act(v.wedge(w))
-        rhs = tau.act(v).wedge(w) + tau.act(w).wedge(v)
-        if lhs != rhs:
-            raise CheckFailure("trial %d: tau(v ^ w) != tau(v) ^ w + "
-                               "tau(w) ^ v" % t)
-    return "%d trials" % n
+def _id_divided_leibniz(field, f, rng, t):
+    tau = _rand_form(field, f, rng, "dual", 1)
+    v = _rand_form(field, f, rng, "primal", 2)
+    w = _rand_form(field, f, rng, "primal", 2)
+    if tau.act(v.divided_power()) != tau.act(v).wedge(v):
+        raise CheckFailure("trial %d: tau(v^(2)) != tau(v) ^ v" % t)
+    if tau.act(v.wedge(w)) != tau.act(v).wedge(w) + tau.act(w).wedge(v):
+        raise CheckFailure("trial %d: tau(v ^ w) != tau(v) ^ w + "
+                           "tau(w) ^ v" % t)
 
 
-def _id_compat(f, char, seed):
-    field = CoefficientField(char)
-    rng = _rng_for(seed, "compat", f, char)
-    n = _trial_count(char)
-    for t in range(n):
-        k = 1 + (t % min(3, f))
-        fk = _rand_form(field, f, rng, "primal", k)
-        pk = _rand_form(field, f, rng, "dual", k)
-        # both pairings land in degree 0; compare the scalars
-        if pk.act(fk).coeff(()) != fk.act(pk).coeff(()):
-            raise CheckFailure("trial %d (degree %d): the two pairings "
-                               "disagree" % (t, k))
-    return "%d trials" % n
+def _id_compat(field, f, rng, t):
+    k = 1 + (t % min(3, f))
+    fk = _rand_form(field, f, rng, "primal", k)
+    pk = _rand_form(field, f, rng, "dual", k)
+    # both pairings land in degree 0; compare the scalars
+    if pk.act(fk).coeff(()) != fk.act(pk).coeff(()):
+        raise CheckFailure("trial %d (degree %d): the two pairings "
+                           "disagree" % (t, k))
 
 
-def _id_half_factorization(f, char, seed):
-    field = CoefficientField(char)
-    rng = _rng_for(seed, "half", f, char)
-    half = field.from_fraction(1, 2)
-    n = _trial_count(char)
-    for t in range(n):
-        xi = _rand_form(field, f, rng, "primal", 2)
-        phi1 = _rand_form(field, f, rng, "dual", 1)
-        phi4 = _rand_form(field, f, rng, "dual", 4)
-        lhs = phi1.scale(xi.divided_power().act(phi4).coeff(()))
-        inner = phi1.act(xi).act(phi4) + xi.act(phi1.wedge(phi4)).scale(half)
-        if lhs != xi.act(inner):
-            raise CheckFailure("trial %d violates the factorization" % t)
-    return "%d trials" % n
+def _id_half_factorization(field, f, rng, t):
+    xi = _rand_form(field, f, rng, "primal", 2)
+    phi1 = _rand_form(field, f, rng, "dual", 1)
+    phi4 = _rand_form(field, f, rng, "dual", 4)
+    lhs = phi1.scale(xi.divided_power().act(phi4).coeff(()))
+    inner = phi1.act(xi).act(phi4) + \
+        xi.act(phi1.wedge(phi4)).scale(field.from_fraction(1, 2))
+    if lhs != xi.act(inner):
+        raise CheckFailure("trial %d violates the factorization" % t)
 
 
 def _id_pfaffian_det(seed):
@@ -286,48 +266,48 @@ def _id_pfaffian_det(seed):
 
 
 def _exterior_checks(fs, chars, seed):
+    # (check name, claim, trial, stream tag)
     families = [
         ("contract-vector-leibniz",
          "contracting a vector through a coform is a graded derivation: "
          "(f1(phi_q))(f_p) = f1 ^ phi_q(f_p) + (-1)^(1+q) phi_q(f1 ^ f_p)",
-         _id_leibniz),
+         _id_leibniz, "leibniz"),
         ("double-contraction-divided-square",
          "a 2-form contracted twice through a 3-coform pairs with its "
          "divided square: [f2(phi3)](f2) = phi3(f2^(2))",
-         _id_double_contraction),
+         _id_double_contraction, "double"),
         ("three-coform-expansion",
          "a 2-form expands a triple wedge of coforms by the signed "
          "three-term rule: f2(a^b^c) = f2(a^b) c - f2(a^c) b + f2(b^c) a",
-         _id_three_term),
+         _id_three_term, "threeterm"),
         ("divided-power-derivation",
          "coform contraction is a derivation on divided powers of even "
          "forms: tau(v^(2)) = tau(v) ^ v and tau(v^w) = tau(v)^w + tau(w)^v",
-         _id_divided_leibniz),
+         _id_divided_leibniz, "gamma"),
         ("pairing-compatibility",
          "the two module actions agree in matching degrees: "
          "phi_k(f_k) = f_k(phi_k)",
-         _id_compat),
+         _id_compat, "compat"),
         ("half-factorization",
          "when 2 is invertible the squared 2-form action factors: "
          "xi^(2)(phi4) phi1 = xi([phi1(xi)](phi4) + (1/2) xi(phi1 ^ phi4))",
-         _id_half_factorization),
+         _id_half_factorization, "half"),
     ]
     checks = []
-    for name, claim, fn in families:
+    for name, claim, trial, tag in families:
         for f in _pick(fs, (4, 5, 6)):
             for char in chars:
                 if name == "half-factorization" and char == 2:
                     continue
-                field = CoefficientField(char)
                 checks.append(_Check(
-                    "%s[f=%d,%s]" % (name, f, field), claim,
-                    (lambda fn=fn, f=f, char=char: fn(f, char, seed))))
+                    "%s[f=%d,%s]" % (name, f, CoefficientField(char)),
+                    claim, _sampled, trial, tag, f, char, seed))
     if _pick(fs, (4, 5, 6)):
         checks.append(_Check(
             "pfaffian-squares-to-determinant",
             "the Pfaffian of an alternating matrix squares to its "
             "determinant on random 6x6 instances",
-            lambda: _id_pfaffian_det(seed)))
+            _id_pfaffian_det, seed))
     return checks
 
 
@@ -377,15 +357,14 @@ def _closure_checks(fs, chars, seed):
                 "relation-maps-compose-to-zero[f=%d,%s]" % (f, field),
                 "the two explicit relation matrices of the bigraded "
                 "quotient compose to the zero matrix",
-                lambda f=f, char=char: _closure_relation_maps(f, char)))
+                _closure_relation_maps, f, char))
         for name, fmin in (("precplx", 3), ("seq32", 3), ("seq43", 2)):
             for f in _pick(fs, tuple(range(fmin, 7))):
                 checks.append(_Check(
                     "composites-vanish[%s,f=%d,%s]" % (name, f, field),
                     "consecutive maps of the assembled complex compose to "
                     "zero modulo the designated relations of each target",
-                    lambda name=name, f=f, char=char:
-                        _closure_complex(name, f, char)))
+                    _closure_complex, name, f, char))
     return checks
 
 
@@ -415,15 +394,13 @@ def _grades_checks(fs, chars, seed):
                 "the quotient by the sum of the Pfaffian ideal and the "
                 "row ideal has codimension C(f-2,2)+2 for f >= 4, with "
                 "the degenerate values 1 at f=2 and 2 at f=3",
-                lambda f=f, char=char, e=expected:
-                    _codim_check("J", f, char, e)))
+                _codim_check, "J", f, char, expected))
         for f in _pick(fs, (4, 5, 6)):
             checks.append(_Check(
                 "codim-pfaffian-ideal[f=%d,%s]" % (f, field),
                 "the ideal of rank-4 Pfaffian coefficients has the "
                 "generic-alternating codimension C(f-2,2)",
-                lambda f=f, char=char:
-                    _codim_check("I", f, char, comb(f - 2, 2))))
+                _codim_check, "I", f, char, comb(f - 2, 2)))
             for lam in range(1, f):
                 checks.append(_Check(
                     "codim-partial-row-ideal[f=%d,lam=%d,%s]"
@@ -431,9 +408,8 @@ def _grades_checks(fs, chars, seed):
                     "adding the first lam entries of the row product to "
                     "the Pfaffian ideal raises the codimension to "
                     "C(f-2,2) + lam - 1",
-                    lambda f=f, char=char, lam=lam:
-                        _codim_check("Ilambda", f, char,
-                                     comb(f - 2, 2) + lam - 1, lam=lam)))
+                    _codim_check, "Ilambda", f, char,
+                    comb(f - 2, 2) + lam - 1, lam))
     return checks
 
 
@@ -461,8 +437,7 @@ def _exactness_checks(fs, chars, seed):
                     "the assembled complex is exact at every interior "
                     "position, computed as kernel membership in the span "
                     "of the incoming columns and designated relations",
-                    lambda name=name, f=f, char=char:
-                        _exactness_check(name, f, char)))
+                    _exactness_check, name, f, char))
     return checks
 
 
@@ -475,25 +450,26 @@ def _table_str(B):
                      for (i, (a, b)), c in sorted(B.data.items()))
 
 
-# (presentation, Betti table) pairs by (module, ring), shared by the
+# (presentation, Betti table) pairs by (module, f, char), shared by the
 # checks of one run_suite call, which empties it when it starts and when
 # it ends.  Only a table whose two routes agreed is stored, so a failure
 # or a crash repeats in every check that asks for the table again.
 _TABLES = {}
 
 
-def _resolve_both_routes(module, ring):
-    """The module's presentation and its Betti table, computed by the
-    matrix route and the rank route, which must agree.  The Schreyer
-    frame is built once and read by both routes: first by the rank
-    route, which leaves it as it was, then by the matrix route, which
-    consumes it (a consumed frame raises ValueError, an error verdict).
-    No length is capped here: each check compares the table's length
-    with its claim, so a resolution longer than claimed is a certified
-    fail."""
-    key = (module, ring)
+def _resolve_both_routes(module, f, char):
+    """The module's presentation over its `module_ring` and its Betti
+    table, computed by the matrix route and the rank route, which must
+    agree.  The Schreyer frame is built once and read by both routes:
+    first by the rank route, which leaves it as it was, then by the
+    matrix route, which consumes it (a consumed frame raises ValueError,
+    an error verdict).  No length is capped here: each check compares
+    the table's length with its claim, so a resolution longer than
+    claimed is a certified fail."""
+    key = (module, f, char)
     if key not in _TABLES:
-        pres = module_presentation(module, ring)
+        pres = module_presentation(
+            module, module_ring(module, f, CoefficientField(char)))
         frame = schreyer_frame(pres)
         B2 = strand_betti(frame)
         B = minimalize(frame)[1]
@@ -506,8 +482,7 @@ def _resolve_both_routes(module, ring):
 
 
 def _rj_resolution_check(f, char, expect_totals):
-    ring = ring_for(f, CoefficientField(char))
-    _, B = _resolve_both_routes("RJ", ring)
+    _, B = _resolve_both_routes("RJ", f, char)
     if B.totals() != expect_totals:
         raise CheckFailure("total Betti numbers %s, expected %s"
                            % (B.totals(), expect_totals))
@@ -522,8 +497,7 @@ def _rj_resolution_check(f, char, expect_totals):
 
 
 def _rj_oracle_check(f, char):
-    ring = ring_for(f, CoefficientField(char))
-    pres, B = _resolve_both_routes("RJ", ring)
+    pres, B = _resolve_both_routes("RJ", f, char)
     O = oracle_betti(pres)
     if B.data != O.data:
         raise CheckFailure("engine table %s disagrees with the "
@@ -533,9 +507,8 @@ def _rj_oracle_check(f, char):
 
 
 def _pd_check(f, char):
-    ring = ring_for(f, CoefficientField(char), vars="x")
     expected = comb(f - 2, 2)
-    _, B = _resolve_both_routes("N", ring)
+    _, B = _resolve_both_routes("N", f, char)
     if B.length() != expected:
         raise CheckFailure("projective dimension %d, expected %d"
                            % (B.length(), expected))
@@ -543,12 +516,10 @@ def _pd_check(f, char):
 
 
 def _mapping_cone_check(char):
-    ringx = ring_for(4, CoefficientField(char), vars="x")
-    _, BA = _resolve_both_routes("A", ringx)
-    _, BN = _resolve_both_routes("N", ringx)
+    _, BA = _resolve_both_routes("A", 4, char)
+    _, BN = _resolve_both_routes("N", 4, char)
     predicted = mapping_cone_betti(BA, BN)
-    ring = ring_for(4, CoefficientField(char))
-    _, direct = _resolve_both_routes("RJ", ring)
+    _, direct = _resolve_both_routes("RJ", 4, char)
     if predicted.data != direct.data:
         raise CheckFailure("iterated-cone prediction %s differs from the "
                            "direct bigraded table %s"
@@ -570,28 +541,27 @@ def _resolution_checks(fs, chars, seed):
                     "the minimal bigraded resolution of the quotient by "
                     "the combined ideal has length C(f-2,2)+2 and last "
                     "Betti number 1, by two independent rank routes",
-                    lambda f=f, char=char: _rj_resolution_check(
-                        f, char, rj_totals[f])))
+                    _rj_resolution_check, f, char, rj_totals[f]))
             for f in _pick(fs, (4,)):
                 checks.append(_Check(
                     "betti-against-rank-oracle[f=%d,%s]" % (f, field),
                     "every graded Betti number of the bigraded quotient "
                     "matches the degreewise linear-algebra oracle, a code "
                     "path with no division steps",
-                    lambda f=f, char=char: _rj_oracle_check(f, char)))
+                    _rj_oracle_check, f, char))
         for f in _pick(fs, (4, 5)):
             checks.append(_Check(
                 "cokernel-projective-dimension[f=%d,%s]" % (f, field),
                 "the cokernel of the Pfaffian-linear differential has "
                 "projective dimension C(f-2,2) over the x-variable ring",
-                lambda f=f, char=char: _pd_check(f, char)))
+                _pd_check, f, char))
         if 4 in fs and char != 2:
             checks.append(_Check(
                 "iterated-cone-assembly[f=4,%s]" % field,
                 "the bigraded Betti table assembled from the two "
                 "x-variable tables by the three-strand twist rule equals "
                 "the directly computed table",
-                lambda char=char: _mapping_cone_check(char)))
+                _mapping_cone_check, char))
     return checks
 
 
@@ -600,13 +570,8 @@ def _resolution_checks(fs, chars, seed):
 
 
 def _palindrome_check(module, f, char):
-    if module == "N":
-        ring = ring_for(f, CoefficientField(char), vars="x")
-        codim = comb(f - 2, 2)
-    else:
-        ring = ring_for(f, CoefficientField(char))
-        codim = comb(f - 2, 2) + 2
-    _, B = _resolve_both_routes(module, ring)
+    codim = comb(f - 2, 2) + (0 if module == "N" else 2)
+    _, B = _resolve_both_routes(module, f, char)
     rep = betti_palindrome_check(B, codim)
     if not rep.ok:
         raise CheckFailure("Betti table is not palindromic: totals %s"
@@ -625,12 +590,12 @@ def _gorenstein_checks(fs, chars, seed):
                 "the Betti table of the differential cokernel reads the "
                 "same forwards and backwards (beta_i,j = beta_(c-i),"
                 "(sigma-j))",
-                lambda f=f, char=char: _palindrome_check("N", f, char)))
+                _palindrome_check, "N", f, char))
             checks.append(_Check(
                 "self-dual-quotient-table[f=%d,%s]" % (f, field),
                 "the total-degree Betti table of the bigraded quotient "
                 "is palindromic with last Betti number 1",
-                lambda f=f, char=char: _palindrome_check("RJ", f, char)))
+                _palindrome_check, "RJ", f, char))
     return checks
 
 
@@ -702,30 +667,30 @@ def _localization_checks(fs, chars, seed):
                 "local-generators-membership[f=%d,%s]" % (f, field),
                 "the pivot-row Pfaffians and the two pivot entries of the "
                 "row product all lie in the combined ideal",
-                lambda f=f, char=char: _s2_membership_check(f, char)))
+                _s2_membership_check, f, char))
             checks.append(_Check(
                 "pivot-square-inversion[f=%d,%s]" % (f, field),
                 "after multiplying by the square of the pivot variable, "
                 "every generator of the combined ideal lands in the ideal "
                 "of designated local generators",
-                lambda f=f, char=char: _s2_inversion_check(f, char)))
+                _s2_inversion_check, f, char))
             checks.append(_Check(
                 "pfaffian-colon-regularity[f=%d,%s]" % (f, field),
                 "the pivot variable and then its row-mate are successive "
                 "nonzerodivisors modulo the Pfaffian ideal",
-                lambda f=f, char=char: _colon_check("I", f, char)))
+                _colon_check, "I", f, char))
             checks.append(_Check(
                 "combined-colon-regularity[f=%d,%s]" % (f, field),
                 "the pivot variable and then its row-mate are successive "
                 "nonzerodivisors modulo the combined ideal",
-                lambda f=f, char=char: _colon_check("J", f, char)))
+                _colon_check, "J", f, char))
         if 4 in fs:
             checks.append(_Check(
                 "pivot-power-saturation[f=4,%s]" % field,
                 "a power of the pivot variable, of exponent at most 4, "
                 "carries every generator of the combined ideal into the "
                 "Pfaffian ideal plus the first two row-product entries",
-                lambda char=char: _saturation_check(char)))
+                _saturation_check, char))
     return checks
 
 
@@ -736,8 +701,8 @@ def _localization_checks(fs, chars, seed):
 def _char_anomaly_check():
     # the resolutions suite's projective-dimension checks at f = 5 ask for
     # the same two tables, so under --suite all no frame is built here
-    rep = char2_anomaly_check(*(_resolve_both_routes(
-        "N", ring_for(5, F, vars="x")) for F in (GF(2), QQ)))
+    rep = char2_anomaly_check(_resolve_both_routes("N", 5, 2),
+                              _resolve_both_routes("N", 5, 0))
     if not rep.ok:
         raise CheckFailure("anomaly report:\n" + "\n".join(rep.lines()))
     return "\n".join(rep.lines())
@@ -806,7 +771,6 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
     start = time.monotonic()
     results = []
     _TABLES.clear()
-    _PFAFFIANS.clear()
     for chk in checks:
         if budget_seconds is not None and \
                 time.monotonic() - start > budget_seconds:
@@ -826,5 +790,4 @@ def run_suite(suite, fs=None, chars=None, seed=0, budget_seconds=None):
         results.append(CheckResult(chk.name, chk.claim, verdict,
                                    detail or "", time.monotonic() - t0))
     _TABLES.clear()
-    _PFAFFIANS.clear()
     return SuiteReport(suite, grid_fs, grid_chars, seed, results)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_stdout_bytes_are_frozen(argv, digest, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the certified report on the default grid: seed 0's is the
+# digest the benchmark's expected.json holds, seed 3's is frozen here
+VERIFY_SHA256 = {
+    0: json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                   / "expected.json").read_text())["verify_sha256"]["0"],
+    3: "bffbf3808f90a1c3918fa253513ca8befa9cc167c06cc585badc1b097b2659a2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_verify_report_bytes_are_frozen(seed, capsys):
+    code, out, _ = run(["verify", "--format", "json", "--seed", str(seed)],
+                       capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[seed]
 
 
 # -- verify ---------------------------------------------------------------------

@@ -9,8 +9,8 @@ from pfaffcalc.betti import BettiTable
 from pfaffcalc.constructions import (GradedMatrix, _dec_basis, build_complex,
                                      build_ideal, generic_tau, generic_xi,
                                      mapping_cone_betti, map_matrix,
-                                     module_presentation, pfaffian_gens,
-                                     s1_s2_sets, tx_entries)
+                                     module_presentation, module_ring,
+                                     pfaffian_gens, s1_s2_sets, tx_entries)
 from pfaffcalc.exterior import (AlternatingMatrix, all_subsets, contract,
                                 pfaffian_oracle)
 from pfaffcalc.fields import GF, QQ
@@ -245,3 +245,12 @@ def test_mapping_cone_table_arithmetic():
     bad.add(0, (0, 1), 1)
     with pytest.raises(ValueError):
         mapping_cone_betti(bad, bn)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("f", [4, 5])
+def test_each_module_has_one_ring(f, field):
+    # RJ's ideal holds the entries of t*X; A, N and Ilambda live on X alone
+    assert module_ring("RJ", f, field) == ring_for(f, field)
+    for name in ("A", "N", "Ilambda"):
+        assert module_ring(name, f, field) == ring_for(f, field, vars="x")
